@@ -345,29 +345,14 @@ class ExpressionParser:
         return value
 
     def _term(self) -> Polynomial:
-        value = self._factor()
+        value = self._atom_with_power()
         while True:
             tok = self._peek()
             if tok.kind == "op" and tok.text == "*":
                 self._next()
-                value = value * self._factor()
+                value = value * self._atom_with_power()
             else:
                 return value
-
-    def _factor(self) -> Polynomial:
-        value = self._atom()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
-            self._next()
-            etok = self._next()
-            if etok.kind != "num" or "." in etok.text or "e" in etok.text.lower():
-                raise self._fail("exponent must be a nonnegative integer", etok)
-            exponent = int(etok.text)
-            if exponent > MAX_DEGREE:
-                raise self._fail(
-                    f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}", etok)
-            value = value.pow(exponent)
-        return value
 
     def _atom(self) -> Polynomial:
         tok = self._next()
@@ -395,7 +380,7 @@ class ExpressionParser:
         raise self._fail(f"unexpected token {tok.text!r}", tok)
 
     def _atom_with_power(self) -> Polynomial:
-        # unary sign binds looser than '^': -x1^2 == -(x1^2)
+        # the grammar's factor; unary sign binds looser than '^': -x1^2 == -(x1^2)
         value = self._atom()
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import HypothesisError, InputError
 from .expressions import AffineMap, Polynomial, parse_polynomial_text
-from .geometry import (Box, ConvexSet, HalfspacePolytope, constraint_axis,
-                       grid_points, project)
+from .geometry import (Box, ConvexSet, HalfspacePolytope, grid_points, project,
+                       set_grid)
 from . import preferences as prefs
 from .preferences import (DirectionField, PreferenceMap, Sampled, UtilityInduced,
                           hull_preferred)
@@ -70,6 +70,23 @@ class MovingBox:
 
     def bounds_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.lower.eval_many(xs), self.upper.eval_many(xs)
+
+    def linear_max_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Exact rowwise ``max_z <w, z>`` over the values at ``xs``."""
+        lo, hi = self.bounds_many(xs)
+        return np.sum(np.where(ws > 0, hi, lo) * ws, axis=1)
+
+    def residual_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Rowwise distance of own-block ``ys`` to the values at ``xs``."""
+        lo, hi = self.bounds_many(xs)
+        return np.linalg.norm(ys - np.clip(ys, lo, hi), axis=1)
+
+    def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """``(m, |pool|)`` membership of the pool points in the values at
+        ``xs``, within 1e-12."""
+        lo, hi = self.bounds_many(xs)
+        return np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
+                      & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
 
     def value_range(self, x_lower, x_upper) -> Box:
         lo, _ = self.lower.range_over_box(x_lower, x_upper)
@@ -124,14 +141,29 @@ class MovingPolytope:
     def value_range(self, x_lower, x_upper) -> Box:
         return self.bounds_hint
 
+    @cached_property
+    def _normals(self) -> np.ndarray:
+        return np.array(self.normals, dtype=np.float64)
+
+    def residual_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Rowwise worst row violation of own-block ``ys`` at ``xs``."""
+        viol = ys @ self._normals.T - self.offsets.eval_many(xs)
+        return np.max(np.clip(viol, 0.0, None), axis=1)
+
+    def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """``(m, |pool|)`` membership of the pool points in the values at
+        ``xs``, every row within 1e-12."""
+        offs = self.offsets.eval_many(xs)
+        viol = pool @ self._normals.T
+        return np.all(viol[None, :, :] <= offs[:, None, :] + 1e-12, axis=2)
+
     def _extended_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows ``A v <= b0 + B x`` of the values intersected with the hint."""
         k = self.own_dim
-        a_rows = np.array(self.normals, dtype=np.float64)
         b_mat, b0 = self.offsets._np
         eye = np.eye(k)
         lo, hi = self.bounds_hint._np
-        a_ext = np.vstack([a_rows, eye, -eye])
+        a_ext = np.vstack([self._normals, eye, -eye])
         b0_ext = np.concatenate([b0, hi, -lo])
         b_ext = np.vstack([b_mat, np.zeros((2 * k, b_mat.shape[1]))])
         return a_ext, b0_ext, b_ext
@@ -161,6 +193,8 @@ class MovingPolytope:
         return best
 
 
+#: both kinds answer the solvers through one batched surface over scan rows
+#: ``xs``: ``linear_max_many``, ``residual_many`` and ``contains_many``
 ConstraintMap = Union[MovingBox, MovingPolytope]
 
 
@@ -256,23 +290,13 @@ class GameInstance:
         return all(self.choice_sets[i].contains(x[self.own_slice(i)], tol)
                    for i in range(self.player_count))
 
-    def distance_context(self, i: int, h_g: float, margin: float = 1.0):
-        key = ("ctx", i, h_g, margin)
+    def distance_context(self, i: int, h_g: float):
+        key = ("ctx", i, h_g)
         ctx = self._caches.get(key)
         if ctx is None:
-            ctx = prefs.context_for(self.domain_joint_box(), self.hull_boxes[i],
-                                    h_g, margin)
+            ctx = prefs.context_for(self.domain_joint_box(), self.hull_boxes[i], h_g)
             self._caches[key] = ctx
         return ctx
-
-    def content_key(self) -> bytes:
-        key = self._caches.get("content_key")
-        if key is None:
-            parts = [repr(self.dims), repr(self.choice_sets),
-                     repr(self.constraint_maps), repr(self.preference_maps)]
-            key = hashlib.blake2b("|".join(parts).encode(), digest_size=8).digest()
-            self._caches["content_key"] = key
-        return key
 
 
 def seeded_rng(seed: int, *tags, arrays: Sequence[np.ndarray] = ()) -> np.random.Generator:
@@ -305,8 +329,7 @@ def build_instance(dims: Sequence[int],
                    choice_sets: Sequence[ConvexSet],
                    constraint_maps: Sequence[ConstraintMap],
                    preference_maps: Sequence[PreferenceMap],
-                   options: Optional[dict] = None,
-                   probe_axis: int = DEFAULT_PROBE_AXIS) -> GameInstance:
+                   options: Optional[dict] = None) -> GameInstance:
     """Assemble and validate a game instance.
 
     Load-time checks (each raises :class:`HypothesisError` with the
@@ -343,7 +366,7 @@ def build_instance(dims: Sequence[int],
         x_hi.extend(b.upper)
     x_lo = np.array(x_lo)
     x_hi = np.array(x_hi)
-    x_probes = _probe_grid_for_box(Box(tuple(x_lo), tuple(x_hi)), probe_axis)
+    x_probes = _probe_grid_for_box(Box(tuple(x_lo), tuple(x_hi)), DEFAULT_PROBE_AXIS)
     # keep only probes inside X (matters for ball factors)
     tmp = GameInstance(dims, tuple(choice_sets), tuple(constraint_maps),
                        tuple(preference_maps), tuple(Box((0,), (1,)) for _ in dims),
@@ -412,7 +435,7 @@ def build_instance(dims: Sequence[int],
     )
 
     # self-exclusion over the hull product (plus choice corners)
-    q_probes = _probe_grid_for_box(instance.hull_box, probe_axis)
+    q_probes = _probe_grid_for_box(instance.hull_box, DEFAULT_PROBE_AXIS)
     checked = 0
     for i, p in enumerate(preference_maps):
         sl = instance.own_slice(i)
@@ -514,29 +537,15 @@ def constraint_set(game: GameInstance, i: int, x) -> ConvexSet:
 
 
 def _scan_points(k_set: ConvexSet, h: float, budget: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Grid at step ``h`` over the constraint value plus seeded samples.
-
-    Box grids carry their exact endpoints and are enriched with the
-    zero-anchored lattice, matching the solvers' scan axes.
-    """
-    if isinstance(k_set, Box):
-        lo, hi = k_set._np
-        axes = [constraint_axis(lo[j], hi[j], h) for j in range(k_set.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    else:
-        bbox = k_set.tight_box()
-        lo, hi = bbox._np
-        per_axis = [min(201, max(2, int(np.ceil((hi[j] - lo[j]) / h - 1e-9)) + 1))
-                    for j in range(k_set.dim)]
-        grid = k_set.project_many(grid_points(bbox, per_axis))
+                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """The solvers' grid over the constraint value (:func:`set_grid`) plus
+    seeded samples, with the grid resolution actually reached."""
+    grid, resolution = set_grid(k_set, h)
     if budget > 0:
-        bb = k_set.bounding_box()
-        lo, hi = bb._np
+        lo, hi = k_set.bounding_box()._np
         randoms = k_set.project_many(rng.uniform(lo, hi, size=(budget, k_set.dim)))
-        return np.vstack([grid, randoms])
-    return grid
+        grid = np.vstack([grid, randoms])
+    return grid, resolution
 
 
 def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
@@ -544,8 +553,9 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
 
     For each player: the distance of ``y_i`` to ``K_i(x_fix)``, and either the
     first strictly preferred feasible point found (a witness against
-    equilibrium) or a record that none was found at resolution ``cfg.h``
-    with ``cfg.random_budget`` extra samples.
+    equilibrium) or a record that none was found at the grid resolution
+    reached (``cfg.h`` unless a non-box grid hit its axis cap) with
+    ``cfg.random_budget`` extra samples.
     """
     x_fix = np.asarray(x_fix, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -558,16 +568,17 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
         yi = y[sl]
         residual = float(np.linalg.norm(yi - project(k_set, yi)))
         pref = game.preference_maps[i]
+        resolution = cfg.h
         if isinstance(pref, Sampled):
             # the declared table is the scan resolution for tabulated maps
             pts = np.array([z for z in pref._z if k_set.contains(z, tol=1e-9)])
             pts = pts.reshape(-1, game.dims[i])
         else:
             rng = seeded_rng(cfg.seed, 11, i, arrays=(x_fix, y))
-            pts = _scan_points(k_set, cfg.h, cfg.random_budget, rng)
+            pts, resolution = _scan_points(k_set, cfg.h, cfg.random_budget, rng)
         if pts.shape[0] == 0:
             out.append(PlayerCheck(membership_residual=residual, witness=None,
-                                   emptiness_resolution=cfg.h, points_scanned=0))
+                                   emptiness_resolution=resolution, points_scanned=0))
             continue
         gains = prefs.strict_gain_outer(game.preference_maps[i], y[None, :], pts)[0]
         hits = np.nonzero(gains > cfg.strictness + WITNESS_GUARD)[0]
@@ -575,7 +586,7 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
         out.append(PlayerCheck(
             membership_residual=residual,
             witness=witness,
-            emptiness_resolution=cfg.h,
+            emptiness_resolution=resolution,
             points_scanned=pts.shape[0],
         ))
     return out

@@ -33,6 +33,8 @@ CONE_TOL = 1e-9
 #: default angular resolution of the separation scan, in points per angle
 #: (2 pi / 1e-3 radians, rounded)
 ANGULAR_RESOLUTION = 6283
+#: most points per axis of a non-box constraint grid (:func:`set_grid`)
+GRID_AXIS_CAP = 201
 
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -348,12 +350,17 @@ def project(s: ConvexSet, y, tol: float = TOL_PROJ, iter_cap: int = ITER_CAP) ->
     return s.project(y)
 
 
+def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Product of per-axis point lists, one row per point, lexicographic order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
 def grid_points(box: Box, per_axis: Sequence[int]) -> np.ndarray:
     """Deterministic grid over a box, endpoints included, lexicographic order."""
     lo, hi = box._np
-    axes = [np.linspace(lo[j], hi[j], max(1, int(per_axis[j]))) for j in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return mesh_points([np.linspace(lo[j], hi[j], max(1, int(per_axis[j])))
+                        for j in range(box.dim)])
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -389,6 +396,28 @@ def constraint_axis(lo: float, hi: float, step: float) -> np.ndarray:
         return base
     lattice = np.arange(k_lo, k_hi + 1) * step
     return np.unique(np.concatenate([base, lattice]))
+
+
+def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
+    """Scan grid over a constraint value, with the resolution it reaches.
+
+    Box axes are :func:`constraint_axis` and honour ``step``.  Other sets
+    grid their tight box with :func:`grid_axis` (a zero-width axis is one
+    point), capped at ``GRID_AXIS_CAP`` points per axis, and project the
+    grid back onto the set; a capped axis coarsens the returned resolution
+    to its actual spacing.
+    """
+    if isinstance(s, Box):
+        lo, hi = s._np
+        return mesh_points([constraint_axis(lo[j], hi[j], step) for j in range(s.dim)]), step
+    lo, hi = s.tight_box()._np
+    axes = [grid_axis(lo[j], hi[j], step) for j in range(s.dim)]
+    resolution = step
+    for j, ax in enumerate(axes):
+        if ax.shape[0] > GRID_AXIS_CAP:
+            axes[j] = np.linspace(lo[j], hi[j], GRID_AXIS_CAP)
+            resolution = max(resolution, float(hi[j] - lo[j]) / (GRID_AXIS_CAP - 1))
+    return s.project_many(mesh_points(axes)), resolution
 
 
 def probe_points(s: ConvexSet, budget: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
-from .geometry import Box, ConvexSet, probe_points
+from .geometry import Box, ConvexSet, grid_axis, probe_points
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -355,14 +355,13 @@ class GraphDistanceContext:
     """Bounded window and resolution for graph-distance queries.
 
     ``region`` is a box over the joint-times-own product space (the search
-    domain inflated by ``margin``); ``h_g`` is the complement grid step used
-    when no closed form applies.  The context carries the per-preference
-    complement clouds so repeated queries stay cheap.
+    domain inflated by 1); ``h_g`` is the complement grid step used when no
+    closed form applies.  The context carries the per-preference complement
+    clouds so repeated queries stay cheap.
     """
 
     region: Box
     h_g: float
-    margin: float = 1.0
     _clouds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -370,12 +369,10 @@ class GraphDistanceContext:
             raise InputError("distance grid step must be positive")
 
 
-def context_for(joint_box: Box, own_box: Box, h_g: float, margin: float = 1.0) -> GraphDistanceContext:
-    region = Box(
-        tuple(joint_box.inflate(margin).lower) + tuple(own_box.inflate(margin).lower),
-        tuple(joint_box.inflate(margin).upper) + tuple(own_box.inflate(margin).upper),
-    )
-    return GraphDistanceContext(region=region, h_g=h_g, margin=margin)
+def context_for(joint_box: Box, own_box: Box, h_g: float) -> GraphDistanceContext:
+    joint, own = joint_box.inflate(1.0), own_box.inflate(1.0)
+    region = Box(joint.lower + own.lower, joint.upper + own.upper)
+    return GraphDistanceContext(region=region, h_g=h_g)
 
 
 def _halfspace_form(p: PreferenceMap) -> Optional[tuple[np.ndarray, float]]:
@@ -424,11 +421,6 @@ def _rival_scalar_form(p: PreferenceMap) -> Optional[tuple[AffineMap, np.ndarray
     return cmap, a
 
 
-def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(2, int(math.ceil((hi - lo) / step - 1e-9)) + 1)
-    return np.linspace(lo, hi, n)
-
-
 class _ComplementCloud:
     """Boundary points of the complement of a preference graph on a grid.
 
@@ -457,7 +449,7 @@ class _ComplementCloud:
                 active.append(j)
         active = sorted(active)
         self.active = np.array(active, dtype=np.int64)
-        axes = [_grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
+        axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
         shape = tuple(len(ax) for ax in axes)
         total = int(np.prod(shape))
         if total > 120_000_000:
@@ -533,16 +525,17 @@ class _ComplementCloud:
 
 
 def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:
-    key = (p.player_index, hash(p), ctx.h_g)
-    cloud = ctx._clouds.get(key)
+    # keyed on the preference itself: equal hashes of distinct preferences
+    # must not share a cloud
+    cloud = ctx._clouds.get(p)
     if cloud is None:
         cloud = _ComplementCloud(p, ctx)
-        ctx._clouds[key] = cloud
+        ctx._clouds[p] = cloud
     return cloud
 
 
 def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
-                        y, zs: np.ndarray, _force_grid: bool = False) -> np.ndarray:
+                        y, zs: np.ndarray) -> np.ndarray:
     """Graph distance for many own-block candidates at one joint ``y``."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
@@ -556,32 +549,30 @@ def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
         return out
     own = _own_of(p, y)
 
-    if not _force_grid:
-        half = _halfspace_form(p)
-        if half is not None:
-            c, off = half
-            gainvals = (zs - own) @ c - off
-            out[pref] = gainvals[pref] / (_SQRT2 * float(np.linalg.norm(c)))
-            return out
-        scalar = _rival_scalar_form(p)
-        if scalar is not None:
-            cmap, a = scalar
-            cval = float(cmap.eval(y)[0])
-            anorm = float(np.linalg.norm(a))
-            dz = zs[:, 0] - own[0]
-            plus = np.hypot(max(0.0, -cval) / anorm, np.clip(dz, 0.0, None) / _SQRT2)
-            minus = np.hypot(max(0.0, cval) / anorm, np.clip(-dz, 0.0, None) / _SQRT2)
-            vals = np.minimum(plus, minus)
-            out[pref] = vals[pref]
-            return out
+    half = _halfspace_form(p)
+    if half is not None:
+        c, off = half
+        gainvals = (zs - own) @ c - off
+        out[pref] = gainvals[pref] / (_SQRT2 * float(np.linalg.norm(c)))
+        return out
+    scalar = _rival_scalar_form(p)
+    if scalar is not None:
+        cmap, a = scalar
+        cval = float(cmap.eval(y)[0])
+        anorm = float(np.linalg.norm(a))
+        dz = zs[:, 0] - own[0]
+        plus = np.hypot(max(0.0, -cval) / anorm, np.clip(dz, 0.0, None) / _SQRT2)
+        minus = np.hypot(max(0.0, cval) / anorm, np.clip(-dz, 0.0, None) / _SQRT2)
+        vals = np.minimum(plus, minus)
+        out[pref] = vals[pref]
+        return out
 
     cloud = _cloud_for(p, ctx)
     out[pref] = cloud.min_distance(queries[pref])
     return out
 
 
-def graph_distance(p: PreferenceMap, ctx: GraphDistanceContext, y, z,
-                   _force_grid: bool = False) -> float:
+def graph_distance(p: PreferenceMap, ctx: GraphDistanceContext, y, z) -> float:
     """Euclidean distance from ``(y, z)`` to the complement of the preference
     graph; 0 whenever ``z`` is not preferred at ``y``.
 
@@ -589,4 +580,4 @@ def graph_distance(p: PreferenceMap, ctx: GraphDistanceContext, y, z,
     where the result would be unreliable.
     """
     z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    return float(graph_distance_many(p, ctx, y, z, _force_grid=_force_grid)[0])
+    return float(graph_distance_many(p, ctx, y, z)[0])

@@ -17,20 +17,23 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .game import (Certificate, GameInstance, MovingBox, WITNESS_GUARD,
+from .game import (Certificate, GameInstance, WITNESS_GUARD,
                    check_projected_solution, constraint_set, seeded_rng)
-from .geometry import (Ball, Box, constraint_axis, grid_axis, grid_points,
-                       lattice_axis, probe_points, project)
+from .geometry import (Box, grid_axis, grid_points, lattice_axis, mesh_points,
+                       probe_points, project, set_grid)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
 _GRID_GUARD = 10_000_000
+#: rows per lexicographic block of the joint scan grid
+_SCAN_BLOCK = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -115,97 +118,93 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Grids
+# Joint grid scan
 # ---------------------------------------------------------------------------
 
-def _set_grid(s, step: float) -> np.ndarray:
-    """Grid over a materialized constraint value at resolution ``step``."""
-    if isinstance(s, Box):
-        lo, hi = s._np
-        axes = [constraint_axis(lo[j], hi[j], step) for j in range(s.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-    bbox = s.tight_box()
-    lo, hi = bbox._np
-    per_axis = [min(201, grid_axis(lo[j], hi[j], step).shape[0]) for j in range(s.dim)]
-    return s.project_many(grid_points(bbox, per_axis))
+def _scan(game: GameInstance, cfg: SolverConfig
+          ) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The joint hull grid as feasible ``(x, y)`` blocks.
 
-
-def _joint_axes(game: GameInstance, step: float) -> list[np.ndarray]:
-    axes: list[np.ndarray] = []
-    for i in range(game.player_count):
-        lo, hi = game.hull_boxes[i]._np
-        for j in range(game.dims[i]):
-            axes.append(lattice_axis(lo[j], hi[j], step))
-    return axes
-
-
-def _grid_total(axes: list[np.ndarray]) -> int:
-    total = 1
-    for ax in axes:
-        total *= ax.shape[0]
-    return total
-
-
-def _grid_chunks(axes: list[np.ndarray], chunk_rows: int = 65536):
-    """Yield lexicographic blocks of the joint grid as (m, n) arrays."""
+    Returns the cell count (checked against the guard before any work) and
+    a generator over lexicographic blocks of the zero-anchored ``h``-lattice
+    over the hull boxes.  Each block takes ``x`` as the nearest choice point
+    of ``y`` and keeps only the rows where every ``y_i`` is feasible at
+    ``K_i(x)`` within the grid tolerance; blocks with no such row are
+    skipped.
+    """
+    lo, hi = game.hull_box._np
+    axes = [lattice_axis(lo[j], hi[j], cfg.h) for j in range(game.n)]
     shape = tuple(ax.shape[0] for ax in axes)
-    total = _grid_total(axes)
-    for start in range(0, total, chunk_rows):
-        stop = min(total, start + chunk_rows)
-        flat = np.arange(start, stop)
-        coords = np.unravel_index(flat, shape)
-        block = np.stack([axes[j][coords[j]] for j in range(len(axes))], axis=1)
-        yield block
+    total = math.prod(shape)
+    if total > _GRID_GUARD:
+        raise InputError(
+            f"scan grid of {total} cells exceeds the guard ({_GRID_GUARD}); use a coarser h")
+
+    def blocks():
+        for start in range(0, total, _SCAN_BLOCK):
+            coords = np.unravel_index(np.arange(start, min(total, start + _SCAN_BLOCK)), shape)
+            ys = np.stack([ax[c] for ax, c in zip(axes, coords)], axis=1)
+            xs = game.project_choice_many(ys)
+            feasible, _ = _feasibility_mask(game, xs, ys, cfg.eps_grid)
+            if np.any(feasible):
+                yield xs[feasible], ys[feasible]
+    return total, blocks()
 
 
 # ---------------------------------------------------------------------------
-# Linear maxima over sets (exact for boxes and balls)
+# Linear maxima over sets
 # ---------------------------------------------------------------------------
 
-def _linear_max(s, w: np.ndarray, rng: Optional[np.random.Generator] = None,
-                budget: int = 256) -> tuple[float, np.ndarray]:
-    """Maximum and argmax of ``<w, .>`` over a convex set.
+def _linear_max(s, w: np.ndarray, rng: np.random.Generator,
+                budget: int) -> tuple[float, np.ndarray]:
+    """Maximum and argmax of ``<w, .>`` over a materialized constraint value.
 
-    Exact for boxes, balls, and polytopes with corners (attained at a
-    vertex); probe-based otherwise.
+    Exact for boxes and for polytopes with corners (attained at a vertex);
+    probe-based otherwise.
     """
     if isinstance(s, Box):
         lo, hi = s._np
         arg = np.where(w >= 0, hi, lo)
         return float(arg @ w), arg
-    if isinstance(s, Ball):
-        c = np.array(s.center)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return float(c @ w), c
-        arg = c + s.radius * w / norm
-        return float(arg @ w), arg
-    verts = s.vertices
-    if verts.shape[0] > 0:
-        vals = verts @ w
-        idx = int(np.argmax(vals))
-        return float(vals[idx]), verts[idx]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = probe_points(s, budget, rng)
+    pts = s.vertices
+    if pts.shape[0] == 0:
+        pts = probe_points(s, budget, rng)
     vals = pts @ w
     idx = int(np.argmax(vals))
     return float(vals[idx]), pts[idx]
 
 
+def _projection_term_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise ``max_{eta in X} <y - x, eta - x>`` with the maximizers.
+
+    Exact: choice sets are boxes (ties ``w_j = 0`` take the upper bound) or
+    balls (``w = 0`` takes the centre).
+    """
+    w = ys - xs
+    total = np.zeros(xs.shape[0])
+    eta = np.empty_like(xs)
+    for i in range(game.player_count):
+        sl = game.own_slice(i)
+        s = game.choice_sets[i]
+        wi = w[:, sl]
+        if isinstance(s, Box):
+            lo, hi = s._np
+            eta[:, sl] = np.where(wi >= 0, hi, lo)
+            mx = np.sum(eta[:, sl] * wi, axis=1)
+        else:
+            norm = np.linalg.norm(wi, axis=1)
+            eta[:, sl] = s._c + s.radius * wi / np.where(norm > 0.0, norm, 1.0)[:, None]
+            mx = wi @ s._c + s.radius * norm
+        total += mx - np.sum(wi * xs[:, sl], axis=1)
+    return total, eta
+
+
 def _projection_term(game: GameInstance, x: np.ndarray, y: np.ndarray
                      ) -> tuple[float, np.ndarray]:
     """``max_{eta in X} <y - x, eta - x>`` with its maximizer."""
-    w = y - x
-    eta = np.empty_like(x)
-    total = 0.0
-    for i in range(game.player_count):
-        sl = game.own_slice(i)
-        val, arg = _linear_max(game.choice_sets[i], w[sl])
-        eta[sl] = arg
-        total += val - float(w[sl] @ x[sl])
-    return total, eta
+    total, eta = _projection_term_many(game, x[None, :], y[None, :])
+    return float(total[0]), eta[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def best_response_distance(game: GameInstance, i: int, x, y, cfg: SolverConfig
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     k_set = constraint_set(game, i, x)
-    pts = _set_grid(k_set, cfg.h)
+    pts, _ = set_grid(k_set, cfg.h)
     ctx = game.distance_context(i, cfg.distance_step)
     vals = prefs.graph_distance_many(game.preference_maps[i], ctx, y, pts)
     gmax = float(np.max(vals))
@@ -262,6 +261,15 @@ def _multistart_points(game: GameInstance, cfg: SolverConfig) -> np.ndarray:
     return np.array(picks)
 
 
+def _best_response_target(game: GameInstance, x: np.ndarray, y: np.ndarray,
+                          cfg: SolverConfig) -> np.ndarray:
+    """Joint vector of every player's selected best response at ``(x, y)``."""
+    target = np.empty_like(y)
+    for i in range(game.player_count):
+        _, target[game.own_slice(i)] = best_response_distance(game, i, x, y, cfg)
+    return target
+
+
 def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     """Damped multistart iteration of the projection/best-response map.
 
@@ -279,10 +287,7 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
         for _ in range(cfg.max_iter):
             trace.iterations += 1
             result.iterations += 1
-            target = np.empty_like(y)
-            for i in range(game.player_count):
-                _, selected = best_response_distance(game, i, x, y, cfg)
-                target[game.own_slice(i)] = selected
+            target = _best_response_target(game, x, y, cfg)
             y_next = (1.0 - cfg.damping) * y + cfg.damping * target
             x_next = game.project_choice(y_next)
             delta = float(np.linalg.norm(np.concatenate([x_next - x, y_next - y])))
@@ -294,11 +299,7 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
         # one undamped step before certification: exact fixed points are
         # unchanged (the tie-break is stationary there), while damped limits
         # that crept up to a best-response vertex snap onto it
-        target = np.empty_like(y)
-        for i in range(game.player_count):
-            _, selected = best_response_distance(game, i, x, y, cfg)
-            target[game.own_slice(i)] = selected
-        y = target
+        y = _best_response_target(game, x, y, cfg)
         x = game.project_choice(y)
         trace.limit_x = tuple(x)
         trace.limit_y = tuple(y)
@@ -352,15 +353,15 @@ def qvi_residual(game: GameInstance, x, y, y_star, cfg: SolverConfig
     return total, (eta, z)
 
 
-def _candidate_terms(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
-                     cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best per-player residual contribution over operator candidates.
+def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
+                        cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best variational residual over operator candidates, rowwise.
 
-    Returns ``(terms, y_star, ok)`` where ``terms[r, i]`` is the minimal
-    ``max_z <-(y*_i), z - y_i>`` over the candidates at row ``r`` (the
-    stored direction, plus 0 for empty-preference points), ``y_star`` the
-    minimizing selection, and ``ok`` flags rows where every player offered a
-    candidate.
+    Returns ``(residual, y_star, ok)``: the projection term plus, per
+    player, the minimal ``max_z <-(y*_i), z - y_i>`` over the candidates at
+    the row (the stored direction, plus 0 for empty-preference points);
+    ``y_star`` the minimizing selection; ``ok`` flags rows where every
+    player offered a candidate.
     """
     m = xs.shape[0]
     terms = np.zeros((m, game.player_count))
@@ -378,62 +379,23 @@ def _candidate_terms(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
                 dirs[r] = sample.as_array[0]
                 dir_ok[r] = True
         ok &= full_mask | dir_ok
-        cmap = game.constraint_maps[i]
         w = -dirs
-        if isinstance(cmap, MovingBox):
-            lo, hi = cmap.bounds_many(xs)
-            mx = np.sum(np.where(w > 0, hi, lo) * w, axis=1)
-        else:
-            mx = cmap.linear_max_many(xs, w)
-        term_dir = mx - np.sum(w * ys[:, sl], axis=1)
+        term_dir = (game.constraint_maps[i].linear_max_many(xs, w)
+                    - np.sum(w * ys[:, sl], axis=1))
         # full-space factors admit the zero vector, whose term vanishes
         use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
         terms[:, i] = np.where(use_dir, term_dir, 0.0)
         terms[~(dir_ok | full_mask), i] = np.inf
         y_star[:, sl] = np.where(use_dir[:, None], dirs, 0.0)
-    return terms, y_star, ok
-
-
-def _projection_term_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    w = ys - xs
-    total = np.zeros(xs.shape[0])
-    for i in range(game.player_count):
-        sl = game.own_slice(i)
-        s = game.choice_sets[i]
-        wi = w[:, sl]
-        if isinstance(s, Box):
-            lo, hi = s._np
-            mx = np.sum(np.where(wi > 0, hi, lo) * wi, axis=1)
-        elif isinstance(s, Ball):
-            c = np.array(s.center)
-            mx = wi @ c + s.radius * np.linalg.norm(wi, axis=1)
-        else:
-            raise InputError("choice sets must be boxes or balls")
-        total += mx - np.sum(wi * xs[:, sl], axis=1)
-    return total
+    return _projection_term_many(game, xs, ys)[0] + np.sum(terms, axis=1), y_star, ok
 
 
 def _feasibility_mask(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
                       tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Membership of ``y_i`` in ``K_i(x)`` rowwise, with residual estimates."""
-    m = xs.shape[0]
-    mask = np.ones(m, dtype=bool)
-    residual = np.zeros((m, game.player_count))
-    for i in range(game.player_count):
-        sl = game.own_slice(i)
-        cmap = game.constraint_maps[i]
-        if isinstance(cmap, MovingBox):
-            lo, hi = cmap.bounds_many(xs)
-            clipped = np.clip(ys[:, sl], lo, hi)
-            res = np.linalg.norm(ys[:, sl] - clipped, axis=1)
-        else:
-            normals = np.array(cmap.normals, dtype=np.float64)
-            offs = cmap.offsets.eval_many(xs)
-            viol = ys[:, sl] @ normals.T - offs
-            res = np.max(np.clip(viol, 0.0, None), axis=1)
-        residual[:, i] = res
-        mask &= res <= tol
-    return mask, residual
+    residual = np.stack([game.constraint_maps[i].residual_many(xs, ys[:, game.own_slice(i)])
+                         for i in range(game.player_count)], axis=1)
+    return np.all(residual <= tol, axis=1), residual
 
 
 def _witness_prefilter(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
@@ -444,27 +406,15 @@ def _witness_prefilter(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
     m = xs.shape[0]
     has_witness = np.zeros(m, dtype=bool)
     for i in range(game.player_count):
-        sl = game.own_slice(i)
         lo_q, hi_q = game.hull_boxes[i]._np
-        axes = [lattice_axis(lo_q[j], hi_q[j], cfg.h) for j in range(game.dims[i])]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pool = np.stack([a.reshape(-1) for a in mesh], axis=1)
+        pool = mesh_points([lattice_axis(lo_q[j], hi_q[j], cfg.h) for j in range(game.dims[i])])
         rng = seeded_rng(cfg.seed, 43, i)
         if cfg.random_budget:
             pool = np.vstack([pool, rng.uniform(lo_q, hi_q, size=(cfg.random_budget, game.dims[i]))])
-        cmap = game.constraint_maps[i]
         chunk = max(1, int(4_000_000 // max(1, pool.shape[0])))
         for start in range(0, m, chunk):
             rows = slice(start, min(m, start + chunk))
-            if isinstance(cmap, MovingBox):
-                lo, hi = cmap.bounds_many(xs[rows])
-                in_k = np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
-                              & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
-            else:
-                normals = np.array(cmap.normals, dtype=np.float64)
-                offs = cmap.offsets.eval_many(xs[rows])
-                viol = pool @ normals.T
-                in_k = np.all(viol[None, :, :] <= offs[:, None, :] + 1e-12, axis=2)
+            in_k = game.constraint_maps[i].contains_many(xs[rows], pool)
             gains = prefs.strict_gain_outer(game.preference_maps[i], ys[rows], pool)
             has_witness[rows] |= np.any(
                 in_k & (gains > cfg.strictness + WITNESS_GUARD), axis=1)
@@ -480,36 +430,16 @@ def solve_qvi(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     candidates is at most the grid tolerance, and certifies each survivor
     with the full projected-solution check.  An empty result is valid.
     """
-    axes = _joint_axes(game, cfg.h)
-    total = _grid_total(axes)
-    if total > _GRID_GUARD:
-        raise InputError(
-            f"scan grid of {total} cells exceeds the guard ({_GRID_GUARD}); use a coarser h")
-    result = SolveResult(solver="solve-qvi", certificates=[])
-    result.cells_scanned = total
-    keep_x: list[np.ndarray] = []
-    keep_y: list[np.ndarray] = []
-    keep_star: list[np.ndarray] = []
-    keep_res: list[float] = []
-    eps_keep = cfg.eps_grid + 1e-12
-    for block in _grid_chunks(axes):
-        ys = block
-        xs = game.project_choice_many(ys)
-        feasible, _ = _feasibility_mask(game, xs, ys, cfg.eps_grid)
-        if not np.any(feasible):
-            continue
-        xs_f, ys_f = xs[feasible], ys[feasible]
-        terms, y_star, ok = _candidate_terms(game, xs_f, ys_f, cfg)
-        residual = _projection_term_many(game, xs_f, ys_f) + np.sum(terms, axis=1)
-        keep = ok & (residual <= eps_keep)
-        for idx in np.nonzero(keep)[0]:
-            keep_x.append(xs_f[idx])
-            keep_y.append(ys_f[idx])
-            keep_star.append(y_star[idx])
-            keep_res.append(float(residual[idx]))
-    result.candidates = len(keep_x)
+    total, blocks = _scan(game, cfg)
+    result = SolveResult(solver="solve-qvi", certificates=[], cells_scanned=total)
+    keep: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for xs, ys in blocks:
+        residual, y_star, ok = _candidate_residual(game, xs, ys, cfg)
+        rows = np.nonzero(ok & (residual <= cfg.eps_grid + 1e-12))[0]
+        keep.extend(zip(xs[rows], ys[rows], y_star[rows]))
+    result.candidates = len(keep)
     raw_certs: list[Certificate] = []
-    for xv, yv, sv, rv in zip(keep_x, keep_y, keep_star, keep_res):
+    for xv, yv, sv in keep:
         res_exact, witness = qvi_residual(game, xv, yv, sv, cfg)
         result.qvi_points.append(QVIPoint(
             x=tuple(xv), y=tuple(yv), y_star=tuple(sv),
@@ -536,33 +466,16 @@ def brute_force_oracle(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     within radius ``2 h`` (single linkage) and reported through cluster
     representatives carrying member ranges.
     """
-    axes = _joint_axes(game, cfg.h)
-    total = _grid_total(axes)
-    if total > _GRID_GUARD:
-        raise InputError(
-            f"oracle grid of {total} cells exceeds the guard ({_GRID_GUARD}); use a coarser h")
-    result = SolveResult(solver="oracle", certificates=[])
-    result.cells_scanned = total
-    survivors: list[np.ndarray] = []
-    for block in _grid_chunks(axes):
-        ys = block
-        xs = game.project_choice_many(ys)
-        feasible, _ = _feasibility_mask(game, xs, ys, cfg.eps_grid)
-        if not np.any(feasible):
-            continue
-        xs_f, ys_f = xs[feasible], ys[feasible]
-        witnessed = _witness_prefilter(game, xs_f, ys_f, cfg)
-        for idx in np.nonzero(~witnessed)[0]:
-            survivors.append(np.concatenate([xs_f[idx], ys_f[idx]]))
-    result.candidates = len(survivors)
-    raw_certs: list[Certificate] = []
-    for row in survivors:
-        cert = check_projected_solution(game, row[:game.n], row[game.n:], cfg,
-                                        eps=cfg.eps_grid)
-        if cert.passed:
-            raw_certs.append(cert)
-    result.certificates = _cluster_certificates(raw_certs, 2.0 * cfg.h)
-    return result
+    total, blocks = _scan(game, cfg)
+    survivors: list[tuple[np.ndarray, np.ndarray]] = []
+    for xs, ys in blocks:
+        witnessed = _witness_prefilter(game, xs, ys, cfg)
+        survivors.extend(zip(xs[~witnessed], ys[~witnessed]))
+    certs = (check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid) for x, y in survivors)
+    raw_certs = [cert for cert in certs if cert.passed]
+    return SolveResult(solver="oracle",
+                       certificates=_cluster_certificates(raw_certs, 2.0 * cfg.h),
+                       cells_scanned=total, candidates=len(survivors))
 
 
 # ---------------------------------------------------------------------------
@@ -651,27 +564,14 @@ def equivalence_scan(game: GameInstance, cfg: SolverConfig
     convex-valued, boundary-attained preferences the two sets coincide up
     to one grid cell.
     """
-    axes = _joint_axes(game, cfg.h)
-    if _grid_total(axes) > _GRID_GUARD:
-        raise InputError("equivalence scan grid exceeds the guard; use a coarser h")
+    _, blocks = _scan(game, cfg)
     qvi_rows: list[np.ndarray] = []
     nep_rows: list[np.ndarray] = []
-    for block in _grid_chunks(axes):
-        ys = block
-        xs = game.project_choice_many(ys)
-        feasible, _ = _feasibility_mask(game, xs, ys, cfg.eps_grid)
-        if not np.any(feasible):
-            continue
-        xs_f, ys_f = xs[feasible], ys[feasible]
-        terms, _, ok = _candidate_terms(game, xs_f, ys_f, cfg)
-        residual = _projection_term_many(game, xs_f, ys_f) + np.sum(terms, axis=1)
-        for idx in np.nonzero(ok & (residual <= cfg.eps_analytic + 1e-12))[0]:
-            qvi_rows.append(ys_f[idx])
-        for idx in range(xs_f.shape[0]):
-            cert = check_projected_solution(game, xs_f[idx], ys_f[idx], cfg,
-                                            eps=cfg.eps_grid)
-            if cert.passed:
-                nep_rows.append(ys_f[idx])
+    for xs, ys in blocks:
+        residual, _, ok = _candidate_residual(game, xs, ys, cfg)
+        qvi_rows.extend(ys[ok & (residual <= cfg.eps_analytic + 1e-12)])
+        nep_rows.extend(y for x, y in zip(xs, ys)
+                        if check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid).passed)
     to_arr = lambda rows: (np.array(rows).reshape(-1, game.n) if rows
                            else np.zeros((0, game.n)))
     return to_arr(qvi_rows), to_arr(nep_rows)

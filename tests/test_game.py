@@ -245,6 +245,18 @@ def test_moving_polytope_solvers_agree_on_face():
             assert abs(cert.x[2] - 0.5) <= 2 * cfg.h
 
 
+def test_capped_polytope_grid_stamps_its_spacing():
+    # a [0, 4] value at h = 0.01 would need 401 points; the axis cap of 201
+    # scans at spacing 0.02, and the certificate must say so
+    value = MovingPolytope(player_index=0, normals=((1.0,), (-1.0,)),
+                           offsets=AffineMap.constant([4.0, 0.0], 1),
+                           bounds_hint=Box((0.0,), (4.0,)))
+    g = from_utilities([1], [Box((0.0,), (1.0,))], [value], ["x1"])
+    (check,) = check_nep(g, [1.0], [4.0], SolverConfig(h=0.01, random_budget=0))
+    assert check.points_scanned == 201
+    assert check.emptiness_resolution == 4.0 / 200
+
+
 def test_ball_choice_set_instance():
     g = load_fixture("disk")
     assert isinstance(g.choice_sets[0], Ball)

@@ -5,7 +5,7 @@ from projnash.errors import InputError, NonConvergenceError
 from projnash.geometry import (Ball, Box, ConeSample, HalfspacePolytope,
                                normal_cone_membership, polar_membership,
                                probe_points, project, projection_vi_residual,
-                               separate, unit_directions)
+                               separate, set_grid, unit_directions)
 
 
 def random_set(rng, kind, d):
@@ -264,3 +264,12 @@ def test_probe_points_live_in_set():
         assert pts.shape[0] <= 64
         for p in pts:
             assert s.contains(p, tol=1e-7)
+
+
+def test_set_grid_polytope_zero_width_axis_is_one_point():
+    # z1 in [0, 1], z2 pinned at 0.3: the pinned axis contributes one point
+    rows = (((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, 1.0), 0.3), ((0.0, -1.0), -0.3))
+    pts, resolution = set_grid(HalfspacePolytope(rows, 2), 0.25)
+    assert resolution == 0.25
+    assert pts.shape == (5, 2)
+    assert np.allclose(pts[:, 1], 0.3)

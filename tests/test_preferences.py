@@ -7,12 +7,20 @@ from projnash.errors import InputError
 from projnash.expressions import parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.geometry import Box
-from projnash.preferences import (Sampled, UtilityInduced, context_for,
-                                  graph_distance, graph_distance_many,
-                                  hull_preferred, preferred, preferred_many,
-                                  sample_preferred)
+from projnash.preferences import (Sampled, UtilityInduced, _cloud_for,
+                                  context_for, graph_distance,
+                                  graph_distance_many, hull_preferred,
+                                  preferred, preferred_many, sample_preferred)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def grid_distance(p, ctx, y, z):
+    """Graph distance through the complement cloud, skipping closed forms."""
+    if not preferred_many(p, y, np.reshape(z, (1, -1)))[0]:
+        return 0.0
+    query = np.concatenate([np.ravel(y), np.ravel(z)])[None, :]
+    return float(_cloud_for(p, ctx).min_distance(query)[0])
 
 
 def linear_pref_1d():
@@ -161,7 +169,7 @@ def test_graph_distance_grid_matches_closed_form():
         y = rng.uniform(-0.5, 2.5, 1)
         z = rng.uniform(-0.5, 2.5, 1)
         exact = graph_distance(p, ctx, y, z)
-        grid = graph_distance(p, ctx, y, z, _force_grid=True)
+        grid = grid_distance(p, ctx, y, z)
         assert abs(exact - grid) <= h_g * math.sqrt(2) + 1e-12
 
 
@@ -213,7 +221,7 @@ def test_graph_distance_spin_two_branch_form():
         y = rng.uniform(0.1, 1.4, 2)
         z = rng.uniform(0.1, 1.4, 1)
         exact = graph_distance(p, ctx, y, z)
-        grid = graph_distance(p, ctx, y, z, _force_grid=True)
+        grid = grid_distance(p, ctx, y, z)
         assert abs(exact - grid) <= 0.02 * math.sqrt(3) + 1e-12
 
 
@@ -263,3 +271,25 @@ def test_preferred_many_matches_scalar():
     mask = preferred_many(p, x, zs)
     for z, flag in zip(zs, mask):
         assert preferred(p, x, z) == bool(flag)
+
+
+class _CollidingUtility(UtilityInduced):
+    """Utility preference whose hash collides with every other one."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_complement_cloud_cache_keys_on_the_preference():
+    # two utilities without closed forms share one context and one hash;
+    # each must still get its own complement cloud
+    ctx = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
+    first, second = (
+        _CollidingUtility(player_index=0, n_vars=2, own_start=0, own_dim=1,
+                          utility=parse_polynomial_text(text, 2))
+        for text in ("-(x1 - x2)^2", "-(x1 - 0.5*x2)^2"))
+    y, z = [0.9, 0.2], [0.5]
+    assert preferred(second, y, z)
+    graph_distance(first, ctx, y, z)
+    fresh = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
+    assert graph_distance(second, ctx, y, z) == graph_distance(second, fresh, y, z)
