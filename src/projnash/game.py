@@ -71,10 +71,13 @@ class MovingBox:
     def bounds_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.lower.eval_many(xs), self.upper.eval_many(xs)
 
-    def linear_max_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Exact rowwise ``max_z <w, z>`` over the values at ``xs``."""
+    def linear_max_many(self, xs: np.ndarray, ws: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rowwise ``max_z <w, z>`` over the values at ``xs``, with a
+        maximizer per row (ties ``w_j = 0`` take the lower bound)."""
         lo, hi = self.bounds_many(xs)
-        return np.sum(np.where(ws > 0, hi, lo) * ws, axis=1)
+        arg = np.where(ws > 0, hi, lo)
+        return np.sum(arg * ws, axis=1), arg
 
     def residual_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Rowwise distance of own-block ``ys`` to the values at ``xs``."""
@@ -93,18 +96,19 @@ class MovingBox:
         _, hi = self.upper.range_over_box(x_lower, x_upper)
         return Box(tuple(lo), tuple(hi))
 
+    @cached_property
+    def gap(self) -> AffineMap:
+        """``upper - lower`` as one affine map."""
+        a_u, b_u = self.upper._np
+        a_l, b_l = self.lower._np
+        return AffineMap(tuple(map(tuple, a_u - a_l)), tuple(b_u - b_l))
+
     def nonempty_gap_range(self, x_lower, x_upper) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise range of upper - lower over the choice bounding box."""
-        a_u, b_u = self.upper._np
-        a_l, b_l = self.lower._np
-        gap = AffineMap(tuple(map(tuple, a_u - a_l)), tuple(b_u - b_l))
-        return gap.range_over_box(x_lower, x_upper)
+        return self.gap.range_over_box(x_lower, x_upper)
 
     def gap_witness(self, row: int, x_lower, x_upper) -> np.ndarray:
-        a_u, b_u = self.upper._np
-        a_l, b_l = self.lower._np
-        gap = AffineMap(tuple(map(tuple, a_u - a_l)), tuple(b_u - b_l))
-        return gap.argmin_over_box(row, x_lower, x_upper)
+        return self.gap.argmin_over_box(row, x_lower, x_upper)
 
 
 @dataclass(frozen=True)
@@ -180,17 +184,22 @@ class MovingPolytope:
             out.append((subset, np.linalg.inv(sub)))
         return out
 
-    def linear_max_many(self, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Exact rowwise ``max_z <w, z>`` over the hinted values at ``xs``."""
+    def linear_max_many(self, xs: np.ndarray, ws: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rowwise ``max_z <w, z>`` over the hinted values at ``xs``,
+        with the best feasible vertex per row."""
         a_ext, b0_ext, b_ext = self._extended_system()
         offs = xs @ b_ext.T + b0_ext                      # (m, rows)
         best = np.full(xs.shape[0], -np.inf)
+        arg = np.full((xs.shape[0], self.own_dim), np.nan)
         for subset, inv in self._vertex_maps:
             verts = offs[:, list(subset)] @ inv.T          # (m, k)
             feasible = np.all(verts @ a_ext.T <= offs + 1e-7, axis=1)
             vals = np.sum(verts * ws, axis=1)
-            best = np.where(feasible & (vals > best), vals, best)
-        return best
+            better = feasible & (vals > best)
+            best = np.where(better, vals, best)
+            arg[better] = verts[better]
+        return best, arg
 
 
 #: both kinds answer the solvers through one batched surface over scan rows

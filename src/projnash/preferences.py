@@ -170,33 +170,15 @@ def _own_of(p: PreferenceMap, x: np.ndarray) -> np.ndarray:
 # Strict gain evaluation (shared core of preferred / witness scanning)
 # ---------------------------------------------------------------------------
 
-def strict_gain_pairs(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Row-paired strict gain; positive exactly on preferred pairs.
-
-    Utility gains are computed as two evaluations of the *same* polynomial
-    through the same code path, so equal arguments cancel bitwise and the
-    strict comparison at ``z == x_i`` is exactly false.  For the sampled
-    variant the magnitude is conventional (+/-1); only the sign matters.
-    """
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
-    zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
-    if isinstance(p, UtilityInduced):
-        swapped = xs.copy()
-        swapped[:, p.own_start:p.own_start + p.own_dim] = zs
-        return p.utility.eval_many(swapped) - p.utility.eval_many(xs) - p.margin
-    if isinstance(p, DirectionField):
-        c = p.c.eval_many(xs)
-        return np.sum(c * (zs - _own_of(p, xs)), axis=1) - p.offset
-    out = np.empty(xs.shape[0])
-    for r in range(xs.shape[0]):
-        i = p._locate(p._at, xs[r], "at-point")
-        j = p._locate(p._z, zs[r], "z-point")
-        out[r] = 1.0 if p._table[i, j] else -1.0
-    return out
-
-
 def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Strict gain on the cross product of ``xs`` rows and ``zs`` rows."""
+    """Strict gain on the cross product of ``xs`` rows and ``zs`` rows;
+    positive exactly on preferred pairs.
+
+    The gain at ``z`` and the base at ``x`` go through the same arithmetic
+    in the same order, so ``z == x_i`` cancels bitwise and the strict
+    comparison there is exactly false.  For the sampled variant the
+    magnitude is conventional (+/-1); only the sign matters.
+    """
     xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
     zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
     if isinstance(p, UtilityInduced):
@@ -215,9 +197,13 @@ def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.nd
         return out
     if isinstance(p, DirectionField):
         c = p.c.eval_many(xs)                      # (m, k)
-        inner = c @ zs.T                           # (m, |z|)
-        own = np.sum(c * _own_of(p, xs), axis=1)   # (m,)
-        return inner - own[:, None] - p.offset
+        own = _own_of(p, xs)
+        inner = np.zeros((xs.shape[0], zs.shape[0]))
+        base = np.zeros(xs.shape[0])
+        for j in range(p.own_dim):                 # c_0 v_0 + c_1 v_1 + ...
+            inner += np.multiply.outer(c[:, j], zs[:, j])
+            base += c[:, j] * own[:, j]
+        return inner - base[:, None] - p.offset
     out = np.empty((xs.shape[0], zs.shape[0]))
     for r in range(xs.shape[0]):
         i = p._locate(p._at, xs[r], "at-point")
@@ -235,7 +221,7 @@ def preferred(p: PreferenceMap, x, z) -> bool:
         raise InputError(f"joint strategy has dimension {x.shape[0]}, expected {p.n_vars}")
     if z.shape[0] != p.own_dim:
         raise InputError(f"own strategy has dimension {z.shape[0]}, expected {p.own_dim}")
-    return bool(strict_gain_pairs(p, x[None, :], z[None, :])[0] > 0.0)
+    return bool(strict_gain_outer(p, x[None, :], z[None, :])[0, 0] > 0.0)
 
 
 def preferred_many(p: PreferenceMap, x, zs: np.ndarray) -> np.ndarray:

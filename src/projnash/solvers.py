@@ -22,12 +22,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .game import (Certificate, GameInstance, WITNESS_GUARD,
                    check_projected_solution, constraint_set, seeded_rng)
 from .geometry import (Box, grid_axis, grid_points, lattice_axis, mesh_points,
-                       probe_points, project, set_grid)
+                       project, set_grid)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
@@ -152,27 +155,8 @@ def _scan(game: GameInstance, cfg: SolverConfig
 
 
 # ---------------------------------------------------------------------------
-# Linear maxima over sets
+# Variational residuals
 # ---------------------------------------------------------------------------
-
-def _linear_max(s, w: np.ndarray, rng: np.random.Generator,
-                budget: int) -> tuple[float, np.ndarray]:
-    """Maximum and argmax of ``<w, .>`` over a materialized constraint value.
-
-    Exact for boxes and for polytopes with corners (attained at a vertex);
-    probe-based otherwise.
-    """
-    if isinstance(s, Box):
-        lo, hi = s._np
-        arg = np.where(w >= 0, hi, lo)
-        return float(arg @ w), arg
-    pts = s.vertices
-    if pts.shape[0] == 0:
-        pts = probe_points(s, budget, rng)
-    vals = pts @ w
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), pts[idx]
-
 
 def _projection_term_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,11 +184,23 @@ def _projection_term_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray
     return total, eta
 
 
-def _projection_term(game: GameInstance, x: np.ndarray, y: np.ndarray
-                     ) -> tuple[float, np.ndarray]:
-    """``max_{eta in X} <y - x, eta - x>`` with its maximizer."""
-    total, eta = _projection_term_many(game, x[None, :], y[None, :])
-    return float(total[0]), eta[0]
+def _qvi_residual_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
+                       y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rowwise worst violation of the coupled variational inequality.
+
+    Returns ``(residual, eta, z)``: the projection term plus, per player,
+    ``max_z <-y*_i, z - y_i>`` over the frozen constraint ``K_i(x)``, with
+    the maximizers ``eta`` in the choice product and ``z`` in the
+    constraint values.  Both maxima are exact.
+    """
+    residual, eta = _projection_term_many(game, xs, ys)
+    z = np.empty_like(ys)
+    for i in range(game.player_count):
+        sl = game.own_slice(i)
+        w = -y_star[:, sl]
+        val, z[:, sl] = game.constraint_maps[i].linear_max_many(xs, w)
+        residual += val - np.sum(w * ys[:, sl], axis=1)
+    return residual, eta, z
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +320,26 @@ def qvi_residual(game: GameInstance, x, y, y_star, cfg: SolverConfig
                  ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Worst violation of the coupled variational inequality at ``(x, y)``.
 
-    Maximizes ``-(<x - y, eta - x> + <y_star, z - y>)`` over probed
-    ``(eta, z)`` in the choice product times the frozen constraint; the two
-    coordinates decouple, and for box and ball factors the maxima are exact
-    (attained at extreme points, which the probe family contains).  A value
-    at or below the grid tolerance certifies the pair at this resolution.
-    ``y_star`` is the caller's selection from the unit normal product.
+    The one-row call of :func:`_qvi_residual_many`: maximizes
+    ``-(<x - y, eta - x> + <y_star, z - y>)`` over ``(eta, z)`` in the choice
+    product times the frozen constraint, and returns the value with the
+    maximizers.  A value at or below the grid tolerance certifies the pair
+    at this resolution.  ``y_star`` is the caller's selection from the unit
+    normal product; ``y`` must be feasible as the grid scan defines it.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    y_star = np.asarray(y_star, dtype=np.float64).reshape(-1)
-    if x.shape[0] != game.n or y.shape[0] != game.n or y_star.shape[0] != game.n:
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    y_star = np.asarray(y_star, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != game.n or y.shape[1] != game.n or y_star.shape[1] != game.n:
         raise InputError("joint vector dimension mismatch")
-    proj_val, eta = _projection_term(game, x, y)
-    total = proj_val
-    z = np.empty_like(y)
-    for i in range(game.player_count):
-        sl = game.own_slice(i)
-        k_set = game.constraint_maps[i].materialize(x)
-        resid = float(np.linalg.norm(y[sl] - project(k_set, y[sl])))
-        if resid > cfg.eps_grid + 1e-12:
-            raise InputError(
-                f"y is infeasible for player {i + 1} (residual {resid:.3e})")
-        rng = seeded_rng(cfg.seed, 41, i, arrays=(x, y))
-        val, arg = _linear_max(k_set, -y_star[sl], rng=rng, budget=cfg.random_budget)
-        z[sl] = arg
-        total += val - float(-y_star[sl] @ y[sl])
-    return total, (eta, z)
+    tol = cfg.eps_grid + 1e-12
+    feasible, resid = _feasibility_mask(game, x, y, tol)
+    if not feasible[0]:
+        i = int(np.argmax(resid[0] > tol))
+        raise InputError(
+            f"y is infeasible for player {i + 1} (residual {resid[0, i]:.3e})")
+    total, eta, z = _qvi_residual_many(game, x, y, y_star)
+    return float(total[0]), (eta[0], z[0])
 
 
 def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
@@ -380,7 +369,7 @@ def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
                 dir_ok[r] = True
         ok &= full_mask | dir_ok
         w = -dirs
-        term_dir = (game.constraint_maps[i].linear_max_many(xs, w)
+        term_dir = (game.constraint_maps[i].linear_max_many(xs, w)[0]
                     - np.sum(w * ys[:, sl], axis=1))
         # full-space factors admit the zero vector, whose term vanishes
         use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
@@ -432,22 +421,19 @@ def solve_qvi(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     """
     total, blocks = _scan(game, cfg)
     result = SolveResult(solver="solve-qvi", certificates=[], cells_scanned=total)
-    keep: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for xs, ys in blocks:
         residual, y_star, ok = _candidate_residual(game, xs, ys, cfg)
-        rows = np.nonzero(ok & (residual <= cfg.eps_grid + 1e-12))[0]
-        keep.extend(zip(xs[rows], ys[rows], y_star[rows]))
-    result.candidates = len(keep)
-    raw_certs: list[Certificate] = []
-    for xv, yv, sv in keep:
-        res_exact, witness = qvi_residual(game, xv, yv, sv, cfg)
-        result.qvi_points.append(QVIPoint(
-            x=tuple(xv), y=tuple(yv), y_star=tuple(sv),
-            residual=res_exact,
-            witness=(tuple(witness[0]), tuple(witness[1]))))
-        cert = check_projected_solution(game, xv, yv, cfg, eps=cfg.eps_grid)
-        if cert.passed:
-            raw_certs.append(cert)
+        keep = ok & (residual <= cfg.eps_grid + 1e-12)
+        xs, ys, y_star = xs[keep], ys[keep], y_star[keep]
+        res_exact, eta, z = _qvi_residual_many(game, xs, ys, y_star)
+        result.qvi_points.extend(
+            QVIPoint(x=tuple(xs[r]), y=tuple(ys[r]), y_star=tuple(y_star[r]),
+                     residual=float(res_exact[r]), witness=(tuple(eta[r]), tuple(z[r])))
+            for r in range(xs.shape[0]))
+    result.candidates = len(result.qvi_points)
+    certs = (check_projected_solution(game, pt.x, pt.y, cfg, eps=cfg.eps_grid)
+             for pt in result.qvi_points)
+    raw_certs = [cert for cert in certs if cert.passed]
     result.certificates = _cluster_certificates(raw_certs, 2.0 * cfg.h)
     return result
 
@@ -485,9 +471,10 @@ def brute_force_oracle(game: GameInstance, cfg: SolverConfig) -> SolveResult:
 def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certificate]:
     """Single-linkage clustering of certificates on joint (x, y) coordinates.
 
-    Each cluster is reported by its member with the smallest residual sum
-    (ties broken lexicographically), annotated with the member count and the
-    per-coordinate ranges over the cluster.
+    Two certificates link when their squared distance is at most
+    ``radius**2 + 1e-15``.  Each cluster is reported by its member with the
+    smallest residual sum (ties broken lexicographically), annotated with
+    the member count and the per-coordinate ranges over the cluster.
     """
     if not certs:
         return []
@@ -495,48 +482,22 @@ def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certi
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     certs = [certs[int(i)] for i in order]
-    m, d = pts.shape
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    cell = np.floor(pts / max(radius, 1e-12)).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    for r in range(m):
-        buckets.setdefault(tuple(cell[r]), []).append(r)
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
+    m, n = pts.shape[0], len(certs[0].x)
     r2 = radius * radius + 1e-15
-    for r in range(m):
-        base = cell[r]
-        for off in offsets:
-            key = tuple(base + off)
-            for s in buckets.get(key, ()):
-                if s > r and float(np.sum((pts[r] - pts[s]) ** 2)) <= r2:
-                    union(r, s)
-
-    groups: dict[int, list[int]] = {}
-    for r in range(m):
-        groups.setdefault(find(r), []).append(r)
+    # the tree query over-reaches slightly; the exact predicate decides
+    pairs = cKDTree(pts).query_pairs(math.sqrt(r2) * (1 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1) <= r2]
+    links = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    _, labels = connected_components(links, directed=False)
+    residual_sums = np.array([c.projection_residual + sum(p.membership_residual for p in c.players)
+                              for c in certs])
 
     out: list[Certificate] = []
-    for root in sorted(groups):
-        members = groups[root]
-        def residual_sum(idx: int) -> float:
-            c = certs[idx]
-            return c.projection_residual + sum(p.membership_residual for p in c.players)
-        rep_idx = min(members, key=lambda idx: (residual_sum(idx), tuple(pts[idx])))
-        rep = certs[rep_idx]
+    for label in range(labels.max() + 1):
+        members = np.nonzero(labels == label)[0]
+        # rows are in lexicographic order, so the first minimum breaks ties
+        rep = certs[members[np.argmin(residual_sums[members])]]
         member_pts = pts[members]
-        n = len(rep.x)
         out.append(Certificate(
             x=rep.x, y=rep.y, players=rep.players,
             projection_residual=rep.projection_residual,

@@ -91,9 +91,11 @@ def _boundary_margin(value, z: np.ndarray) -> float:
 
 @given(maps, joint_points, weights)
 def test_linear_max_bounds_and_is_attained(cmap, xs, ws):
-    best = cmap.linear_max_many(xs, ws)
+    best, arg = cmap.linear_max_many(xs, ws)
+    assert np.array_equal(np.sum(arg * ws, axis=1), best)
     for r in range(ROWS):
         value = cmap.materialize(xs[r])
+        assert value.contains(arg[r], tol=1e-7)
         probes = np.vstack([_extreme_points(value),
                             probe_points(value, 64, np.random.default_rng(r))])
         vals = probes @ ws[r]

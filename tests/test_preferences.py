@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projnash.errors import InputError
-from projnash.expressions import parse_polynomial_text
+from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.geometry import Box
-from projnash.preferences import (Sampled, UtilityInduced, _cloud_for,
-                                  context_for, graph_distance,
+from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
+                                  _cloud_for, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
-                                  preferred, preferred_many, sample_preferred)
+                                  preferred, preferred_many, sample_preferred,
+                                  strict_gain_outer)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -293,3 +295,38 @@ def test_complement_cloud_cache_keys_on_the_preference():
     graph_distance(first, ctx, y, z)
     fresh = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
     assert graph_distance(second, ctx, y, z) == graph_distance(second, fresh, y, z)
+
+
+# -- self-exclusion of the gain kernel ------------------------------------------
+
+@st.composite
+def gain_preferences(draw):
+    """Utilities of degree <= 4 and zero-offset affine direction fields with
+    own dimension 1-3 and up to two rival coordinates.  Structure comes from
+    hypothesis, coefficients from a drawn seed, so they are generic floats
+    whose sums round."""
+    own_dim, rivals = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n = own_dim + rivals
+    own_start = draw(st.integers(0, rivals))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = dict(player_index=0, n_vars=n, own_start=own_start, own_dim=own_dim)
+    if draw(st.booleans()):
+        c = AffineMap(tuple(map(tuple, rng.uniform(-2, 2, (own_dim, n)).tolist())),
+                      tuple(rng.uniform(-2, 2, own_dim).tolist()))
+        return DirectionField(c=c, offset=0.0, **shape)
+    utility = Polynomial.constant(0.0, n)
+    for _ in range(draw(st.integers(1, 6))):
+        term = Polynomial.constant(float(rng.uniform(-3, 3)), n)
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            term = term * Polynomial.variable(j, n)
+        utility = utility + term
+    return UtilityInduced(utility=utility, **shape)
+
+
+@given(gain_preferences(), st.integers(0, 2**32 - 1))
+def test_current_strategy_is_never_strictly_preferred(p, seed):
+    xs = np.random.default_rng(seed).uniform(-2, 2, (16, p.n_vars))
+    own = slice(p.own_start, p.own_start + p.own_dim)
+    assert not np.any(np.diag(strict_gain_outer(p, xs, xs[:, own])) > 0.0)
+    for x in xs:
+        assert preferred(p, x, x[own]) is False

@@ -3,12 +3,14 @@ import pytest
 
 from projnash.errors import InputError
 from projnash.fixtures import load_fixture
+from projnash.game import Certificate, PlayerCheck
 from projnash.geometry import Box, grid_points
 from projnash.normal_op import unit_normal_product
 from projnash.geometry import grid_axis
-from projnash.solvers import (SolverConfig, best_response_distance,
-                              brute_force_oracle, equivalence_scan,
-                              qvi_residual, solve_fixed_point, solve_qvi)
+from projnash.solvers import (SolverConfig, _cluster_certificates,
+                              best_response_distance, brute_force_oracle,
+                              equivalence_scan, qvi_residual,
+                              solve_fixed_point, solve_qvi)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -291,6 +293,43 @@ def test_solver_determinism():
     fa = solve_fixed_point(g, cfg)
     fb = solve_fixed_point(g, cfg)
     assert repr(fa.certificates) == repr(fb.certificates)
+
+
+# -- clustering --------------------------------------------------------------------
+
+def _passing_cert(x, y, membership_residual):
+    return Certificate(x=tuple(x), y=tuple(y),
+                       players=(PlayerCheck(membership_residual, None, 0.05, 1),),
+                       projection_residual=0.0, verdict="pass", reason=None,
+                       eps=0.1, h=0.05, budget=0, seed=0)
+
+
+def test_cluster_links_at_exactly_radius_and_not_beyond():
+    h = 0.05
+    radius = 2.0 * h
+    # x on the h-lattice, consecutive members one radius apart; the residual
+    # sums tie at 0.1 between x = 0.1 and x = 0.3
+    chain = [_passing_cert([2 * k * h], [0.5], res)
+             for k, res in enumerate((0.3, 0.1, 0.2, 0.1))]
+    end = chain[-1].x[0]
+    lone = _passing_cert([end + radius * (1 + 1e-6)], [0.5], 0.0)
+    out = _cluster_certificates([chain[2], lone, chain[0], chain[3], chain[1]], radius)
+    assert [c.cluster_size for c in out] == [4, 1]
+    linked, separate = out
+    assert linked.x == (2 * h,) and linked.players == chain[1].players
+    assert linked.x_range == ((0.0,), (end,))
+    assert linked.y_range == ((0.5,), (0.5,))
+    assert separate.x == lone.x
+    assert separate.x_range == (lone.x, lone.x)
+
+
+def test_cluster_representative_ties_break_lexicographically():
+    # equal residual sums everywhere: the smallest (x, y) represents
+    certs = [_passing_cert([0.1], [0.2], 0.0), _passing_cert([0.0], [0.25], 0.0),
+             _passing_cert([0.0], [0.2], 0.0)]
+    (cluster,) = _cluster_certificates(certs, 0.1)
+    assert (cluster.x, cluster.y) == ((0.0,), (0.2,))
+    assert cluster.cluster_size == 3
 
 
 # -- equivalence scan ----------------------------------------------------------------
