@@ -429,27 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(options: dict, args: argparse.Namespace) -> SolverConfig:
-    values = {
-        "h": 0.01, "eps": None, "max_iter": 500, "damping": 1.0,
-        "multistart": 8, "random_budget": 512, "seed": 0,
-        "strictness": 0.0, "h_g": None,
-    }
+    """File options, then command-line flags, over the solver defaults."""
     rename = {"lambda": "damping", "budget": "random_budget"}
-    for key, val in options.items():
-        values[rename.get(key, key)] = val
-    flag_map = {
-        "h": "h", "eps": "eps", "damping": "damping", "budget": "random_budget",
-        "seed": "seed", "max_iter": "max_iter", "multistart": "multistart",
-        "h_g": "h_g",
-    }
-    for attr, target in flag_map.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            values[target] = flag
-    values["max_iter"] = int(values["max_iter"])
-    values["multistart"] = int(values["multistart"])
-    values["random_budget"] = int(values["random_budget"])
-    values["seed"] = int(values["seed"])
+    values = {rename.get(key, key): val for key, val in options.items()}
+    for flag in ("h", "eps", "damping", "budget", "seed", "max_iter", "multistart", "h_g"):
+        if getattr(args, flag) is not None:
+            values[rename.get(flag, flag)] = getattr(args, flag)
     return SolverConfig(**values)
 
 

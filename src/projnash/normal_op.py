@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .errors import InputError
 from .game import GameInstance, seeded_rng
-from .geometry import ConeSample, separate
+from .geometry import ConeSample, probe_points, separate
 from . import preferences as prefs
 from .preferences import DirectionField, UtilityInduced
 
@@ -89,7 +89,6 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
 
     window = _sampling_window(game, i)
     rng = seeded_rng(cfg.seed, 29, i)
-    from .geometry import probe_points
     zpool = probe_points(window, max(8, cfg.random_budget), rng)
 
     directions = np.zeros((m, k))
@@ -105,21 +104,18 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         full_mask[rows] = ~nonempty
 
         block = xs[rows]
+        # the field whose negated unit vector is the candidate direction;
+        # tabulated maps have none (a zero field never qualifies)
         if isinstance(p, UtilityInduced):
-            grad = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
-            norms = np.linalg.norm(grad, axis=1)
-            cand_ok = nonempty & (norms > 1e-12)
-            d = np.zeros_like(grad)
-            d[cand_ok] = -grad[cand_ok] / norms[cand_ok, None]
+            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
         elif isinstance(p, DirectionField):
-            cvals = p.c.eval_many(block)
-            norms = np.linalg.norm(cvals, axis=1)
-            cand_ok = nonempty & (norms > 1e-12)
-            d = np.zeros_like(cvals)
-            d[cand_ok] = -cvals[cand_ok] / norms[cand_ok, None]
+            field = p.c.eval_many(block)
         else:
-            cand_ok = np.zeros(block.shape[0], dtype=bool)
-            d = np.zeros((block.shape[0], k))
+            field = np.zeros((block.shape[0], k))
+        norms = np.linalg.norm(field, axis=1)
+        cand_ok = nonempty & (norms > 1e-12)
+        d = np.zeros_like(field)
+        d[cand_ok] = -field[cand_ok] / norms[cand_ok, None]
 
         if np.any(cand_ok):
             # validate the polar inequality on the sampled preferred points
