@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projnash.errors import InputError
 from projnash.fixtures import load_fixture
@@ -330,6 +331,32 @@ def test_cluster_representative_ties_break_lexicographically():
     (cluster,) = _cluster_certificates(certs, 0.1)
     assert (cluster.x, cluster.y) == ((0.0,), (0.2,))
     assert cluster.cluster_size == 3
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2)),
+                min_size=1, max_size=30))
+def test_cluster_matches_pairwise_single_linkage(cells):
+    # reference: components of the link graph over all pairs, by flood fill
+    h, radius = 0.05, 0.1
+    certs = [_passing_cert([a * h], [b * h], 0.1 * r) for a, b, r in cells]
+    pts = np.array([c.x + c.y for c in certs])
+    label = [-1] * len(certs)
+    for start in range(len(certs)):
+        if label[start] < 0:
+            label[start], stack = start, [start]
+            while stack:
+                r = stack.pop()
+                for s in range(len(certs)):
+                    if label[s] < 0 and np.sum((pts[r] - pts[s]) ** 2) <= radius ** 2 + 1e-15:
+                        label[s] = start
+                        stack.append(s)
+    expected = []
+    for root in set(label):
+        members = [certs[r] for r in range(len(certs)) if label[r] == root]
+        best = min(members, key=lambda c: (c.players[0].membership_residual, c.x + c.y))
+        expected.append((best.x, best.y, len(members)))
+    out = _cluster_certificates(certs, radius)
+    assert [(c.x, c.y, c.cluster_size) for c in out] == sorted(expected)
 
 
 # -- equivalence scan ----------------------------------------------------------------
