@@ -433,8 +433,8 @@ def _config_from(options: dict, args: argparse.Namespace) -> SolverConfig:
     rename = {"lambda": "damping", "budget": "random_budget"}
     values = {rename.get(key, key): val for key, val in options.items()}
     for flag in ("h", "eps", "damping", "budget", "seed", "max_iter", "multistart", "h_g"):
-        if getattr(args, flag) is not None:
-            values[rename.get(flag, flag)] = getattr(args, flag)
+        if (val := getattr(args, flag)) is not None:
+            values[rename.get(flag, flag)] = val
     return SolverConfig(**values)
 
 
