@@ -375,9 +375,7 @@ def _emit_header(report: Report, command: str, problem: str, game: GameInstance,
     report.add("config.strictness", cfg.strictness)
     report.add("config.h_g", cfg.distance_step)
     hyp = game.hypotheses
-    report.add("hypotheses.constraints_nonempty", hyp.constraints_nonempty)
     report.add("hypotheses.constraint_probes", hyp.constraint_probes)
-    report.add("hypotheses.self_exclusion", hyp.self_exclusion)
     report.add("hypotheses.self_exclusion_probes", hyp.self_exclusion_probes)
     report.add("hypotheses.hull_containment", hyp.hull_containment)
     report.add("resolution.statement",

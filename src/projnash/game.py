@@ -213,9 +213,13 @@ ConstraintMap = Union[MovingBox, MovingPolytope]
 
 @dataclass
 class HypothesisReport:
-    constraints_nonempty: bool = True
+    """Probe counts and outcomes of the load-time hypothesis checks.
+
+    Nonempty constraint values and self-exclusion are not recorded: the
+    loader raises :class:`HypothesisError` when either fails.
+    """
+
     constraint_probes: int = 0
-    self_exclusion: bool = True
     self_exclusion_probes: int = 0
     hull_containment: bool = True
     notes: tuple[str, ...] = ()
