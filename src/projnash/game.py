@@ -18,7 +18,7 @@ A candidate pair ``(x, y)`` is certified as a projected solution when
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -115,9 +115,12 @@ class MovingBox:
 class MovingPolytope:
     """Polytope-valued constraint map: fixed row normals, affine offsets.
 
-    ``bounds_hint`` must enclose every value of the map over the choice set;
-    it is validated by probing at load time and drives the hull box.  The
-    hint also bounds the values, so every candidate vertex of the extended
+    ``bounds_hint`` must enclose every value of the map over the choice set.
+    The loader checks it at every X probe in one batched sweep: the exact
+    maxima of ``+-z_j`` over the value intersected with the hint widened by
+    1 must be finite (the value is nonempty there) and within 1e-6 of the
+    hint, else it raises :class:`HypothesisError`.  The hint drives the
+    hull box.  It also bounds the values, so every candidate vertex of the extended
     system (rows plus hint faces) is an affine function of ``x``; linear
     maxima over the values are exact and vectorize over scan rows.
     """
@@ -222,7 +225,12 @@ class HypothesisReport:
     constraint_probes: int = 0
     self_exclusion_probes: int = 0
     hull_containment: bool = True
-    notes: tuple[str, ...] = ()
+
+
+def _joint_box(boxes: Sequence[Box]) -> Box:
+    """Product of per-player boxes, in joint coordinates."""
+    return Box(tuple(v for b in boxes for v in b.lower),
+               tuple(v for b in boxes for v in b.upper))
 
 
 @dataclass
@@ -251,30 +259,13 @@ class GameInstance:
         start = sum(self.dims[:i])
         return slice(start, start + self.dims[i])
 
-    @property
+    @cached_property
     def x_bbox(self) -> Box:
-        box = self._caches.get("x_bbox")
-        if box is None:
-            los, his = [], []
-            for s in self.choice_sets:
-                b = s.bounding_box()
-                los.extend(b.lower)
-                his.extend(b.upper)
-            box = Box(tuple(los), tuple(his))
-            self._caches["x_bbox"] = box
-        return box
+        return _joint_box([s.bounding_box() for s in self.choice_sets])
 
-    @property
+    @cached_property
     def hull_box(self) -> Box:
-        box = self._caches.get("hull_box")
-        if box is None:
-            los, his = [], []
-            for b in self.hull_boxes:
-                los.extend(b.lower)
-                his.extend(b.upper)
-            box = Box(tuple(los), tuple(his))
-            self._caches["hull_box"] = box
-        return box
+        return _joint_box(self.hull_boxes)
 
     def domain_joint_box(self) -> Box:
         """Bounding box of both domain factors in joint coordinates."""
@@ -284,12 +275,12 @@ class GameInstance:
         return Box(tuple(lo), tuple(hi))
 
     def project_choice(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        out = np.empty_like(y)
-        for i in range(self.player_count):
-            sl = self.own_slice(i)
-            out[sl] = project(self.choice_sets[i], y[sl])
-        return out
+        """Nearest point of the choice-set product to ``y``: the one-row call
+        of :meth:`project_choice_many`."""
+        y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+        if y.shape[1] != self.n:
+            raise InputError(f"point has dimension {y.shape[1]}, expected {self.n}")
+        return self.project_choice_many(y)[0]
 
     def project_choice_many(self, ys: np.ndarray) -> np.ndarray:
         out = np.empty_like(ys)
@@ -350,7 +341,8 @@ def build_instance(dims: Sequence[int],
 
     * every constraint map has nonempty values over the choice set, verified
       by interval arithmetic on the affine bounds plus a probe grid;
-    * every hull box contains the constraint values at all probes;
+    * every moving polytope stays inside its bounds hint at all probes (one
+      exact batched sweep of coordinate maxima);
     * no player's current strategy falls into the convex hull of their own
       preference set at any probe of the hull product.
     """
@@ -369,17 +361,11 @@ def build_instance(dims: Sequence[int],
             raise InputError(f"preference map for player {i + 1} has inconsistent dimensions")
 
     report = HypothesisReport()
-    notes: list[str] = []
 
     # X bounding box (exact for boxes, enclosing for balls)
-    x_lo, x_hi = [], []
-    for s in choice_sets:
-        b = s.bounding_box()
-        x_lo.extend(b.lower)
-        x_hi.extend(b.upper)
-    x_lo = np.array(x_lo)
-    x_hi = np.array(x_hi)
-    x_probes = _probe_grid_for_box(Box(tuple(x_lo), tuple(x_hi)), DEFAULT_PROBE_AXIS)
+    x_box = _joint_box([s.bounding_box() for s in choice_sets])
+    x_lo, x_hi = x_box._np
+    x_probes = _probe_grid_for_box(x_box, DEFAULT_PROBE_AXIS)
     # keep only probes inside X (matters for ball factors)
     tmp = GameInstance(dims, tuple(choice_sets), tuple(constraint_maps),
                        tuple(preference_maps), tuple(Box((0,), (1,)) for _ in dims),
@@ -410,22 +396,22 @@ def build_instance(dims: Sequence[int],
                     raise HypothesisError(
                         f"constraint map for player {i + 1} is empty on a probe",
                         witness=x_probes[bad[0]].tolist())
-                notes.append(
-                    f"player {i + 1}: interval bound inconclusive, probes pass")
         else:
-            for r in range(x_probes.shape[0]):
-                try:
-                    val = cmap.materialize(x_probes[r])
-                except InputError as exc:
-                    raise HypothesisError(
-                        f"constraint map for player {i + 1} is infeasible on a probe: {exc}",
-                        witness=x_probes[r].tolist()) from exc
-                bb = val.bounding_box()
-                hint = cmap.bounds_hint
-                if not (np.all(np.array(bb.lower) >= np.array(hint.lower) - 1e-6)
-                        and np.all(np.array(bb.upper) <= np.array(hint.upper) + 1e-6)):
-                    notes.append(
-                        f"player {i + 1}: bounds hint may be loose at a probe")
+            # exact maxima of +-z_j over the value inside the hint widened by
+            # 1: -inf where that is empty, past the hint where the hint is loose
+            k = cmap.own_dim
+            wide = replace(cmap, bounds_hint=cmap.bounds_hint.inflate(1.0))
+            maxima, _ = wide.linear_max_many(
+                np.repeat(x_probes, 2 * k, axis=0),
+                np.tile(np.vstack([np.eye(k), -np.eye(k)]), (x_probes.shape[0], 1)))
+            maxima = maxima.reshape(-1, 2 * k)
+            lo, hi = cmap.bounds_hint._np
+            bad = np.nonzero(np.any(np.isneginf(maxima)
+                                    | (maxima > np.concatenate([hi, -lo]) + 1e-6), axis=1))[0]
+            if bad.size:
+                raise HypothesisError(
+                    f"constraint map for player {i + 1} is empty or leaves its "
+                    "bounds hint on a probe", witness=x_probes[bad[0]].tolist())
         hull_boxes.append(cmap.value_range(x_lo, x_hi))
 
     # hull containment probes (exact for box values)
@@ -473,7 +459,6 @@ def build_instance(dims: Sequence[int],
                     f"self-exclusion fails for player {i + 1}",
                     witness=q_probes[r].tolist())
     report.self_exclusion_probes = checked if checked else q_probes.shape[0]
-    report.notes = tuple(notes)
     return instance
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import InputError, NonConvergenceError
 
-#: default stopping tolerance for the iterative polytope projection
+#: stopping tolerance for the iterative polytope projection
 TOL_PROJ = 1e-10
-#: default cycle cap for the iterative polytope projection
+#: cycle cap for the iterative polytope projection
 ITER_CAP = 10000
 #: shared tolerance for polar / normal-cone inequalities
 CONE_TOL = 1e-9
@@ -69,10 +69,6 @@ class Box:
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.lower, dtype=np.float64), np.array(self.upper, dtype=np.float64)
 
-    def project(self, y) -> np.ndarray:
-        lo, hi = self._np
-        return np.clip(_as_vector(y, self.dim), lo, hi)
-
     def project_many(self, points: np.ndarray) -> np.ndarray:
         lo, hi = self._np
         return np.clip(points, lo, hi)
@@ -110,13 +106,6 @@ class Ball:
     @cached_property
     def _c(self) -> np.ndarray:
         return np.array(self.center, dtype=np.float64)
-
-    def project(self, y) -> np.ndarray:
-        v = _as_vector(y, self.dim) - self._c
-        norm = float(np.linalg.norm(v))
-        if norm <= self.radius:
-            return self._c + v
-        return self._c + v * (self.radius / norm)
 
     def project_many(self, points: np.ndarray) -> np.ndarray:
         v = points - self._c
@@ -157,7 +146,7 @@ class HalfspacePolytope:
         # feasibility probe; stores the point found
         a, b = self._rows_np()
         try:
-            feasible = _dykstra(a, b, np.zeros(self.dim), TOL_PROJ, ITER_CAP)
+            feasible = _dykstra(a, b, np.zeros(self.dim))
         except NonConvergenceError as exc:
             raise InputError(
                 "polytope appears infeasible or ill-conditioned "
@@ -173,10 +162,6 @@ class HalfspacePolytope:
     @cached_property
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
         return self._rows_np()
-
-    def project(self, y, tol: float = TOL_PROJ, iter_cap: int = ITER_CAP) -> np.ndarray:
-        a, b = self._np
-        return _dykstra(a, b, _as_vector(y, self.dim), tol, iter_cap)
 
     def project_many(self, points: np.ndarray) -> np.ndarray:
         a, b = self._np
@@ -269,8 +254,7 @@ def _face_polish(a: np.ndarray, b: np.ndarray, y: np.ndarray,
     return None
 
 
-def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray,
-             tol: float, iter_cap: int) -> np.ndarray:
+def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nearest point in ``{x : a x <= b}`` via cyclic half-space projection
     with Dykstra corrections.
 
@@ -281,11 +265,12 @@ def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray,
     and on degenerate faces the movement decays sublinearly.  Termination
     therefore also demands feasibility, and once the movement is small the
     identified face is polished to the exact nearest point (verified
-    against the optimality conditions before acceptance).
+    against the optimality conditions before acceptance).  Raises
+    :class:`NonConvergenceError` after ``ITER_CAP`` cycles.
     """
     x = y.astype(np.float64).copy()
     corrections = np.zeros((a.shape[0], a.shape[1]))
-    for _ in range(iter_cap):
+    for _ in range(ITER_CAP):
         start = x.copy()
         for r in range(a.shape[0]):
             w = x + corrections[r]
@@ -294,14 +279,14 @@ def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray,
             corrections[r] = w - xr
             x = xr
         move = float(np.linalg.norm(x - start))
-        if move < max(tol, 1e-7):
+        if move < 1e-7:
             polished = _face_polish(a, b, y, x)
             if polished is not None:
                 return polished
-        if move < tol and float(np.max(a @ x - b)) <= CONE_TOL:
+        if move < TOL_PROJ and float(np.max(a @ x - b)) <= CONE_TOL:
             return x
     raise NonConvergenceError(
-        f"polytope projection did not converge within {iter_cap} cycles",
+        f"polytope projection did not converge within {ITER_CAP} cycles",
         last_iterate=x)
 
 
@@ -330,7 +315,7 @@ def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
             break
     for pos, i in enumerate(todo):
         polished = _face_polish(a, b, ys[i], x[pos])
-        out[i] = polished if polished is not None else _dykstra(a, b, ys[i], TOL_PROJ, ITER_CAP)
+        out[i] = polished if polished is not None else _dykstra(a, b, ys[i])
     return out
 
 
@@ -338,16 +323,12 @@ def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # Projection and cone operations
 # ---------------------------------------------------------------------------
 
-def project(s: ConvexSet, y, tol: float = TOL_PROJ, iter_cap: int = ITER_CAP) -> np.ndarray:
-    """Unique nearest point of ``s`` to ``y``.
-
-    Boxes clamp componentwise, balls rescale radially, polytopes run the
-    iterative scheme (tolerance ``tol``, cycle cap ``iter_cap``).
-    """
+def project(s: ConvexSet, y) -> np.ndarray:
+    """Unique nearest point of ``s`` to ``y``: the one-row call of
+    ``s.project_many`` (boxes clamp componentwise, balls rescale radially,
+    polytopes run the iterative scheme)."""
     y = _as_vector(y, s.dim, "point")
-    if isinstance(s, HalfspacePolytope):
-        return s.project(y, tol=tol, iter_cap=iter_cap)
-    return s.project(y)
+    return s.project_many(y[None, :])[0]
 
 
 def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:

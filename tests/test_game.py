@@ -257,6 +257,30 @@ def test_capped_polytope_grid_stamps_its_spacing():
     assert check.emptiness_resolution == 4.0 / 200
 
 
+def test_loose_polytope_hint_rejected():
+    # the value [0, 1 + 3 x1] leaves the hint [0, 1] at every probe x1 > 0
+    value = MovingPolytope(player_index=0, normals=((1.0,), (-1.0,)),
+                           offsets=AffineMap.from_polynomials([
+                               parse_polynomial_text("1 + 3*x1", 1),
+                               parse_polynomial_text("0", 1)]),
+                           bounds_hint=Box((0.0,), (1.0,)))
+    with pytest.raises(HypothesisError) as err:
+        from_utilities([1], [Box((0.0,), (1.0,))], [value], ["x1"])
+    assert err.value.witness == pytest.approx([1.0 / 6.0])
+
+
+def test_polytope_empty_at_a_probe_rejected():
+    # the value [0, 1 - 2 x1] is empty for x1 > 0.5
+    value = MovingPolytope(player_index=0, normals=((1.0,), (-1.0,)),
+                           offsets=AffineMap.from_polynomials([
+                               parse_polynomial_text("1 - 2*x1", 1),
+                               parse_polynomial_text("0", 1)]),
+                           bounds_hint=Box((0.0,), (1.0,)))
+    with pytest.raises(HypothesisError) as err:
+        from_utilities([1], [Box((0.0,), (1.0,))], [value], ["x1"])
+    assert err.value.witness[0] > 0.5
+
+
 def test_ball_choice_set_instance():
     g = load_fixture("disk")
     assert isinstance(g.choice_sets[0], Ball)

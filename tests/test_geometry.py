@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projnash import geometry
 from projnash.errors import InputError, NonConvergenceError
 from projnash.geometry import (Ball, Box, ConeSample, HalfspacePolytope,
                                normal_cone_membership, polar_membership,
@@ -66,10 +67,12 @@ def test_polytope_projection_matches_box_oracle():
         assert np.allclose(project(poly, y), project(box, y), atol=1e-8)
 
 
-def test_polytope_nonconvergence_carries_iterate():
+def test_polytope_nonconvergence_carries_iterate(monkeypatch):
     wedge = HalfspacePolytope((((0.0, 1.0), 0.0), ((0.1, -1.0), 0.0)), 2)
+    a, b = wedge._np
+    monkeypatch.setattr(geometry, "ITER_CAP", 1)
     with pytest.raises(NonConvergenceError) as err:
-        project(wedge, [5.0, 4.0], iter_cap=1)
+        geometry._dykstra(a, b, np.array([5.0, 4.0]))
     assert err.value.last_iterate is not None
 
 
@@ -250,6 +253,7 @@ def test_projection_invariants_random_sets():
         y = rng.uniform(-4, 4, s.dim)
         y2 = rng.uniform(-4, 4, s.dim)
         px, px2 = project(s, y), project(s, y2)
+        assert np.array_equal(px, s.project_many(y[None, :])[0])
         assert np.linalg.norm(project(s, px) - px) <= 1e-9
         assert np.linalg.norm(px - px2) <= np.linalg.norm(y - y2) + 1e-9
         assert projection_vi_residual(s, y, px, 200,

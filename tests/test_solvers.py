@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projnash.errors import InputError
+from projnash.expressions import AffineMap
 from projnash.fixtures import load_fixture
-from projnash.game import Certificate, PlayerCheck
+from projnash.game import Certificate, MovingBox, PlayerCheck, from_utilities
 from projnash.geometry import Box, grid_points
-from projnash.normal_op import unit_normal_product
+from projnash.normal_op import normal_directions_batch, unit_normal_product
 from projnash.geometry import grid_axis
-from projnash.solvers import (SolverConfig, _cluster_certificates,
+from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
                               best_response_distance, brute_force_oracle,
                               equivalence_scan, qvi_residual,
                               solve_fixed_point, solve_qvi)
@@ -230,6 +231,22 @@ def test_projection_factor_consistency_at_survivors():
         y = np.array(point.y)
         inner = (etas - x) @ (x - y)
         assert np.min(inner) >= -cfg.eps_grid - 1e-9
+
+
+def test_candidate_residual_falls_back_to_per_row_operator():
+    # cubic utility: the own gradient vanishes at 0.5, where the batch kernel
+    # offers no candidate and the per-row sphere scan must supply one
+    maps = [MovingBox(player_index=0, lower=AffineMap.constant([0.0], 1),
+                      upper=AffineMap.constant([1.0], 1))]
+    g = from_utilities([1], [Box((0.0,), (1.0,))], maps, ["(x1 - 0.5)^3"])
+    cfg = SolverConfig(h=0.05, random_budget=128, angular_resolution=64)
+    ys = np.array([[0.25], [0.5], [1.0]])
+    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    assert list(full_mask | dir_ok) == [True, False, True]
+    residual, y_star, ok = _candidate_residual(g, ys.copy(), ys, cfg)
+    assert ok.all()
+    assert np.array_equal(y_star, [[-1.0], [-1.0], [-1.0]])
+    assert np.allclose(residual, [0.75, 0.5, 0.0], atol=1e-12)
 
 
 # -- oracle ------------------------------------------------------------------------
