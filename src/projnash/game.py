@@ -120,9 +120,9 @@ class MovingPolytope:
     maxima of ``+-z_j`` over the value intersected with the hint widened by
     1 must be finite (the value is nonempty there) and within 1e-6 of the
     hint, else it raises :class:`HypothesisError`.  The hint drives the
-    hull box.  It also bounds the values, so every candidate vertex of the extended
-    system (rows plus hint faces) is an affine function of ``x``; linear
-    maxima over the values are exact and vectorize over scan rows.
+    hull box.  It also bounds the values, so every candidate vertex of the
+    extended system (rows plus hint faces) is an affine function of ``x``;
+    linear maxima over the values are exact and vectorize over scan rows.
     """
 
     player_index: int
@@ -133,6 +133,8 @@ class MovingPolytope:
     def __post_init__(self):
         if len(self.normals) != self.offsets.out_dim:
             raise InputError("polytope normals/offsets row count mismatch")
+        if any(len(n) != self.own_dim or not any(n) for n in self.normals):
+            raise InputError("polytope normals must be nonzero and of one dimension")
         if len(self.bounds_hint.lower) != self.own_dim:
             raise InputError("bounds hint dimension mismatch")
 

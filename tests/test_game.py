@@ -257,6 +257,14 @@ def test_capped_polytope_grid_stamps_its_spacing():
     assert check.emptiness_resolution == 4.0 / 200
 
 
+def test_polytope_normals_validated():
+    for normals in (((1.0,), (0.0,)), ((1.0,), (-1.0, 0.0))):
+        with pytest.raises(InputError):
+            MovingPolytope(player_index=0, normals=normals,
+                           offsets=AffineMap.constant([1.0, 1.0], 1),
+                           bounds_hint=Box((0.0,), (1.0,)))
+
+
 def test_loose_polytope_hint_rejected():
     # the value [0, 1 + 3 x1] leaves the hint [0, 1] at every probe x1 > 0
     value = MovingPolytope(player_index=0, normals=((1.0,), (-1.0,)),
