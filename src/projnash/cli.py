@@ -377,7 +377,6 @@ def _emit_header(report: Report, command: str, problem: str, game: GameInstance,
     hyp = game.hypotheses
     report.add("hypotheses.constraint_probes", hyp.constraint_probes)
     report.add("hypotheses.self_exclusion_probes", hyp.self_exclusion_probes)
-    report.add("hypotheses.hull_containment", hyp.hull_containment)
     report.add("resolution.statement",
                f"emptiness certified at grid resolution {format_float(cfg.h)} "
                f"with {cfg.random_budget} seeded samples (seed {cfg.seed})")

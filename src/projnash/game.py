@@ -218,15 +218,15 @@ ConstraintMap = Union[MovingBox, MovingPolytope]
 
 @dataclass
 class HypothesisReport:
-    """Probe counts and outcomes of the load-time hypothesis checks.
+    """Probe counts of the load-time hypothesis checks.
 
-    Nonempty constraint values and self-exclusion are not recorded: the
-    loader raises :class:`HypothesisError` when either fails.
+    Outcomes are not recorded: the loader raises :class:`HypothesisError`
+    when a check fails.  ``self_exclusion_probes`` counts the probes that
+    ran, 0 when every player is excluded structurally.
     """
 
     constraint_probes: int = 0
     self_exclusion_probes: int = 0
-    hull_containment: bool = True
 
 
 def _joint_box(boxes: Sequence[Box]) -> Box:
@@ -416,14 +416,6 @@ def build_instance(dims: Sequence[int],
                     "bounds hint on a probe", witness=x_probes[bad[0]].tolist())
         hull_boxes.append(cmap.value_range(x_lo, x_hi))
 
-    # hull containment probes (exact for box values)
-    for i, cmap in enumerate(constraint_maps):
-        if isinstance(cmap, MovingBox) and x_probes.size:
-            lo_p, hi_p = cmap.bounds_many(x_probes)
-            q = hull_boxes[i]
-            if np.any(lo_p < np.array(q.lower) - 1e-9) or np.any(hi_p > np.array(q.upper) + 1e-9):
-                report.hull_containment = False
-
     instance = GameInstance(
         dims=dims,
         choice_sets=tuple(choice_sets),
@@ -460,7 +452,7 @@ def build_instance(dims: Sequence[int],
                 raise HypothesisError(
                     f"self-exclusion fails for player {i + 1}",
                     witness=q_probes[r].tolist())
-    report.self_exclusion_probes = checked if checked else q_probes.shape[0]
+    report.self_exclusion_probes = checked
     return instance
 
 
