@@ -172,9 +172,12 @@ class HalfspacePolytope:
         return bool(np.all(a @ _as_vector(x, self.dim) - b <= tol))
 
     def bounding_box(self) -> Box:
-        # conservative probe window around the stored feasible point; only
-        # used to seed probe generation (probes are projected back onto the
-        # set), so looseness is harmless
+        """Vertex-spanned box when the set has corners.  Otherwise a loose
+        probe window around the stored feasible point: probes are projected
+        back onto the set, so it only seeds probe generation."""
+        v = self.vertices
+        if v.shape[0]:
+            return Box(tuple(v.min(axis=0)), tuple(v.max(axis=0)))
         p = np.array(self._feasible)
         _, b = self._np
         radius = 1.0 + 2.0 * float(np.linalg.norm(p)) + 2.0 * float(np.max(np.abs(b)))
@@ -200,14 +203,6 @@ class HalfspacePolytope:
         arr = np.vstack(found)
         _, keep = np.unique(np.round(arr, 9), axis=0, return_index=True)
         return arr[np.sort(keep)]
-
-    def tight_box(self) -> Box:
-        """Vertex-spanned bounding box when the set has corners; falls back
-        to the probe window otherwise."""
-        v = self.vertices
-        if v.shape[0] == 0:
-            return self.bounding_box()
-        return Box(tuple(v.min(axis=0)), tuple(v.max(axis=0)))
 
 
 ConvexSet = Union[Box, Ball, HalfspacePolytope]
@@ -383,7 +378,7 @@ def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
     """Scan grid over a constraint value, with the resolution it reaches.
 
     Box axes are :func:`constraint_axis` and honour ``step``.  Other sets
-    grid their tight box with :func:`grid_axis` (a zero-width axis is one
+    grid their bounding box with :func:`grid_axis` (a zero-width axis is one
     point), capped at ``GRID_AXIS_CAP`` points per axis, and project the
     grid back onto the set; a capped axis coarsens the returned resolution
     to its actual spacing.
@@ -391,7 +386,7 @@ def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
     if isinstance(s, Box):
         lo, hi = s._np
         return mesh_points([constraint_axis(lo[j], hi[j], step) for j in range(s.dim)]), step
-    lo, hi = s.tight_box()._np
+    lo, hi = s.bounding_box()._np
     axes = [grid_axis(lo[j], hi[j], step) for j in range(s.dim)]
     resolution = step
     for j, ax in enumerate(axes):

@@ -4,7 +4,7 @@ import pytest
 from projnash.errors import HypothesisError, InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
-from projnash.game import (MovingBox, MovingPolytope, check_nep,
+from projnash.game import (MovingBox, MovingPolytope, _scan_points, check_nep,
                            check_projected_solution, constraint_set,
                            from_utilities, seeded_rng)
 from projnash.geometry import Ball, Box, HalfspacePolytope
@@ -255,6 +255,17 @@ def test_capped_polytope_grid_stamps_its_spacing():
     (check,) = check_nep(g, [1.0], [4.0], SolverConfig(h=0.01, random_budget=0))
     assert check.points_scanned == 201
     assert check.emptiness_resolution == 4.0 / 200
+
+
+def test_polytope_samples_are_drawn_from_the_vertex_box():
+    # the triangle z1, z2 >= 0, z1 + z2 <= 0.75 spans [0, 0.75]^2; samples
+    # drawn from a wider window pile up on its boundary after projection
+    k_set = triangle_constraint(3).materialize([0.5, 0.5, 0.5])
+    lo, hi = k_set.bounding_box()._np
+    assert np.allclose(lo, 0.0, atol=1e-12) and np.allclose(hi, 0.75, atol=1e-12)
+    grid, _ = _scan_points(k_set, 0.1, 128, np.random.default_rng(0))
+    samples = grid[-128:]
+    assert np.unique(samples, axis=0).shape[0] == 128
 
 
 def test_polytope_normals_validated():
