@@ -231,35 +231,6 @@ class Polynomial:
             out += term
         return out
 
-    def eval_outer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Evaluate on the cross product of rows of ``left`` and ``right``.
-
-        Variables are split positionally: the first ``left.shape[1]`` map onto
-        ``left`` columns, the remaining onto ``right``.  Returns an
-        ``(m, k)`` array.
-        """
-        left = np.asarray(left, dtype=np.float64)
-        right = np.asarray(right, dtype=np.float64)
-        na = left.shape[1]
-        if na + right.shape[1] != self.n_vars:
-            raise InputError("eval_outer: column split does not match arity")
-        m, k = left.shape[0], right.shape[0]
-        out = np.zeros((m, k))
-        exps, coeffs = self._np_terms
-        for t in range(len(coeffs)):
-            lv = np.full(m, coeffs[t])
-            for j in range(na):
-                e = exps[t, j]
-                if e:
-                    lv = lv * left[:, j] ** e
-            rv = np.ones(k)
-            for j in range(na, self.n_vars):
-                e = exps[t, j]
-                if e:
-                    rv = rv * right[:, j - na] ** e
-            out += np.multiply.outer(lv, rv)
-        return out
-
     # -- formatting ---------------------------------------------------------
 
     def to_text(self) -> str:

@@ -76,6 +76,29 @@ class UtilityInduced:
     def own_gradient(self) -> list[Polynomial]:
         return [self.utility.partial(self.own_start + j) for j in range(self.own_dim)]
 
+    @cached_property
+    def _own_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The utility's terms that read the own block, sorted by own
+        exponent: their rival exponents (own columns zeroed) and
+        coefficients, where each own exponent's group starts, and the
+        distinct own exponents.  Terms free of the own block cancel in
+        every gain and are dropped."""
+        own = slice(self.own_start, self.own_start + self.own_dim)
+        terms = sorted((e[own], e, c) for e, c in self.utility.terms if any(e[own]))
+        rival = np.array([e for _, e, _ in terms], dtype=np.int64).reshape(-1, self.n_vars)
+        rival[:, own] = 0
+        starts = [r for r in range(len(terms)) if r == 0 or terms[r][0] != terms[r - 1][0]]
+        return (rival, np.array([c for _, _, c in terms]), np.array(starts, dtype=np.intp),
+                tuple(terms[r][0] for r in starts))
+
+    def _gain_terms(self, xs: np.ndarray) -> tuple[np.ndarray, tuple, float]:
+        """Rival factors ``L_t(x)`` (one column per own exponent ``e_t``),
+        the exponents, and the margin: ``u(x_-i, z) = sum_t L_t(x) z^e_t``
+        plus terms free of ``z``."""
+        rival, coeffs, starts, exps = self._own_groups
+        terms = np.prod(xs[:, None, :] ** rival, axis=2) * coeffs       # (m, P)
+        return np.add.reduceat(terms, starts, axis=1), exps, self.margin
+
 
 @dataclass(frozen=True)
 class DirectionField:
@@ -106,6 +129,12 @@ class DirectionField:
             xj = Polynomial.variable(self.own_start + j, n + k)
             total = total + cj * (zj - xj)
         return total
+
+    def _gain_terms(self, xs: np.ndarray) -> tuple[np.ndarray, tuple, float]:
+        """``c(x)``, unit own exponents and the offset (see
+        :meth:`UtilityInduced._gain_terms`)."""
+        units = tuple(map(tuple, np.eye(self.own_dim, dtype=int).tolist()))
+        return self.c.eval_many(xs), units, self.offset
 
 
 @dataclass(frozen=True)
@@ -170,47 +199,43 @@ def _own_of(p: PreferenceMap, x: np.ndarray) -> np.ndarray:
 # Strict gain evaluation (shared core of preferred / witness scanning)
 # ---------------------------------------------------------------------------
 
+def _monomial(v: np.ndarray, e: tuple) -> np.ndarray:
+    """Rowwise ``prod_j v_j^e_j`` (``e`` nonzero) by repeated multiplication,
+    so equal rows give bitwise equal values."""
+    out = None
+    for j, power in enumerate(e):
+        for _ in range(power):
+            out = v[:, j] if out is None else out * v[:, j]
+    return out
+
+
 def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Strict gain on the cross product of ``xs`` rows and ``zs`` rows;
     positive exactly on preferred pairs.
 
-    The gain at ``z`` and the base at ``x`` go through the same arithmetic
-    in the same order, so ``z == x_i`` cancels bitwise and the strict
+    Utilities and direction fields share one factorized form,
+    ``sum_t L_t(x) z^e_t - sum_t L_t(x) x_i^e_t - margin``, with the rival
+    factors ``L_t`` computed once per row.  Both sums accumulate term by
+    term in the same order, so ``z == x_i`` cancels bitwise and the strict
     comparison there is exactly false.  For the sampled variant the
     magnitude is conventional (+/-1); only the sign matters.
     """
     xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
     zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
-    if isinstance(p, UtilityInduced):
-        m, k = xs.shape[0], zs.shape[0]
-        base = p.utility.eval_many(xs)
-        sl = slice(p.own_start, p.own_start + p.own_dim)
-        out = np.empty((m, k))
-        chunk = max(1, int(2_000_000 // max(1, k)))
-        for start in range(0, m, chunk):
-            stop = min(m, start + chunk)
-            block = xs[start:stop]
-            joint = np.repeat(block, k, axis=0)
-            joint[:, sl] = np.tile(zs, (stop - start, 1))
-            vals = p.utility.eval_many(joint).reshape(stop - start, k)
-            out[start:stop] = vals - base[start:stop, None] - p.margin
-        return out
-    if isinstance(p, DirectionField):
-        c = p.c.eval_many(xs)                      # (m, k)
-        own = _own_of(p, xs)
-        inner = np.zeros((xs.shape[0], zs.shape[0]))
-        base = np.zeros(xs.shape[0])
-        for j in range(p.own_dim):                 # c_0 v_0 + c_1 v_1 + ...
-            inner += np.multiply.outer(c[:, j], zs[:, j])
-            base += c[:, j] * own[:, j]
-        return inner - base[:, None] - p.offset
-    out = np.empty((xs.shape[0], zs.shape[0]))
-    for r in range(xs.shape[0]):
-        i = p._locate(p._at, xs[r], "at-point")
-        for s in range(zs.shape[0]):
-            j = p._locate(p._z, zs[s], "z-point")
-            out[r, s] = 1.0 if p._table[i, j] else -1.0
-    return out
+    if isinstance(p, Sampled):
+        rows = [p._locate(p._at, x, "at-point") for x in xs]
+        cols = [p._locate(p._z, z, "z-point") for z in zs]
+        return np.where(p._table[np.ix_(rows, cols)], 1.0, -1.0)
+    lead, exps, margin = p._gain_terms(xs)
+    own = _own_of(p, xs)
+    gain = np.zeros((xs.shape[0], zs.shape[0]))
+    base = np.zeros(xs.shape[0])
+    for t, e in enumerate(exps):                   # L_0 z^e_0 + L_1 z^e_1 + ...
+        gain += np.multiply.outer(lead[:, t], _monomial(zs, e))
+        base += lead[:, t] * _monomial(own, e)
+    gain -= base[:, None]
+    gain -= margin
+    return gain
 
 
 def preferred(p: PreferenceMap, x, z) -> bool:

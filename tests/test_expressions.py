@@ -69,19 +69,6 @@ def test_eval_many_matches_scalar_eval():
         assert abs(p.eval(row) - val) < 1e-12
 
 
-def test_eval_outer_matches_pairwise():
-    # variables split as (x1, x2 | z)
-    p = parse_polynomial_text("x1*x3 - x2 + x3^2", 3)
-    rng = np.random.default_rng(3)
-    left = rng.uniform(-1, 1, (7, 2))
-    right = rng.uniform(-1, 1, (5, 1))
-    outer = p.eval_outer(left, right)
-    for r in range(7):
-        for c in range(5):
-            joint = np.concatenate([left[r], right[c]])
-            assert abs(outer[r, c] - p.eval(joint)) < 1e-12
-
-
 def test_remap_moves_variables():
     p = parse_polynomial_text("x1^2 + x2", 2)
     q = p.remap({0: 2, 1: 0}, 3)

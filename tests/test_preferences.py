@@ -330,3 +330,25 @@ def test_current_strategy_is_never_strictly_preferred(p, seed):
     assert not np.any(np.diag(strict_gain_outer(p, xs, xs[:, own])) > 0.0)
     for x in xs:
         assert preferred(p, x, x[own]) is False
+
+
+@given(gain_preferences(), st.integers(0, 2**32 - 1))
+def test_strict_gain_matches_the_gain_polynomial(p, seed):
+    # independent checker: the (x, z) gain polynomial, evaluated pair by pair
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2, 2, (5, p.n_vars))
+    zs = rng.uniform(-2, 2, (7, p.own_dim))
+    gains = strict_gain_outer(p, xs, zs)
+    expected = np.array([[p.gain.eval(np.concatenate([x, z])) for z in zs] for x in xs])
+    assert np.allclose(gains, expected, rtol=1e-9, atol=1e-9)
+
+
+def test_sampled_gain_table_batched():
+    p = make_sampled()
+    xs = np.array([[0.5, 0.0], [0.0, 0.0]])
+    zs = np.array([[1.0], [0.0], [0.5]])
+    assert strict_gain_outer(p, xs, zs).tolist() == [[1.0, -1.0, -1.0], [1.0, -1.0, 1.0]]
+    with pytest.raises(InputError, match="z-point"):
+        strict_gain_outer(p, xs, np.array([[0.5], [0.7]]))
+    with pytest.raises(InputError, match="at-point"):
+        strict_gain_outer(p, np.array([[0.0, 0.0], [0.3, 0.0]]), zs)
