@@ -28,6 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
@@ -435,10 +436,11 @@ def _rival_scalar_form(p: PreferenceMap) -> Optional[tuple[AffineMap, np.ndarray
 class _ComplementCloud:
     """Boundary points of the complement of a preference graph on a grid.
 
-    Built once per (preference, context); queries are vectorized minimum
-    distances to the stored points.  Inactive coordinates (those the strict
-    gain never reads) are dropped exactly: the nearest complement point can
-    always match the query there.
+    Built once per (preference, context); queries are nearest-neighbour
+    distances to the stored points, answered by one KD-tree built on the
+    first query.  Inactive coordinates (those the strict gain never reads)
+    are dropped exactly: the nearest complement point can always match the
+    query there.
     """
 
     def __init__(self, p: PreferenceMap, ctx: GraphDistanceContext):
@@ -524,15 +526,12 @@ class _ComplementCloud:
             return np.zeros((0, d))
         return np.vstack(boundary)
 
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.points)
+
     def min_distance(self, queries: np.ndarray) -> np.ndarray:
-        q = queries[:, self.active]
-        best = np.full(q.shape[0], np.inf)
-        chunk = max(1, int(5_000_000 // max(1, q.shape[0])))
-        for start in range(0, self.points.shape[0], chunk):
-            block = self.points[start:start + chunk]
-            d2 = np.sum((q[:, None, :] - block[None, :, :]) ** 2, axis=2)
-            best = np.minimum(best, np.sqrt(np.min(d2, axis=1)))
-        return best
+        return self._tree.query(queries[:, self.active])[0]
 
 
 def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:

@@ -175,6 +175,17 @@ def test_graph_distance_grid_matches_closed_form():
         assert abs(exact - grid) <= h_g * math.sqrt(2) + 1e-12
 
 
+def test_complement_cloud_distance_is_the_brute_force_minimum():
+    p = load_fixture("chase").preference_maps[1]     # x1 never enters its gain
+    ctx = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
+    cloud = _cloud_for(p, ctx)
+    assert cloud.active.tolist() == [1, 2]
+    queries = np.random.default_rng(11).uniform(-0.5, 1.5, (50, 3))
+    diffs = queries[:, None, cloud.active] - cloud.points[None, :, :]
+    brute = np.sqrt(np.min(np.sum(diffs ** 2, axis=2), axis=1))
+    assert np.allclose(cloud.min_distance(queries), brute, rtol=0.0, atol=1e-12)
+
+
 def test_graph_distance_region_guard():
     p = linear_pref_1d()
     ctx = context_for(Box((0.0,), (2.0,)), Box((0.0,), (2.0,)), h_g=0.01)
