@@ -84,10 +84,18 @@ class MovingBox:
         lo, hi = self.bounds_many(xs)
         return np.linalg.norm(ys - np.clip(ys, lo, hi), axis=1)
 
+    def value_key(self, xs: np.ndarray) -> np.ndarray:
+        """The values at ``xs`` as rows ``lo‖hi``; equal rows are equal boxes."""
+        return np.hstack(self.bounds_many(xs))
+
     def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """``(m, |pool|)`` membership of the pool points in the values at
         ``xs``, within 1e-12."""
-        lo, hi = self.bounds_many(xs)
+        return self.contains_key(self.value_key(xs), pool)
+
+    def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """:meth:`contains_many` at the values given by ``value_key`` rows."""
+        lo, hi = np.hsplit(keys, 2)
         return np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
                       & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
 
@@ -159,12 +167,19 @@ class MovingPolytope:
         viol = ys @ self._normals.T - self.offsets.eval_many(xs)
         return np.max(np.clip(viol, 0.0, None), axis=1)
 
+    def value_key(self, xs: np.ndarray) -> np.ndarray:
+        """The values at ``xs`` as rows of offsets; equal rows are equal sets."""
+        return self.offsets.eval_many(xs)
+
     def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """``(m, |pool|)`` membership of the pool points in the values at
         ``xs``, every row within 1e-12."""
-        offs = self.offsets.eval_many(xs)
+        return self.contains_key(self.value_key(xs), pool)
+
+    def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """:meth:`contains_many` at the values given by ``value_key`` rows."""
         viol = pool @ self._normals.T
-        return np.all(viol[None, :, :] <= offs[:, None, :] + 1e-12, axis=2)
+        return np.all(viol[None, :, :] <= keys[:, None, :] + 1e-12, axis=2)
 
     def _extended_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows ``A v <= b0 + B x`` of the values intersected with the hint."""
@@ -208,7 +223,8 @@ class MovingPolytope:
 
 
 #: both kinds answer the solvers through one batched surface over scan rows
-#: ``xs``: ``linear_max_many``, ``residual_many`` and ``contains_many``
+#: ``xs``: ``linear_max_many``, ``residual_many``, ``value_key`` and pool
+#: membership (``contains_many``, or ``contains_key`` on value keys)
 ConstraintMap = Union[MovingBox, MovingPolytope]
 
 

@@ -98,12 +98,14 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
     chunk = max(1, int(2_000_000 // max(1, zpool.shape[0])))
     for start in range(0, m, chunk):
         rows = slice(start, min(m, start + chunk))
-        gains = prefs.strict_gain_outer(p, xs[rows], zpool)   # (c, |pool|)
-        pref = gains > 0.0
-        nonempty = np.any(pref, axis=1)
+        block = xs[rows]
+        # A_L over the pool once per distinct rival factor; IEEE subtraction
+        # is monotone, so the group maximum answers "any(gain > 0)"
+        reps, group, base, margin, lift = prefs.gain_groups(p, block, zpool)
+        lifted = lift(reps)                                   # (groups, |pool|)
+        nonempty = (np.max(lifted, axis=1)[group] - base) - margin > 0.0
         full_mask[rows] = ~nonempty
 
-        block = xs[rows]
         # the field whose negated unit vector is the candidate direction;
         # tabulated maps have none (a zero field never qualifies)
         if isinstance(p, UtilityInduced):
@@ -119,6 +121,7 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
 
         if np.any(cand_ok):
             # validate the polar inequality on the sampled preferred points
+            pref = (lifted[group] - base[:, None]) - margin > 0.0
             diffs = zpool[None, :, :] - block[:, None, sl]
             inner = np.einsum("rpk,rk->rp", diffs, d)
             bad = np.any(pref & (inner > POLAR_TOL), axis=1)

@@ -210,6 +210,32 @@ def _monomial(v: np.ndarray, e: tuple) -> np.ndarray:
     return out
 
 
+def _gain_factors(p: PreferenceMap, xs, zs):
+    """The strict gain on ``xs`` × ``zs`` as ``(lead, base, margin, lift)``:
+    ``gain[rows] = (lift(rows) - base[rows, None]) - margin``, where
+    ``lift`` evaluates ``A_L(z) = sum_t L_t z^e_t`` from the rival factors
+    ``L = lead[rows]``.  A table's rival factor is the at-point index."""
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
+    zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
+    if isinstance(p, Sampled):
+        at = np.array([p._locate(p._at, x, "at-point") for x in xs], dtype=np.float64)
+        cols = [p._locate(p._z, z, "z-point") for z in zs]
+        lift = lambda rows: np.where(p._table[np.ix_(at[rows].astype(np.intp), cols)], 1.0, -1.0)
+        return at[:, None], np.zeros(at.shape[0]), 0.0, lift
+    lead, exps, margin = p._gain_terms(xs)
+    own, monos = _own_of(p, xs), [_monomial(zs, e) for e in exps]
+    base = np.zeros(xs.shape[0])
+    for t, e in enumerate(exps):
+        base += lead[:, t] * _monomial(own, e)
+
+    def lift(rows) -> np.ndarray:                  # L_0 z^e_0 + L_1 z^e_1 + ...
+        a = np.zeros((base[rows].shape[0], zs.shape[0]))
+        for t, mono in enumerate(monos):
+            a += np.multiply.outer(lead[rows, t], mono)
+        return a
+    return lead, base, margin, lift
+
+
 def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Strict gain on the cross product of ``xs`` rows and ``zs`` rows;
     positive exactly on preferred pairs.
@@ -221,22 +247,42 @@ def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.nd
     comparison there is exactly false.  For the sampled variant the
     magnitude is conventional (+/-1); only the sign matters.
     """
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
-    zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
-    if isinstance(p, Sampled):
-        rows = [p._locate(p._at, x, "at-point") for x in xs]
-        cols = [p._locate(p._z, z, "z-point") for z in zs]
-        return np.where(p._table[np.ix_(rows, cols)], 1.0, -1.0)
-    lead, exps, margin = p._gain_terms(xs)
-    own = _own_of(p, xs)
-    gain = np.zeros((xs.shape[0], zs.shape[0]))
-    base = np.zeros(xs.shape[0])
-    for t, e in enumerate(exps):                   # L_0 z^e_0 + L_1 z^e_1 + ...
-        gain += np.multiply.outer(lead[:, t], _monomial(zs, e))
-        base += lead[:, t] * _monomial(own, e)
+    _, base, margin, lift = _gain_factors(p, xs, zs)
+    gain = lift(slice(None))
     gain -= base[:, None]
     gain -= margin
     return gain
+
+
+def gain_groups(p: PreferenceMap, xs, zs, key: Optional[np.ndarray] = None):
+    """Rows grouped by the exact bits of their rival factors and optional
+    ``key`` rows: ``(reps, group, base, margin, lift)``, one row index per
+    group, each row's group and the :func:`_gain_factors` terms, so
+    ``(lift(reps)[group] - base[:, None]) - margin`` is the outer gain."""
+    lead, base, margin, lift = _gain_factors(p, xs, zs)
+    bits = np.hstack([lead] if key is None else [lead, key]).view(np.uint64)
+    _, reps, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    return reps, group.reshape(-1), base, margin, lift
+
+
+def strict_gain_max(p: PreferenceMap, xs, zs, key: Optional[np.ndarray] = None,
+                    allowed=None) -> np.ndarray:
+    """Rowwise maximum of :func:`strict_gain_outer` over the candidates
+    ``allowed(reps)`` admits per :func:`gain_groups` group (a mask that
+    reads the row only through ``key``); ``-inf`` where none is.  ``A_L``
+    is maximized once per group, in slabs of at most 4 M entries; IEEE
+    subtraction is monotone, so ``(max A_L - B) - margin`` is exact."""
+    reps, group, base, margin, lift = gain_groups(p, xs, zs, key)
+    step = max(1, 4_000_000 // max(1, np.size(zs) // p.own_dim))
+    best = np.empty(reps.shape[0])
+    for s in range(0, reps.shape[0], step):
+        a = lift(reps[s:s + step])
+        if allowed is not None:
+            a[~allowed(reps[s:s + step])] = -np.inf
+        best[s:s + step] = np.max(a, axis=1, initial=-np.inf)
+    best = best[group] - base
+    best -= margin
+    return best
 
 
 def preferred(p: PreferenceMap, x, z) -> bool:

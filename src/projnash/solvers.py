@@ -391,22 +391,22 @@ def _witness_prefilter(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
                        cfg: SolverConfig) -> np.ndarray:
     """Rows where some player has a strictly preferred feasible point among
     the shared probe pool.  A hit is proof of a nonempty intersection, so
-    filtered rows can never certify; survivors are re-checked exactly."""
-    m = xs.shape[0]
-    has_witness = np.zeros(m, dtype=bool)
+    filtered rows can never certify; survivors are re-checked exactly.
+    The best gain is taken once per distinct (rival factors of ``y``, value
+    of ``K_i(x)``); IEEE subtraction is monotone, so each row's
+    ``(max A_L - B) - margin`` clears the threshold exactly when a pair does."""
+    has_witness = np.zeros(xs.shape[0], dtype=bool)
     for i in range(game.player_count):
         lo_q, hi_q = game.hull_boxes[i]._np
         pool = mesh_points([lattice_axis(lo_q[j], hi_q[j], cfg.h) for j in range(game.dims[i])])
         rng = seeded_rng(cfg.seed, 43, i)
         if cfg.random_budget:
             pool = np.vstack([pool, rng.uniform(lo_q, hi_q, size=(cfg.random_budget, game.dims[i]))])
-        chunk = max(1, int(4_000_000 // max(1, pool.shape[0])))
-        for start in range(0, m, chunk):
-            rows = slice(start, min(m, start + chunk))
-            in_k = game.constraint_maps[i].contains_many(xs[rows], pool)
-            gains = prefs.strict_gain_outer(game.preference_maps[i], ys[rows], pool)
-            has_witness[rows] |= np.any(
-                in_k & (gains > cfg.strictness + WITNESS_GUARD), axis=1)
+        cmap = game.constraint_maps[i]
+        keys = cmap.value_key(xs)
+        best = prefs.strict_gain_max(game.preference_maps[i], ys, pool, keys,
+                                     lambda reps: cmap.contains_key(keys[reps], pool))
+        has_witness |= best > cfg.strictness + WITNESS_GUARD
     return has_witness
 
 
@@ -448,9 +448,11 @@ def brute_force_oracle(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     For each grid ``y`` the candidate ``x`` is its nearest choice point;
     pairs must pass feasibility, the shared-pool intersection prefilter
     (whose hits are proofs of non-emptiness), and finally the full
-    projected-solution check at tolerance ``2 h``.  Survivors are clustered
-    within radius ``2 h`` (single linkage) and reported through cluster
-    representatives carrying member ranges.
+    projected-solution check at tolerance ``2 h``.  The prefilter takes one
+    maximal gain per distinct sub-problem; IEEE subtraction is monotone, so
+    it rejects exactly the rows a pairwise scan would.  Survivors are
+    clustered within radius ``2 h`` (single linkage) and reported through
+    cluster representatives carrying member ranges.
     """
     total, blocks = _scan(game, cfg)
     survivors: list[tuple[np.ndarray, np.ndarray]] = []

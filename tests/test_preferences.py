@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from projnash.geometry import Box
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
                                   _cloud_for, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
-                                  preferred, preferred_many, sample_preferred,
+                                  gain_groups, preferred, preferred_many,
+                                  sample_preferred, strict_gain_max,
                                   strict_gain_outer)
 
 SQRT2 = math.sqrt(2.0)
@@ -363,3 +365,69 @@ def test_sampled_gain_table_batched():
         strict_gain_outer(p, xs, np.array([[0.5], [0.7]]))
     with pytest.raises(InputError, match="at-point"):
         strict_gain_outer(p, np.array([[0.0, 0.0], [0.3, 0.0]]), zs)
+
+
+# -- grouped strict-gain maximum ---------------------------------------------------
+
+def _masked_max(p, xs, zs, mask):
+    """Independent reference: the maximum over every masked pair."""
+    return np.max(np.where(mask, strict_gain_outer(p, xs, zs), -np.inf), axis=1)
+
+
+def _with_margin(p, margin):
+    if isinstance(p, DirectionField):
+        return dataclasses.replace(p, offset=margin)
+    return dataclasses.replace(p, margin=margin)
+
+
+@st.composite
+def grouped_gain_cases(draw):
+    """A preference with rows and candidates for the grouped maximum.
+
+    Rows sit on a half-unit lattice, so rival factors repeat; some rows are
+    one ulp away from another and must stay in their own group.  Candidates
+    include the rows' own strategies (exact zero gain before the margin).
+    A key in {0, 1, 2} splits the groups further, and each key admits its
+    own candidate subset, none at all for key 0."""
+    if draw(st.integers(0, 4)) == 0:    # no own terms: L has zero columns
+        p = load_fixture("vacuous").preference_maps[1]
+    else:
+        p = _with_margin(draw(gain_preferences()),
+                         draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0 / 3.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    own = slice(p.own_start, p.own_start + p.own_dim)
+    xs = rng.integers(-3, 4, (24, p.n_vars)) * 0.5
+    xs[18:] = np.nextafter(xs[:6], np.inf)
+    zs = np.vstack([rng.integers(-3, 4, (10, p.own_dim)) * 0.5, xs[:6, own],
+                    rng.uniform(-2, 2, (4, p.own_dim))])
+    keys = rng.integers(0, 3, (xs.shape[0], 1)).astype(np.float64)
+    admitted = rng.random((3, zs.shape[0])) < 0.6
+    admitted[0] = False
+    return p, xs, zs, keys, admitted
+
+
+@given(grouped_gain_cases())
+def test_grouped_gain_maximum_is_the_masked_pairwise_maximum(case):
+    p, xs, zs, keys, admitted = case
+    by_key = lambda rows: admitted[keys[rows, 0].astype(int)]
+    everything = np.ones((xs.shape[0], zs.shape[0]), dtype=bool)
+    assert np.array_equal(strict_gain_max(p, xs, zs), _masked_max(p, xs, zs, everything))
+    best = strict_gain_max(p, xs, zs, keys, by_key)
+    assert np.array_equal(best, _masked_max(p, xs, zs, by_key(np.arange(xs.shape[0]))))
+    assert np.all(best[keys[:, 0] == 0] == -np.inf)
+    reps, group, base, margin, lift = gain_groups(p, xs, zs)
+    assert np.array_equal((lift(reps)[group] - base[:, None]) - margin,
+                          strict_gain_outer(p, xs, zs))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_grouped_gain_maximum_on_a_table(seed):
+    # the at-point index is the rival factor: repeated at-points share a group
+    p = make_sampled()
+    rng = np.random.default_rng(seed)
+    xs = p._at[rng.integers(0, 2, 9)]
+    zs = p._z[rng.integers(0, 3, 5)]
+    mask = rng.random((xs.shape[0], zs.shape[0])) < 0.5
+    assert np.array_equal(strict_gain_max(p, xs, zs, mask.astype(np.float64),
+                                          lambda rows: mask[rows]),
+                          _masked_max(p, xs, zs, mask))

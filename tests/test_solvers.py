@@ -3,16 +3,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projnash.errors import InputError
-from projnash.expressions import AffineMap
+from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
-from projnash.game import Certificate, MovingBox, PlayerCheck, from_utilities
-from projnash.geometry import Box, grid_points
-from projnash.normal_op import normal_directions_batch, unit_normal_product
+from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
+                           WITNESS_GUARD, from_utilities, seeded_rng)
+from projnash.geometry import (Box, grid_points, lattice_axis, mesh_points,
+                               probe_points)
+from projnash.normal_op import POLAR_TOL, normal_directions_batch, unit_normal_product
 from projnash.geometry import grid_axis
+from projnash.preferences import UtilityInduced, strict_gain_outer
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
+                              _scan, _witness_prefilter,
                               best_response_distance, brute_force_oracle,
                               equivalence_scan, qvi_residual,
                               solve_fixed_point, solve_qvi)
+
+#: every fixture whose preferences are not tabulated
+GAIN_FIXTURES = ("expand", "selfmap", "spin", "chase", "corner", "offside", "vacuous", "disk")
 
 
 # -- configuration ---------------------------------------------------------------
@@ -247,6 +254,84 @@ def test_candidate_residual_falls_back_to_per_row_operator():
     assert ok.all()
     assert np.array_equal(y_star, [[-1.0], [-1.0], [-1.0]])
     assert np.allclose(residual, [0.75, 0.5, 0.0], atol=1e-12)
+
+
+# -- grouped gain kernels against pairwise references ------------------------------
+
+def _polytope_game():
+    """Player 1 on the moving triangle ``z >= 0, z1 + z2 <= 0.5 + 0.5 x3``."""
+    offsets = AffineMap.from_polynomials(
+        [parse_polynomial_text(t, 3) for t in ("0", "0", "0.5 + 0.5*x3")])
+    triangle = MovingPolytope(player_index=0, normals=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),
+                              offsets=offsets, bounds_hint=Box((0.0, 0.0), (1.0, 1.0)))
+    fixed = MovingBox(player_index=1, lower=AffineMap.constant([0.0], 3),
+                      upper=AffineMap.constant([1.0], 3))
+    return from_utilities([2, 1], [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))],
+                          [triangle, fixed], ["x1*x3 + x2", "-(x3 - 0.5)^2"])
+
+
+def _pairwise_prefilter(game, xs, ys, cfg):
+    """Every (row, pool point) pair tested on its own."""
+    hit = np.zeros(xs.shape[0], dtype=bool)
+    for i in range(game.player_count):
+        lo, hi = game.hull_boxes[i]._np
+        pool = mesh_points([lattice_axis(lo[j], hi[j], cfg.h) for j in range(game.dims[i])])
+        rng = seeded_rng(cfg.seed, 43, i)
+        pool = np.vstack([pool, rng.uniform(lo, hi, size=(cfg.random_budget, game.dims[i]))])
+        gains = strict_gain_outer(game.preference_maps[i], ys, pool)
+        in_k = game.constraint_maps[i].contains_many(xs, pool)
+        hit |= np.any(in_k & (gains > cfg.strictness + WITNESS_GUARD), axis=1)
+    return hit
+
+
+@pytest.mark.parametrize("strictness", [0.0, 1e-3])
+def test_witness_prefilter_matches_the_pairwise_test(strictness):
+    games = [(load_fixture(name), 0.05) for name in GAIN_FIXTURES] + [(_polytope_game(), 0.1)]
+    for game, h in games:
+        cfg = SolverConfig(h=h, strictness=strictness)
+        for xs, ys in _scan(game, cfg)[1]:
+            assert np.array_equal(_witness_prefilter(game, xs, ys, cfg),
+                                  _pairwise_prefilter(game, xs, ys, cfg))
+
+
+def _normal_directions_per_row(game, i, xs, cfg):
+    """The direction kernel with gains evaluated for every row and probe."""
+    p = game.preference_maps[i]
+    sl = game.own_slice(i)
+    zpool = probe_points(game.hull_boxes[i].inflate(1.0), max(8, cfg.random_budget),
+                         seeded_rng(cfg.seed, 29, i))
+    out = (np.zeros((xs.shape[0], game.dims[i])), np.zeros(xs.shape[0], dtype=bool),
+           np.zeros(xs.shape[0], dtype=bool))
+    chunk = max(1, int(2_000_000 // zpool.shape[0]))
+    for start in range(0, xs.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        block = xs[rows]
+        pref = strict_gain_outer(p, block, zpool) > 0.0
+        nonempty = np.any(pref, axis=1)
+        if isinstance(p, UtilityInduced):
+            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
+        else:
+            field = p.c.eval_many(block)
+        norms = np.linalg.norm(field, axis=1)
+        ok = nonempty & (norms > 1e-12)
+        d = np.zeros_like(field)
+        d[ok] = -field[ok] / norms[ok, None]
+        inner = np.einsum("rpk,rk->rp", zpool[None, :, :] - block[:, None, sl], d)
+        ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
+        out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
+    return out
+
+
+def test_normal_directions_match_the_per_row_kernel():
+    # spin's field vanishes at x2 = 0.5; vacuous is full-space on every row
+    cfg = SolverConfig(h=0.05)
+    for name in GAIN_FIXTURES:
+        game = load_fixture(name)
+        for _, ys in _scan(game, cfg)[1]:
+            for i in range(game.player_count):
+                got = normal_directions_batch(game, i, ys, cfg)
+                want = _normal_directions_per_row(game, i, ys, cfg)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, i)
 
 
 # -- oracle ------------------------------------------------------------------------
