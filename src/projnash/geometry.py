@@ -208,45 +208,84 @@ class HalfspacePolytope:
 ConvexSet = Union[Box, Ball, HalfspacePolytope]
 
 
-def _face_polish(a: np.ndarray, b: np.ndarray, y: np.ndarray,
-                 x: np.ndarray) -> Optional[np.ndarray]:
-    """Exact nearest point given a face guess from the iteration.
+def _face_polish(a: np.ndarray, b: np.ndarray, ys: np.ndarray,
+                 xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest points given face guesses from the iteration.
 
-    Solves the stationarity system on the near-active rows of ``x`` with a
-    small add/drop loop; returns the point only when the full optimality
-    conditions verify (tight active rows, nonnegative multipliers, global
-    feasibility), so a wrong guess simply returns ``None``.
+    Row ``j`` solves the stationarity system for ``ys[j]`` on the
+    near-active rows of ``xs[j]`` with a small add/drop loop.  Its point
+    counts (``ok[j]``) only when the full optimality conditions verify
+    (tight active rows, nonnegative multipliers, global feasibility), so a
+    wrong guess is simply not ok; rows that are not ok hold NaN.
+
+    All rows advance one add/drop round at a time, grouped by their
+    *ordered* active list (the order of the rows fixes the rounding of the
+    Gram solve).  Stacked ``matmul`` rounds every row exactly as the one-row
+    product would, so a row's point does not depend on its batch.
     """
     m = a.shape[0]
-    active = [r for r in range(m) if float(a[r] @ x - b[r]) >= -1e-6]
+    n = ys.shape[0]
+    points = np.full_like(ys, np.nan)
+    ok = np.zeros(n, dtype=bool)
+    # active lists in index order, padded with -1 (a list never repeats a
+    # row); one dot product per point and half-space, as for a single point
+    near = np.matmul(a[:, None, :], xs[:, None, :, None])[..., 0, 0] - b >= -1e-6
+    active = np.where(near, np.arange(m), m)
+    active.sort(axis=1)
+    active[active == m] = -1
+    live = np.arange(n)
     for _ in range(2 * m + 2):
-        if active:
-            a_act = a[active]
-            rhs = a_act @ y - b[active]
-            if len(active) == 1:
-                lam = rhs  # rows are unit-normalized
-            else:
-                gram = a_act @ a_act.T
-                try:
-                    lam = np.linalg.solve(gram, rhs)
-                except np.linalg.LinAlgError:
-                    lam, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            if np.any(lam < -1e-12):
-                active.pop(int(np.argmin(lam)))
-                continue
-            cand = y - a_act.T @ lam
-            if float(np.max(np.abs(a_act @ cand - b[active]))) > 1e-9:
-                return None  # rank trouble; let the iteration keep going
-        else:
-            cand = y
-        viol = a @ cand - b
-        worst = int(np.argmax(viol))
-        if float(viol[worst]) <= CONE_TOL:
-            return cand
-        if worst in active:
-            return None
-        active.append(worst)
-    return None
+        if not live.size:
+            break
+        # sort the live rows by active list and cut where the list changes
+        lists = active[live]
+        order = np.lexsort(lists.T[::-1])
+        lists, live = lists[order], live[order]
+        edges = np.ones(live.size + 1, dtype=bool)
+        edges[1:-1] = np.any(lists[1:] != lists[:-1], axis=1)
+        bounds = np.flatnonzero(edges).tolist()
+        going = np.zeros(n, dtype=bool)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            rows = live[start:stop]
+            act = lists[start][lists[start] >= 0]
+            k = act.shape[0]
+            cand = ys[rows]
+            if k:
+                a_act, b_act = a[act], b[act]
+                rhs = np.matmul(a_act, cand[:, :, None])[:, :, 0] - b_act
+                if k == 1:
+                    lam = rhs  # rows are unit-normalized
+                else:
+                    gram = a_act @ a_act.T
+                    try:
+                        lam = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+                    except np.linalg.LinAlgError:
+                        lam = np.stack([np.linalg.lstsq(gram, r, rcond=None)[0] for r in rhs])
+                drop = np.any(lam < -1e-12, axis=1)
+                if np.any(drop):
+                    shrunk = rows[drop]
+                    if k > 1:
+                        keep = np.arange(k) != np.argmin(lam[drop], axis=1)[:, None]
+                        active[shrunk, :k - 1] = active[shrunk, :k][keep].reshape(-1, k - 1)
+                    active[shrunk, k - 1] = -1
+                    going[shrunk] = True
+                    rows, cand, lam = rows[~drop], cand[~drop], lam[~drop]
+                cand = cand - np.matmul(a_act.T, lam[:, :, None])[:, :, 0]
+                # a missed face is rank trouble: not ok (a NaN residual passes)
+                tight = ~(np.max(np.abs(np.matmul(a_act, cand[:, :, None])[:, :, 0] - b_act),
+                                 axis=1) > 1e-9)
+                rows, cand = rows[tight], cand[tight]
+            viol = np.matmul(a, cand[:, :, None])[:, :, 0] - b
+            worst = np.argmax(viol, axis=1)
+            done = viol[np.arange(rows.shape[0]), worst] <= CONE_TOL
+            points[rows[done]] = cand[done]
+            ok[rows[done]] = True
+            grow = ~done & ~np.any(act[None, :] == worst[:, None], axis=1)
+            if np.any(grow):
+                active[rows[grow], k] = worst[grow]
+                going[rows[grow]] = True
+        live = live[going[live]]
+    return points, ok
 
 
 def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,9 +314,9 @@ def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
             x = xr
         move = float(np.linalg.norm(x - start))
         if move < 1e-7:
-            polished = _face_polish(a, b, y, x)
-            if polished is not None:
-                return polished
+            polished, ok = _face_polish(a, b, y[None, :], x[None, :])
+            if ok[0]:
+                return polished[0]
         if move < TOL_PROJ and float(np.max(a @ x - b)) <= CONE_TOL:
             return x
     raise NonConvergenceError(
@@ -286,8 +325,8 @@ def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Batched variant: vectorized cycles to localize the faces, then the
-    exact per-point polish.  Points whose polish fails fall back to the
+    """Batched variant: vectorized cycles to localize the faces, then one
+    batched exact polish.  Points whose polish fails fall back to the
     scalar iteration."""
     m, d = ys.shape
     feasible = np.all(ys @ a.T - b <= CONE_TOL, axis=1)
@@ -308,9 +347,10 @@ def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
             x = xr
         if float(np.max(np.linalg.norm(x - start, axis=1))) < 1e-6:
             break
-    for pos, i in enumerate(todo):
-        polished = _face_polish(a, b, ys[i], x[pos])
-        out[i] = polished if polished is not None else _dykstra(a, b, ys[i])
+    polished, ok = _face_polish(a, b, ys[todo], x)
+    out[todo] = polished
+    for i in todo[~ok]:
+        out[i] = _dykstra(a, b, ys[i])
     return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError
 from .game import GameInstance, seeded_rng
@@ -26,6 +25,8 @@ from . import preferences as prefs
 from .preferences import DirectionField, UtilityInduced
 
 POLAR_TOL = 1e-9
+#: most (row, pool point) entries of one polar-check slab
+POLAR_SLAB = 65_536
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class UnitNormalProduct:
     flagged: tuple[bool, ...]  # True where no direction could be found
 
     def contains_factor(self, i: int, v, tol: float = POLAR_TOL) -> bool:
+        from scipy.optimize import linprog  # imported on first use: a slow import
         v = np.asarray(v, dtype=np.float64).reshape(-1)
         factor = self.factors[i]
         if factor.is_full_space:
@@ -96,6 +98,7 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
     ok_mask = np.zeros(m, dtype=bool)
 
     chunk = max(1, int(2_000_000 // max(1, zpool.shape[0])))
+    slab = max(1, POLAR_SLAB // zpool.shape[0])
     for start in range(0, m, chunk):
         rows = slice(start, min(m, start + chunk))
         block = xs[rows]
@@ -119,13 +122,16 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         d = np.zeros_like(field)
         d[cand_ok] = -field[cand_ok] / norms[cand_ok, None]
 
-        if np.any(cand_ok):
-            # validate the polar inequality on the sampled preferred points
-            pref = (lifted[group] - base[:, None]) - margin > 0.0
-            diffs = zpool[None, :, :] - block[:, None, sl]
-            inner = np.einsum("rpk,rk->rp", diffs, d)
-            bad = np.any(pref & (inner > POLAR_TOL), axis=1)
-            cand_ok &= ~bad
+        # validate the polar inequality on the sampled preferred points, in
+        # row slabs of at most POLAR_SLAB pool entries
+        for s in range(0, block.shape[0], slab):
+            r = slice(s, s + slab)
+            if not np.any(cand_ok[r]):
+                continue
+            pref = (lifted[group[r]] - base[r, None]) - margin > 0.0
+            diffs = zpool[None, :, :] - block[r, None, sl]
+            inner = np.einsum("rpk,rk->rp", diffs, d[r])
+            cand_ok[r] &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
         directions[rows] = d
         ok_mask[rows] = cand_ok
     return directions, full_mask, ok_mask

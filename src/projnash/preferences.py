@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from .errors import InputError
@@ -309,6 +308,7 @@ def preferred_many(p: PreferenceMap, x, zs: np.ndarray) -> np.ndarray:
 def _in_convex_hull(points: np.ndarray, target: np.ndarray, tol: float = 1e-9) -> bool:
     if points.shape[0] == 0:
         return False
+    from scipy.optimize import linprog  # imported on first use: a slow import
     res = linprog(
         c=np.zeros(points.shape[0]),
         A_eq=np.vstack([points.T, np.ones(points.shape[0])]),

@@ -277,3 +277,127 @@ def test_set_grid_polytope_zero_width_axis_is_one_point():
     assert resolution == 0.25
     assert pts.shape == (5, 2)
     assert np.allclose(pts[:, 1], 0.3)
+
+
+# -- batched face polish -------------------------------------------------------
+
+def _polish_one(a, b, y, x):
+    """The per-point add/drop loop the batched ``_face_polish`` replaces:
+    the nearest point of ``y`` from the face guess ``x``, or None."""
+    m = a.shape[0]
+    active = [r for r in range(m) if float(a[r] @ x - b[r]) >= -1e-6]
+    for _ in range(2 * m + 2):
+        if active:
+            a_act = a[active]
+            rhs = a_act @ y - b[active]
+            if len(active) == 1:
+                lam = rhs
+            else:
+                gram = a_act @ a_act.T
+                try:
+                    lam = np.linalg.solve(gram, rhs)
+                except np.linalg.LinAlgError:
+                    lam, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+            if np.any(lam < -1e-12):
+                active.pop(int(np.argmin(lam)))
+                continue
+            cand = y - a_act.T @ lam
+            if float(np.max(np.abs(a_act @ cand - b[active]))) > 1e-9:
+                return None
+        else:
+            cand = y
+        viol = a @ cand - b
+        worst = int(np.argmax(viol))
+        if float(viol[worst]) <= geometry.CONE_TOL:
+            return cand
+        if worst in active:
+            return None
+        active.append(worst)
+    return None
+
+
+def _polish_per_point(a, b, ys, xs):
+    points = np.full_like(ys, np.nan)
+    ok = np.zeros(ys.shape[0], dtype=bool)
+    for j in range(ys.shape[0]):
+        p = _polish_one(a, b, ys[j], xs[j])
+        if p is not None:
+            points[j], ok[j] = p, True
+    return points, ok
+
+
+def _lattice(lo, hi, h, d):
+    return geometry.mesh_points([np.arange(lo, hi + h / 2, h)] * d)
+
+
+TRIANGLE = ((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0))
+
+
+def _polish_cases():
+    """(a, b, points): random bounded polytopes, unbounded wedges, slabs and
+    zero-width axes in 1-3 dimensions, on uniform and lattice points, then
+    the triangle of the benchmark's polytope game at three offsets."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for t in range(24):
+        d = 1 + t % 3
+        kind = (t // 3) % 4
+        center = rng.uniform(-1, 1, d)
+        center[0] = 0.1 if kind == 2 else center[0]
+        center[-1] = 0.3 if kind == 3 else center[-1]
+        rows = []
+        for _ in range(int(rng.integers(2, 6))):
+            a = rng.normal(size=d)
+            rows.append((tuple(a), float(a @ center + rng.uniform(0.1, 1.5))))
+        e0, e1 = np.eye(d)[0], np.eye(d)[-1]
+        if kind == 1:       # wedge with its apex at the centre (in 1-D a half-line or a point)
+            rows = [(a, float(np.dot(a, center))) for a, _ in rows[:2]]
+        elif kind == 2:     # slab across axis 0
+            rows = [(tuple(e0), 0.5), (tuple(-e0), 0.2)] + rows[:1]
+        elif kind == 3:     # the last axis pinned at 0.3
+            rows = [(tuple(e1), 0.3), (tuple(-e1), -0.3)] + rows
+        a, b = HalfspacePolytope(tuple(rows), d)._np
+        points = (rng.uniform(-2.5, 2.5, (300, d)) if t % 2
+                  else _lattice(-1.5, 1.5, 0.05 if d < 3 else 0.25, d))
+        cases.append((a, b, points))
+    for top in (0.5, 0.75, 1.0):
+        a, b = HalfspacePolytope(tuple((n, 0.0) for n in TRIANGLE[:2])
+                                 + ((TRIANGLE[2], top),), 2)._np
+        points = np.vstack([_lattice(-0.5, 1.5, 0.05, 2),
+                            rng.uniform(-0.5, 1.5, (500, 2))])
+        cases.append((a, b, points))
+    return cases
+
+
+def test_batched_polish_matches_the_per_point_loop(monkeypatch):
+    cases = _polish_cases()
+    batched = [geometry._dykstra_many(a, b, ys) for a, b, ys in cases]
+    monkeypatch.setattr(geometry, "_face_polish", _polish_per_point)
+    for (a, b, ys), got in zip(cases, batched):
+        assert np.array_equal(got, geometry._dykstra_many(a, b, ys))
+
+
+def test_batched_polish_rows_do_not_depend_on_the_batch(monkeypatch):
+    calls = []
+    polish = geometry._face_polish
+
+    def recording(a, b, ys, xs):
+        calls.append((a, b, ys, xs))
+        return polish(a, b, ys, xs)
+
+    monkeypatch.setattr(geometry, "_face_polish", recording)
+    for a, b, ys in _polish_cases():
+        geometry._dykstra_many(a, b, ys)
+    monkeypatch.undo()
+    assert calls
+    for a, b, ys, xs in calls:
+        points, ok = polish(a, b, ys, xs)
+        for j in range(0, ys.shape[0], 7):
+            one, one_ok = polish(a, b, ys[j:j + 1], xs[j:j + 1])
+            assert one_ok[0] == ok[j]
+            assert np.array_equal(one[0], points[j], equal_nan=True)
+    # on the benchmark triangle the whole projection is batch-independent
+    for a, b, ys in _polish_cases()[-3:]:
+        full = geometry._dykstra_many(a, b, ys)
+        for j in range(0, ys.shape[0], 5):
+            assert np.array_equal(geometry._dykstra_many(a, b, ys[j:j + 1])[0], full[j])

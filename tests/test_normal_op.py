@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from projnash.errors import InputError
-from projnash.expressions import AffineMap
+from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.game import MovingBox, build_instance, from_utilities
-from projnash.geometry import Box, ConeSample, grid_points, polar_membership
-from projnash.normal_op import (UnitNormalProduct, audit_normal_direction,
+from projnash.game import seeded_rng
+from projnash.geometry import Box, ConeSample, grid_points, polar_membership, probe_points
+from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
+                                audit_normal_direction, normal_directions_batch,
                                 normal_operator, unit_normal_product)
-from projnash.preferences import DirectionField, sample_preferred
-from projnash.solvers import SolverConfig
+from projnash.preferences import (DirectionField, UtilityInduced, gain_groups,
+                                  sample_preferred)
+from projnash.solvers import SolverConfig, _scan
 
 CFG = SolverConfig(h=0.05, random_budget=128)
 
@@ -159,3 +162,66 @@ def test_hull_membership_of_product_factor():
     assert product.contains_factor(0, [0.3])
     assert product.contains_factor(0, [-1.0])
     assert not product.contains_factor(0, [1.2])
+
+
+def _normal_directions_whole_block(game, i, xs, cfg):
+    """The direction kernel with the polar check over each whole outer
+    chunk at once, as before the check was cut into slabs."""
+    p = game.preference_maps[i]
+    sl = game.own_slice(i)
+    zpool = probe_points(game.hull_boxes[i].inflate(1.0), max(8, cfg.random_budget),
+                         seeded_rng(cfg.seed, 29, i))
+    out = (np.zeros((xs.shape[0], game.dims[i])), np.zeros(xs.shape[0], dtype=bool),
+           np.zeros(xs.shape[0], dtype=bool))
+    chunk = max(1, int(2_000_000 // zpool.shape[0]))
+    for start in range(0, xs.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        block = xs[rows]
+        reps, group, base, margin, lift = gain_groups(p, block, zpool)
+        lifted = lift(reps)
+        nonempty = (np.max(lifted, axis=1)[group] - base) - margin > 0.0
+        if isinstance(p, UtilityInduced):
+            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
+        else:
+            field = p.c.eval_many(block)
+        norms = np.linalg.norm(field, axis=1)
+        ok = nonempty & (norms > 1e-12)
+        d = np.zeros_like(field)
+        d[ok] = -field[ok] / norms[ok, None]
+        pref = (lifted[group] - base[:, None]) - margin > 0.0
+        inner = np.einsum("rpk,rk->rp", zpool[None, :, :] - block[:, None, sl], d)
+        ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
+        out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
+    return out
+
+
+def _cubic_game():
+    """Player 1 on [-1.5, 1.5]^2 with the utility x1^3 - x1 + x2 + x1 x3,
+    whose upper level sets are not convex: the polar check rejects the
+    gradient direction on most rows.  The map is swapped in after
+    construction, since the self-exclusion check rejects it."""
+    sets = [Box((-1.5, -1.5), (1.5, 1.5)), Box((0.0,), (1.0,))]
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant(list(s.lower), 3),
+                      upper=AffineMap.constant(list(s.upper), 3)) for i, s in enumerate(sets)]
+    game = from_utilities([2, 1], sets, maps, ["-x1^2 - x2^2", "-(x3 - 0.5)^2"])
+    cubic = UtilityInduced(player_index=0, n_vars=3, own_start=0, own_dim=2,
+                           utility=parse_polynomial_text("x1^3 - x1 + x2 + x1*x3", 3))
+    game.preference_maps = (cubic,) + game.preference_maps[1:]
+    return game
+
+
+@pytest.mark.parametrize("name,h", [("disk", 0.05), ("cubic", 0.1)])
+def test_slabbed_polar_check_matches_the_whole_block(name, h):
+    # every scan row in one call, so the check spans many slabs (and on
+    # disk more than one outer chunk); on cubic it rejects most rows
+    game = _cubic_game() if name == "cubic" else load_fixture(name)
+    cfg = SolverConfig(h=h)
+    ys = np.vstack([block for _, block in _scan(game, cfg)[1]])
+    assert ys.shape[0] * cfg.random_budget > 8 * POLAR_SLAB
+    rejected = 0
+    for i in range(game.player_count):
+        got = normal_directions_batch(game, i, ys, cfg)
+        want = _normal_directions_whole_block(game, i, ys, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
+        rejected += int(np.sum(~got[1] & ~got[2]))
+    assert (rejected > 0) == (name == "cubic")

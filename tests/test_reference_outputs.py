@@ -31,3 +31,16 @@ def test_route_outputs_match_the_references(name):
     assert len(expected) == len(workload.routes)
     for op, want in zip(workload.routes, expected):
         assert wl.check_route(op, wl.run_route(op, 0), 0, want) is None, op
+
+
+def test_verify_batch_matches_the_reference():
+    # certify's verify batch: its 20 polytope calls are the main users of
+    # the batched face polish outside the polytope routes
+    wl = _workloads()
+    workload = wl.WORKLOADS["certify"]
+    recorded = json.loads((BENCH / "reference" / "certify.json").read_text())
+    ops = wl.verify_ops(workload, 0)
+    games = {p: wl.load(p) for p, _ in workload.verify}
+    cfg = wl.config(wl.VERIFY_H, 0)
+    outs = [wl.run_verify(op, games[op.problem], cfg) for op in ops]
+    assert wl.check_verify(ops, outs, recorded["seeds"]["0"]["verify"]) == {}
