@@ -219,15 +219,20 @@ class Polynomial:
         if points.ndim != 2 or points.shape[1] != self.n_vars:
             raise InputError(
                 f"expected points of shape (m, {self.n_vars}), got {points.shape}")
-        m = points.shape[0]
-        out = np.zeros(m)
+        return self.eval_columns([points[:, j] for j in range(self.n_vars)], points.shape[:1])
+
+    def eval_columns(self, cols, shape: tuple[int, ...]) -> np.ndarray:
+        """Evaluate on per-variable arrays broadcast to ``shape``: point
+        columns, or grid axes shaped along their own dimensions (``None``
+        for a variable no term reads).  Terms multiply ``cols[j] ** e_j`` in
+        variable order and add in order, so a grid point rounds as its row
+        does under :meth:`eval_many`."""
+        out = np.zeros(shape)
         exps, coeffs = self._np_terms
-        for t in range(len(coeffs)):
-            term = np.full(m, coeffs[t])
-            for j in range(self.n_vars):
-                e = exps[t, j]
-                if e:
-                    term = term * points[:, j] ** e
+        for e, c in zip(exps, coeffs):
+            term = c
+            for j in np.nonzero(e)[0]:
+                term = term * cols[j] ** e[j]
             out += term
         return out
 
@@ -440,14 +445,28 @@ class AffineMap:
         return bool(np.all(a == 0.0))
 
     def eval(self, x) -> np.ndarray:
-        a, b = self._np
-        return a @ np.asarray(x, dtype=np.float64) + b
+        """One row of :meth:`eval_many`: the same products and sums in the
+        same order, in Python floats, without the per-call array overhead."""
+        x = np.asarray(x, dtype=np.float64).tolist()
+        out = []
+        for row, off in zip(self.matrix, self.offset):
+            acc = 0.0
+            for xj, aj in zip(x, row):
+                acc += xj * aj
+            out.append(acc + off)
+        return np.array(out)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Rows of ``points`` (m, n) -> values (m, out_dim)."""
+        """Rows of ``points`` (m, n) -> values (m, out_dim).
+
+        Adds ``points[:, j] * a[:, j]`` in column order, then ``b``: one
+        fixed order, so a row's value does not depend on its batch."""
         a, b = self._np
         points = np.asarray(points, dtype=np.float64)
-        return points @ a.T + b
+        out = np.zeros((points.shape[0], self.out_dim))
+        for col, a_col in zip(points.T, a.T):
+            out += col[:, None] * a_col
+        return out + b
 
     def range_over_box(self, lower, upper) -> tuple[np.ndarray, np.ndarray]:
         """Exact componentwise range of the map over the box [lower, upper]."""

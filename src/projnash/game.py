@@ -84,6 +84,10 @@ class MovingBox:
         lo, hi = self.bounds_many(xs)
         return np.linalg.norm(ys - np.clip(ys, lo, hi), axis=1)
 
+    #: an upper bound on the distance of own-block ``ys`` to the values at
+    #: ``xs``; the residual is that distance
+    distance_bound_many = residual_many
+
     def value_key(self, xs: np.ndarray) -> np.ndarray:
         """The values at ``xs`` as rows ``lo‖hi``; equal rows are equal boxes."""
         return np.hstack(self.bounds_many(xs))
@@ -167,6 +171,11 @@ class MovingPolytope:
         viol = ys @ self._normals.T - self.offsets.eval_many(xs)
         return np.max(np.clip(viol, 0.0, None), axis=1)
 
+    def distance_bound_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """An upper bound on the distance of own-block ``ys`` to the values
+        at ``xs``: ``+inf``, since a row violation bounds no distance."""
+        return np.full(xs.shape[0], np.inf)
+
     def value_key(self, xs: np.ndarray) -> np.ndarray:
         """The values at ``xs`` as rows of offsets; equal rows are equal sets."""
         return self.offsets.eval_many(xs)
@@ -223,8 +232,9 @@ class MovingPolytope:
 
 
 #: both kinds answer the solvers through one batched surface over scan rows
-#: ``xs``: ``linear_max_many``, ``residual_many``, ``value_key`` and pool
-#: membership (``contains_many``, or ``contains_key`` on value keys)
+#: ``xs``: ``linear_max_many``, ``residual_many``, ``distance_bound_many``,
+#: ``value_key`` and pool membership (``contains_many``, or ``contains_key``
+#: on value keys)
 ConstraintMap = Union[MovingBox, MovingPolytope]
 
 

@@ -99,6 +99,9 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
 
     chunk = max(1, int(2_000_000 // max(1, zpool.shape[0])))
     slab = max(1, POLAR_SLAB // zpool.shape[0])
+    # the polar check's (rows, |pool|) slabs are written into reused buffers
+    zcols = zpool.T.copy()
+    gain, inner, term = np.empty((3, min(slab, m), zpool.shape[0]))
     for start in range(0, m, chunk):
         rows = slice(start, min(m, start + chunk))
         block = xs[rows]
@@ -123,15 +126,24 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         d[cand_ok] = -field[cand_ok] / norms[cand_ok, None]
 
         # validate the polar inequality on the sampled preferred points, in
-        # row slabs of at most POLAR_SLAB pool entries
+        # row slabs of at most POLAR_SLAB pool entries; <z - x_i, d> adds
+        # one coordinate at a time, in coordinate order
         for s in range(0, block.shape[0], slab):
             r = slice(s, s + slab)
             if not np.any(cand_ok[r]):
                 continue
-            pref = (lifted[group[r]] - base[r, None]) - margin > 0.0
-            diffs = zpool[None, :, :] - block[r, None, sl]
-            inner = np.einsum("rpk,rk->rp", diffs, d[r])
-            cand_ok[r] &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
+            own, dr = block[r, sl], d[r]
+            g, dot, t = gain[:own.shape[0]], inner[:own.shape[0]], term[:own.shape[0]]
+            np.take(lifted, group[r], axis=0, out=g)
+            g -= base[r, None]
+            g -= margin
+            np.subtract(zcols[0], own[:, 0, None], out=dot)
+            dot *= dr[:, 0, None]
+            for j in range(1, k):
+                np.subtract(zcols[j], own[:, j, None], out=t)
+                t *= dr[:, j, None]
+                dot += t
+            cand_ok[r] &= ~np.any((g > 0.0) & (dot > POLAR_TOL), axis=1)
         directions[rows] = d
         ok_mask[rows] = cand_ok
     return directions, full_mask, ok_mask

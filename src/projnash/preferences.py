@@ -522,39 +522,37 @@ class _ComplementCloud:
 
     def _boundary_points(self, gain: Polynomial, active: list[int],
                          axes: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-        # slab-wise scan along the first active axis keeps memory bounded
+        # slab-wise scan along the first active axis keeps memory bounded;
+        # every other active variable is its axis, broadcast along its own
+        # slab dimension
         d = len(axes)
-        rest_axes = axes[1:]
-        rest_mesh = np.meshgrid(*rest_axes, indexing="ij") if rest_axes else []
-        rest_flat = (np.stack([m.reshape(-1) for m in rest_mesh], axis=1)
-                     if rest_axes else np.zeros((1, 0)))
-        m_rest = rest_flat.shape[0]
-        full = np.zeros((m_rest, gain.n_vars))
+        slab_shape = shape[1:] if d > 1 else (1,)
+        cols: list = [None] * gain.n_vars
+        for c in range(1, d):
+            cols[active[c]] = axes[c].reshape([-1 if a == c - 1 else 1 for a in range(d - 1)])
 
         def slab_mask(i: int) -> np.ndarray:
-            full[:, :] = 0.0
-            full[:, active[0]] = axes[0][i]
-            for col, var in enumerate(active[1:]):
-                full[:, var] = rest_flat[:, col]
-            return (gain.eval_many(full) <= 0.0).reshape(shape[1:] if d > 1 else (1,))
+            # a one-element array, not a scalar: numpy's scalar ``**`` rounds
+            # differently from its array ``**``
+            cols[active[0]] = axes[0][i:i + 1]
+            return gain.eval_columns(cols, slab_shape) <= 0.0
+
+        def neighbours(pref: np.ndarray) -> np.ndarray:
+            # points with a preferred neighbour along some in-slab axis
+            out = np.zeros_like(pref)
+            for axis in range(pref.ndim):
+                lo = (slice(None),) * axis + (slice(None, -1),)
+                hi = (slice(None),) * axis + (slice(1, None),)
+                out[hi] |= pref[lo]
+                out[lo] |= pref[hi]
+            return out
 
         boundary: list[np.ndarray] = []
         prev_mask = None
         cur_mask = slab_mask(0)
         for i in range(shape[0]):
             next_mask = slab_mask(i + 1) if i + 1 < shape[0] else None
-            pref_here = ~cur_mask
-            neighbor_pref = np.zeros_like(cur_mask)
-            for axis in range(cur_mask.ndim):
-                shifted = np.roll(pref_here, 1, axis=axis)
-                shifted2 = np.roll(pref_here, -1, axis=axis)
-                # roll wraps; kill the wrapped edge
-                sl = [slice(None)] * cur_mask.ndim
-                sl[axis] = 0
-                shifted[tuple(sl)] = False
-                sl[axis] = -1
-                shifted2[tuple(sl)] = False
-                neighbor_pref |= shifted | shifted2
+            neighbor_pref = neighbours(~cur_mask)
             if prev_mask is not None:
                 neighbor_pref |= ~prev_mask
             if next_mask is not None:

@@ -343,7 +343,8 @@ def qvi_residual(game: GameInstance, x, y, y_star, cfg: SolverConfig
 
 
 def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
-                        cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        cfg: SolverConfig, limit: float = math.inf
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best variational residual over operator candidates, rowwise.
 
     Returns ``(residual, y_star, ok)``: the projection term plus, per
@@ -351,32 +352,56 @@ def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
     the row (the stored direction, plus 0 for empty-preference points);
     ``y_star`` the minimizing selection; ``ok`` flags rows where every
     player offered a candidate.
+
+    Players run in index order on the rows still alive.  A later term is at
+    least ``-dist(y_j, K_j(x))`` (``w`` is a unit vector, ``K_j(x)`` holds
+    the projection of ``y_j``; a full-space factor gives 0 or a negative
+    direction term), so a row whose partial sum exceeds ``limit`` by more
+    than the later distance bounds plus a rounding slack, or that lacks a
+    candidate, gets residual ``+inf``.  Kept rows sum their terms as an
+    uncascaded scan does.
     """
-    m = xs.shape[0]
-    terms = np.zeros((m, game.player_count))
+    m, players = xs.shape[0], game.player_count
+    proj = _projection_term_many(game, xs, ys)[0]
+    dist = np.stack([game.constraint_maps[j].distance_bound_many(xs, ys[:, game.own_slice(j)])
+                     for j in range(players)], axis=1)
+    terms = np.zeros((m, players))
     y_star = np.zeros((m, game.n))
     ok = np.ones(m, dtype=bool)
-    for i in range(game.player_count):
+    alive = np.arange(m)
+    partial, size = proj.copy(), 1.0 + np.abs(proj)
+    for i in range(players):
         sl = game.own_slice(i)
-        dirs, full_mask, dir_ok = normal_directions_batch(game, i, ys, cfg)
+        xa, ya = xs[alive], ys[alive]
+        dirs, full_mask, dir_ok = normal_directions_batch(game, i, ya, cfg)
         missing = ~(full_mask | dir_ok)
         for r in np.nonzero(missing)[0]:
-            sample = normal_operator(game, i, ys[r], cfg)
+            sample = normal_operator(game, i, ya[r], cfg)
             if sample.is_full_space:
                 full_mask[r] = True
             elif not sample.is_empty:
                 dirs[r] = sample.as_array[0]
                 dir_ok[r] = True
-        ok &= full_mask | dir_ok
+        offered = full_mask | dir_ok
+        ok[alive] &= offered
         w = -dirs
-        term_dir = (game.constraint_maps[i].linear_max_many(xs, w)[0]
-                    - np.sum(w * ys[:, sl], axis=1))
+        term_dir = (game.constraint_maps[i].linear_max_many(xa, w)[0]
+                    - np.sum(w * ya[:, sl], axis=1))
         # full-space factors admit the zero vector, whose term vanishes
         use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
-        terms[:, i] = np.where(use_dir, term_dir, 0.0)
-        terms[~(dir_ok | full_mask), i] = np.inf
-        y_star[:, sl] = np.where(use_dir[:, None], dirs, 0.0)
-    return _projection_term_many(game, xs, ys)[0] + np.sum(terms, axis=1), y_star, ok
+        term = np.where(offered, np.where(use_dir, term_dir, 0.0), np.inf)
+        terms[alive, i] = term
+        y_star[alive, sl] = np.where(use_dir[:, None], dirs, 0.0)
+        if i + 1 < players:
+            alive, partial, size, term = alive[offered], partial[offered], size[offered], term[offered]
+            partial += term
+            size += np.abs(term)
+            rest = np.sum(dist[alive, i + 1:], axis=1)
+            live = partial - rest <= limit + 1e-9 * (size + rest)
+            alive, partial, size = alive[live], partial[live], size[live]
+    residual = np.full(m, np.inf)
+    residual[alive] = proj[alive] + np.sum(terms[alive], axis=1)
+    return residual, y_star, ok
 
 
 def _feasibility_mask(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
@@ -421,9 +446,10 @@ def solve_qvi(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     """
     total, blocks = _scan(game, cfg)
     result = SolveResult(solver="solve-qvi", certificates=[], cells_scanned=total)
+    tol = cfg.eps_grid + 1e-12
     for xs, ys in blocks:
-        residual, y_star, ok = _candidate_residual(game, xs, ys, cfg)
-        keep = ok & (residual <= cfg.eps_grid + 1e-12)
+        residual, y_star, ok = _candidate_residual(game, xs, ys, cfg, tol)
+        keep = ok & (residual <= tol)
         xs, ys, y_star = xs[keep], ys[keep], y_star[keep]
         res_exact, eta, z = _qvi_residual_many(game, xs, ys, y_star)
         result.qvi_points.extend(
@@ -530,9 +556,10 @@ def equivalence_scan(game: GameInstance, cfg: SolverConfig
     _, blocks = _scan(game, cfg)
     qvi_rows: list[np.ndarray] = []
     nep_rows: list[np.ndarray] = []
+    tol = cfg.eps_analytic + 1e-12
     for xs, ys in blocks:
-        residual, _, ok = _candidate_residual(game, xs, ys, cfg)
-        qvi_rows.extend(ys[ok & (residual <= cfg.eps_analytic + 1e-12)])
+        residual, _, ok = _candidate_residual(game, xs, ys, cfg, tol)
+        qvi_rows.extend(ys[ok & (residual <= tol)])
         nep_rows.extend(y for x, y in zip(xs, ys)
                         if check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid).passed)
     to_arr = lambda rows: (np.array(rows).reshape(-1, game.n) if rows

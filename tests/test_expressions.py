@@ -93,6 +93,25 @@ def test_affine_from_polynomials_and_range():
     assert np.allclose(hi, vals.max(axis=0))
 
 
+def test_affine_rows_do_not_depend_on_the_batch():
+    # generic coefficients, where a matmul's rounding varies with the batch:
+    # every row is the column-order sum, whether alone, in a batch or via eval
+    rng = np.random.default_rng(5)
+    for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        amap = AffineMap(tuple(map(tuple, rng.normal(size=(m, n)).tolist())),
+                         tuple(rng.normal(size=m).tolist()))
+        pts = rng.uniform(-2.0, 2.0, (500, n))
+        a, b = amap._np
+        want = np.zeros((500, m))
+        for j in range(n):
+            want = want + pts[:, j, None] * a[:, j]
+        want = want + b
+        assert np.array_equal(amap.eval_many(pts), want)
+        assert np.array_equal(amap.eval_many(pts[::7]), want[::7])
+        for r in range(0, 500, 25):
+            assert np.array_equal(amap.eval(pts[r]), want[r])
+
+
 def test_affine_rejects_quadratic():
     with pytest.raises(InputError):
         AffineMap.from_polynomials([parse_polynomial_text("x1^2", 1)])

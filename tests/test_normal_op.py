@@ -189,32 +189,46 @@ def _normal_directions_whole_block(game, i, xs, cfg):
         d = np.zeros_like(field)
         d[ok] = -field[ok] / norms[ok, None]
         pref = (lifted[group] - base[:, None]) - margin > 0.0
-        inner = np.einsum("rpk,rk->rp", zpool[None, :, :] - block[:, None, sl], d)
+        diffs = zpool[None, :, :] - block[:, None, sl]
+        if diffs.shape[2] <= 2:
+            inner = np.einsum("rpk,rk->rp", diffs, d)
+        else:
+            # einsum adds k >= 3 coordinates in SIMD lanes; the kernel keeps
+            # coordinate order
+            inner = diffs[:, :, 0] * d[:, None, 0]
+            for j in range(1, diffs.shape[2]):
+                inner = inner + diffs[:, :, j] * d[:, None, j]
         ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
         out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
     return out
 
 
-def _cubic_game():
-    """Player 1 on [-1.5, 1.5]^2 with the utility x1^3 - x1 + x2 + x1 x3,
-    whose upper level sets are not convex: the polar check rejects the
-    gradient direction on most rows.  The map is swapped in after
-    construction, since the self-exclusion check rejects it."""
-    sets = [Box((-1.5, -1.5), (1.5, 1.5)), Box((0.0,), (1.0,))]
-    maps = [MovingBox(player_index=i, lower=AffineMap.constant(list(s.lower), 3),
-                      upper=AffineMap.constant(list(s.upper), 3)) for i, s in enumerate(sets)]
-    game = from_utilities([2, 1], sets, maps, ["-x1^2 - x2^2", "-(x3 - 0.5)^2"])
-    cubic = UtilityInduced(player_index=0, n_vars=3, own_start=0, own_dim=2,
-                           utility=parse_polynomial_text("x1^3 - x1 + x2 + x1*x3", 3))
+def _cubic_game(k=2):
+    """Player 1 on [-1.5, 1.5]^k with the utility x1^3 - x1 + x2 + ... +
+    xk + x1 x(k+1), whose upper level sets are not convex: the polar check
+    rejects the gradient direction on most rows.  The map is swapped in
+    after construction, since the self-exclusion check rejects it."""
+    n = k + 1
+    sets = [Box((-1.5,) * k, (1.5,) * k), Box((0.0,), (1.0,))]
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant(list(s.lower), n),
+                      upper=AffineMap.constant(list(s.upper), n)) for i, s in enumerate(sets)]
+    concave = " - ".join(f"x{j}^2" for j in range(1, k + 1))
+    game = from_utilities([k, 1], sets, maps, ["-" + concave, f"-(x{n} - 0.5)^2"])
+    text = " + ".join(["x1^3 - x1"] + [f"x{j}" for j in range(2, k + 1)] + [f"x1*x{n}"])
+    cubic = UtilityInduced(player_index=0, n_vars=n, own_start=0, own_dim=k,
+                           utility=parse_polynomial_text(text, n))
     game.preference_maps = (cubic,) + game.preference_maps[1:]
     return game
 
 
-@pytest.mark.parametrize("name,h", [("disk", 0.05), ("cubic", 0.1)])
+@pytest.mark.parametrize("name,h", [("disk", 0.05), ("cubic", 0.1), ("cubic3", 0.25),
+                                    ("cubic4", 0.5)])
 def test_slabbed_polar_check_matches_the_whole_block(name, h):
     # every scan row in one call, so the check spans many slabs (and on
-    # disk more than one outer chunk); on cubic it rejects most rows
-    game = _cubic_game() if name == "cubic" else load_fixture(name)
+    # disk more than one outer chunk); on the cubics it rejects most rows.
+    # Own blocks of 1 and 2 match the einsum bit for bit, 3 and 4 the
+    # coordinate-order sum
+    game = _cubic_game(int(name[5:] or 2)) if name.startswith("cubic") else load_fixture(name)
     cfg = SolverConfig(h=h)
     ys = np.vstack([block for _, block in _scan(game, cfg)[1]])
     assert ys.shape[0] * cfg.random_budget > 8 * POLAR_SLAB
@@ -224,4 +238,4 @@ def test_slabbed_polar_check_matches_the_whole_block(name, h):
         want = _normal_directions_whole_block(game, i, ys, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
         rejected += int(np.sum(~got[1] & ~got[2]))
-    assert (rejected > 0) == (name == "cubic")
+    assert (rejected > 0) == name.startswith("cubic")

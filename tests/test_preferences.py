@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, strategies as st
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import load_fixture
-from projnash.geometry import Box
+from projnash.geometry import Box, grid_axis
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
-                                  _cloud_for, context_for, graph_distance,
+                                  _ComplementCloud, _cloud_for, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
                                   gain_groups, preferred, preferred_many,
                                   sample_preferred, strict_gain_max,
@@ -308,6 +309,115 @@ def test_complement_cloud_cache_keys_on_the_preference():
     graph_distance(first, ctx, y, z)
     fresh = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
     assert graph_distance(second, ctx, y, z) == graph_distance(second, fresh, y, z)
+
+
+# -- complement cloud ----------------------------------------------------------------
+
+def _boundary_points_by_rows(gain, active, axes, shape):
+    """The complement boundary with each slab's grid filled into full
+    ``(x, z)`` rows for ``eval_many`` and neighbours found by ``np.roll``."""
+    d = len(axes)
+    rest_axes = axes[1:]
+    rest_flat = (np.stack([m.reshape(-1) for m in np.meshgrid(*rest_axes, indexing="ij")], axis=1)
+                 if rest_axes else np.zeros((1, 0)))
+    full = np.zeros((rest_flat.shape[0], gain.n_vars))
+
+    def slab_mask(i):
+        full[:, :] = 0.0
+        full[:, active[0]] = axes[0][i]
+        for col, var in enumerate(active[1:]):
+            full[:, var] = rest_flat[:, col]
+        return (gain.eval_many(full) <= 0.0).reshape(shape[1:] if d > 1 else (1,))
+
+    boundary = []
+    prev_mask, cur_mask = None, slab_mask(0)
+    for i in range(shape[0]):
+        next_mask = slab_mask(i + 1) if i + 1 < shape[0] else None
+        pref_here = ~cur_mask
+        neighbor_pref = np.zeros_like(cur_mask)
+        for axis in range(cur_mask.ndim):
+            shifted = np.roll(pref_here, 1, axis=axis)
+            shifted2 = np.roll(pref_here, -1, axis=axis)
+            sl = [slice(None)] * cur_mask.ndim
+            sl[axis] = 0
+            shifted[tuple(sl)] = False
+            sl[axis] = -1
+            shifted2[tuple(sl)] = False
+            neighbor_pref |= shifted | shifted2
+        if prev_mask is not None:
+            neighbor_pref |= ~prev_mask
+        if next_mask is not None:
+            neighbor_pref |= ~next_mask
+        idx = np.argwhere(cur_mask & neighbor_pref)
+        coords = np.empty((idx.shape[0], d))
+        coords[:, 0] = axes[0][i]
+        for col in range(1, d):
+            coords[:, col] = axes[col][idx[:, col - 1]]
+        boundary.append(coords)
+        prev_mask, cur_mask = cur_mask, next_mask
+    return np.vstack(boundary)
+
+
+def _check_cloud_against_rows(p, ctx) -> int:
+    """Points of the cloud, which must equal the row scan's bit for bit;
+    0 when the cloud is refused (too large, or no complement boundary)."""
+    try:
+        cloud = _ComplementCloud(p, ctx)
+    except InputError:
+        return 0
+    lo, hi = ctx.region._np
+    axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in cloud.active]
+    want = _boundary_points_by_rows(p.gain, cloud.active.tolist(), axes,
+                                    tuple(ax.shape[0] for ax in axes))
+    assert cloud.points.shape == want.shape
+    assert np.array_equal(cloud.points.view(np.uint64), want.view(np.uint64))
+    return cloud.points.shape[0]
+
+
+def test_complement_cloud_matches_the_row_scan_on_fixtures():
+    built = 0
+    for name in ("expand", "selfmap", "spin", "chase", "corner", "offside", "vacuous", "disk"):
+        game = load_fixture(name)
+        for h_g in (0.05, 0.02):
+            for i in range(game.player_count):
+                built += _check_cloud_against_rows(game.preference_maps[i],
+                                                   game.distance_context(i, h_g)) > 0
+    assert built >= 25
+
+
+@st.composite
+def cloud_preferences(draw):
+    """Utilities of degree <= 3 with own dimension 1-2 and two rival
+    coordinates, one of which no term reads; generic coefficients."""
+    own_dim = draw(st.integers(1, 2))
+    n = own_dim + 2
+    own_start = draw(st.integers(0, 2))
+    rivals = [j for j in range(n) if not own_start <= j < own_start + own_dim]
+    used = [j for j in range(n) if j != rivals[draw(st.integers(0, 1))]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utility = Polynomial.variable(own_start, n).scale(float(rng.uniform(0.5, 2)))
+    for _ in range(draw(st.integers(1, 5))):
+        term = Polynomial.constant(float(rng.uniform(-2, 2)), n)
+        for j in draw(st.lists(st.sampled_from(used), max_size=3)):
+            term = term * Polynomial.variable(j, n)
+        utility = utility + term
+    return UtilityInduced(player_index=0, n_vars=n, own_start=own_start, own_dim=own_dim,
+                          utility=utility)
+
+
+@given(cloud_preferences())
+def test_complement_cloud_matches_the_row_scan_on_random_utilities(p):
+    joint = Box((0.0,) * p.n_vars, (1.0,) * p.n_vars)
+    ctx = context_for(joint, Box((0.0,) * p.own_dim, (1.0,) * p.own_dim), h_g=0.25)
+    _check_cloud_against_rows(p, ctx)
+
+
+def test_complement_cloud_matches_the_row_scan_on_one_active_axis():
+    # the gain reads z alone: every slab is a single grid point
+    p = SimpleNamespace(n_vars=1, own_dim=1, gain=parse_polynomial_text("x2^2 - 0.25", 2))
+    ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
+    assert _check_cloud_against_rows(p, ctx) == 2
+    assert _ComplementCloud(p, ctx).active.tolist() == [1]
 
 
 # -- self-exclusion of the gain kernel ------------------------------------------

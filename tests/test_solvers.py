@@ -9,11 +9,15 @@ from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
                            WITNESS_GUARD, from_utilities, seeded_rng)
 from projnash.geometry import (Box, grid_points, lattice_axis, mesh_points,
                                probe_points)
-from projnash.normal_op import POLAR_TOL, normal_directions_batch, unit_normal_product
+from projnash.normal_op import (POLAR_TOL, normal_directions_batch, normal_operator,
+                                unit_normal_product)
 from projnash.geometry import grid_axis
 from projnash.preferences import UtilityInduced, strict_gain_outer
+from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
+                                   random_direction_instance)
+from projnash import solvers
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
-                              _scan, _witness_prefilter,
+                              _projection_term_many, _scan, _witness_prefilter,
                               best_response_distance, brute_force_oracle,
                               equivalence_scan, qvi_residual,
                               solve_fixed_point, solve_qvi)
@@ -332,6 +336,95 @@ def test_normal_directions_match_the_per_row_kernel():
                 got = normal_directions_batch(game, i, ys, cfg)
                 want = _normal_directions_per_row(game, i, ys, cfg)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, i)
+
+
+# -- QVI cascade -------------------------------------------------------------------
+
+def _uncascaded_residual(game, xs, ys, cfg):
+    """The candidate residual with every player's term on every row."""
+    m = xs.shape[0]
+    terms = np.zeros((m, game.player_count))
+    y_star = np.zeros((m, game.n))
+    ok = np.ones(m, dtype=bool)
+    for i in range(game.player_count):
+        sl = game.own_slice(i)
+        dirs, full_mask, dir_ok = normal_directions_batch(game, i, ys, cfg)
+        for r in np.nonzero(~(full_mask | dir_ok))[0]:
+            sample = normal_operator(game, i, ys[r], cfg)
+            if sample.is_full_space:
+                full_mask[r] = True
+            elif not sample.is_empty:
+                dirs[r] = sample.as_array[0]
+                dir_ok[r] = True
+        ok &= full_mask | dir_ok
+        w = -dirs
+        term_dir = (game.constraint_maps[i].linear_max_many(xs, w)[0]
+                    - np.sum(w * ys[:, sl], axis=1))
+        use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
+        terms[:, i] = np.where(use_dir, term_dir, 0.0)
+        terms[~(dir_ok | full_mask), i] = np.inf
+        y_star[:, sl] = np.where(use_dir[:, None], dirs, 0.0)
+    return _projection_term_many(game, xs, ys)[0] + np.sum(terms, axis=1), y_star, ok
+
+
+def _generated_games():
+    """Two- and three-player draws of the cross-validation families."""
+    games = []
+    for players in (2, 3):
+        rng = np.random.default_rng(100 + players)
+        games += [interior_target_instance(rng, players)[0] for _ in range(3)]
+        rng = np.random.default_rng(200 + players)
+        games += [boundary_pinned_instance(rng, players)[0] for _ in range(3)]
+    rng = np.random.default_rng(7)
+    return games + [random_direction_instance(rng)[0] for _ in range(3)]
+
+
+def _cascade_cases():
+    return ([(load_fixture(name), h) for name in GAIN_FIXTURES for h in (0.1, 0.05, 0.02)]
+            + [(_polytope_game(), 0.1)] + [(game, 0.05) for game in _generated_games()])
+
+
+def test_cascade_keeps_every_row_within_the_limit():
+    # the scans' two limits; rows that pass must match the uncascaded
+    # residual and selection bit for bit
+    for game, h in _cascade_cases():
+        cfg = SolverConfig(h=h)
+        for xs, ys in _scan(game, cfg)[1]:
+            want_res, want_star, want_ok = _uncascaded_residual(game, xs, ys, cfg)
+            for limit in (cfg.eps_grid + 1e-12, cfg.eps_analytic + 1e-12):
+                res, y_star, ok = _candidate_residual(game, xs, ys, cfg, limit)
+                rows = ok & (res <= limit)
+                assert np.array_equal(rows, want_ok & (want_res <= limit)), (h, limit)
+                assert np.array_equal(res[rows], want_res[rows])
+                assert np.array_equal(y_star[rows], want_star[rows])
+
+
+def test_cascade_leaves_the_scans_unchanged(monkeypatch):
+    cases = ([(load_fixture(name), 0.05) for name in GAIN_FIXTURES]
+             + [(_polytope_game(), 0.1)] + [(game, 0.05) for game in _generated_games()[::3]])
+    got = [solve_qvi(game, SolverConfig(h=h)).qvi_points for game, h in cases]
+    small = [(load_fixture(name), 0.1) for name in ("expand", "spin", "chase")]
+    got_eq = [equivalence_scan(game, SolverConfig(h=h))[0] for game, h in small]
+    monkeypatch.setattr(solvers, "_candidate_residual",
+                        lambda game, xs, ys, cfg, limit: _uncascaded_residual(game, xs, ys, cfg))
+    assert got == [solve_qvi(game, SolverConfig(h=h)).qvi_points for game, h in cases]
+    for (game, h), qvi_rows in zip(small, got_eq):
+        assert np.array_equal(qvi_rows, equivalence_scan(game, SolverConfig(h=h))[0])
+
+
+def test_cascade_skips_rows_that_cannot_pass(monkeypatch):
+    # on disk, player 1's term alone rules out almost every scan row, so
+    # player 2's directions run on a few hundred of about ten thousand
+    rows = [0, 0]
+
+    def counted(game, i, xs, cfg):
+        rows[i] += xs.shape[0]
+        return normal_directions_batch(game, i, xs, cfg)
+
+    monkeypatch.setattr(solvers, "normal_directions_batch", counted)
+    solve_qvi(load_fixture("disk"), SolverConfig(h=0.05))
+    assert rows[0] > 10_000
+    assert rows[1] * 20 < rows[0]
 
 
 # -- oracle ------------------------------------------------------------------------
