@@ -9,6 +9,7 @@ from projnash.game import (MovingBox, MovingPolytope, _scan_points, check_nep,
                            from_utilities, seeded_rng)
 from projnash.geometry import Ball, Box, HalfspacePolytope
 from projnash.preferences import preferred, sample_preferred
+from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
 
 
@@ -151,6 +152,30 @@ def test_self_exclusion_violation_rejected():
     sets, maps = unit_box_self_maps(2)
     with pytest.raises(HypothesisError):
         from_utilities([1, 1], sets, maps, ["(x1 - 0.5)^2", "x2"])
+
+
+
+def _one_player_table(kbox, zpoints, table):
+    return parse_problem(f"players 1 dims 1\nplayer 1\nbox [0] [1]\nkbox {kbox}\n"
+                         f"sampled\nzpoints {zpoints}\n{table}\nend\n")
+
+
+def test_table_self_exclusion_probes_its_at_points():
+    assert load_fixture("table").hypotheses.self_exclusion_probes == 4
+    # at 0.5 the table prefers 0 and 1, whose hull holds 0.5
+    with pytest.raises(HypothesisError) as err:
+        _one_player_table("[0] [1]", "[0] [0.5] [1]", "at [0.5] prefers [0] [1]")
+    assert err.value.witness == [0.5]
+    assert "player 1" in str(err.value)
+
+
+def test_check_nep_on_a_table_with_no_declared_point_feasible():
+    game = _one_player_table("[0] [0.25]", "[0.5] [1]", "at [0.5] prefers [1]")
+    cfg = SolverConfig(h=0.05)
+    (check,) = check_nep(game, [0.5], [0.5], cfg)
+    assert check.points_scanned == 0 and check.witness is None
+    assert check.emptiness_resolution == cfg.h
+    assert check.membership_residual == 0.25
 
 
 def test_hull_boxes_cover_constraint_values():

@@ -11,7 +11,8 @@ from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.geometry import Box, grid_axis
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
-                                  _ComplementCloud, _cloud_for, context_for, graph_distance,
+                                  _ComplementCloud, _cloud_for, _halfspace_form,
+                                  _rival_scalar_form, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
                                   gain_groups, preferred, preferred_many,
                                   sample_preferred, strict_gain_max,
@@ -151,6 +152,16 @@ def test_sample_preferred_budget_guard():
         sample_preferred(g.preference_maps[0], [0.0, 0.0], Box((0.0,), (1.0,)), 0)
 
 
+def test_sample_preferred_on_a_table_keeps_declared_points_in_the_region():
+    # at (0, 0) the table prefers 0.5 and 1.0, at (0.5, 0) only 1.0
+    p = make_sampled()
+    wide = Box((-1.0,), (2.0,))
+    assert sample_preferred(p, [0.0, 0.0], wide, 10).tolist() == [[0.5], [1.0]]
+    assert sample_preferred(p, [0.0, 0.0], wide, 1).tolist() == [[0.5]]
+    assert sample_preferred(p, [0.0, 0.0], Box((0.75,), (2.0,)), 10).tolist() == [[1.0]]
+    assert sample_preferred(p, [0.5, 0.0], Box((-1.0,), (0.75,)), 10).shape == (0, 1)
+
+
 # -- graph distance --------------------------------------------------------------
 
 def test_graph_distance_half_plane_closed_form():
@@ -253,6 +264,47 @@ def test_graph_distance_sampled_table():
     expected = min(np.linalg.norm(np.array(c) - np.array([0.0, 0.0, 0.5]))
                    for c in complements)
     assert abs(val - expected) < 1e-12
+
+
+
+def _direction(rows, n, own_dim=1, offset=0.0):
+    return DirectionField(player_index=0, n_vars=n, own_start=0, own_dim=own_dim,
+                          c=AffineMap.from_polynomials(
+                              [parse_polynomial_text(t, n) for t in rows]),
+                          offset=offset)
+
+
+def _utility(text, n, margin=0.0):
+    return UtilityInduced(player_index=0, n_vars=n, own_start=0, own_dim=1,
+                          utility=parse_polynomial_text(text, n), margin=margin)
+
+
+def test_halfspace_form_needs_a_nonzero_constant_field():
+    # a zero field prefers nothing: its complement is everything, not a half-space
+    assert _halfspace_form(_direction(["0"], 2)) is None
+    assert _halfspace_form(_direction(["x2"], 2)) is None
+    c, off = _halfspace_form(_direction(["2"], 2, offset=0.5))
+    assert c.tolist() == [2.0] and off == 0.5
+    c, off = _halfspace_form(_utility("3*x1 + x2^2", 2, margin=0.25))
+    assert c.tolist() == [3.0] and off == 0.25
+    assert _halfspace_form(_utility("x1*x2", 2)) is None
+    assert _halfspace_form(make_sampled()) is None
+
+
+def test_rival_scalar_form_only_for_rival_affine_fields_on_one_coordinate():
+    cmap, a = _rival_scalar_form(_direction(["x2 - 0.5"], 2))
+    assert a.tolist() == [0.0, 1.0] and cmap.offset == (-0.5,)
+    cmap, a = _rival_scalar_form(_utility("x1*x2", 2))
+    assert a.tolist() == [0.0, 1.0] and cmap.offset == (0.0,)
+    for p in (_direction(["x3", "x3"], 3, own_dim=2),     # own block of 2
+              _direction(["x2"], 2, offset=0.1),           # nonzero offset
+              _utility("x1*x2", 2, margin=0.1),           # nonzero margin
+              _direction(["1"], 2),                       # constant field
+              _utility("2*x1", 2),
+              _utility("x1*x2^2", 2),                     # degree-2 own gradient
+              _direction(["x1 + x2"], 2),                 # reads the own coordinate
+              make_sampled()):
+        assert _rival_scalar_form(p) is None
 
 
 def test_graph_distance_many_matches_scalar():
