@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import HypothesisError, InputError
 from .expressions import AffineMap, Polynomial, parse_polynomial_text
-from .geometry import (Box, ConvexSet, HalfspacePolytope, grid_points, project,
-                       set_grid)
+from .geometry import Box, ConvexSet, HalfspacePolytope, grid_points, project
 from . import preferences as prefs
-from .preferences import (DirectionField, PreferenceMap, Sampled, UtilityInduced,
-                          hull_preferred)
+from .preferences import PreferenceMap, UtilityInduced, hull_preferred
 
 DEFAULT_PROBE_AXIS = 7
 
@@ -92,13 +90,9 @@ class MovingBox:
         """The values at ``xs`` as rows ``lo‖hi``; equal rows are equal boxes."""
         return np.hstack(self.bounds_many(xs))
 
-    def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """``(m, |pool|)`` membership of the pool points in the values at
-        ``xs``, within 1e-12."""
-        return self.contains_key(self.value_key(xs), pool)
-
     def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """:meth:`contains_many` at the values given by ``value_key`` rows."""
+        """``(m, |pool|)`` membership of the pool points in the values given
+        by ``value_key`` rows, within 1e-12."""
         lo, hi = np.hsplit(keys, 2)
         return np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
                       & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
@@ -114,13 +108,6 @@ class MovingBox:
         a_u, b_u = self.upper._np
         a_l, b_l = self.lower._np
         return AffineMap(tuple(map(tuple, a_u - a_l)), tuple(b_u - b_l))
-
-    def nonempty_gap_range(self, x_lower, x_upper) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise range of upper - lower over the choice bounding box."""
-        return self.gap.range_over_box(x_lower, x_upper)
-
-    def gap_witness(self, row: int, x_lower, x_upper) -> np.ndarray:
-        return self.gap.argmin_over_box(row, x_lower, x_upper)
 
 
 @dataclass(frozen=True)
@@ -180,13 +167,9 @@ class MovingPolytope:
         """The values at ``xs`` as rows of offsets; equal rows are equal sets."""
         return self.offsets.eval_many(xs)
 
-    def contains_many(self, xs: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """``(m, |pool|)`` membership of the pool points in the values at
-        ``xs``, every row within 1e-12."""
-        return self.contains_key(self.value_key(xs), pool)
-
     def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """:meth:`contains_many` at the values given by ``value_key`` rows."""
+        """``(m, |pool|)`` membership of the pool points in the values given
+        by ``value_key`` rows, every row within 1e-12."""
         viol = pool @ self._normals.T
         return np.all(viol[None, :, :] <= keys[:, None, :] + 1e-12, axis=2)
 
@@ -233,8 +216,7 @@ class MovingPolytope:
 
 #: both kinds answer the solvers through one batched surface over scan rows
 #: ``xs``: ``linear_max_many``, ``residual_many``, ``distance_bound_many``,
-#: ``value_key`` and pool membership (``contains_many``, or ``contains_key``
-#: on value keys)
+#: ``value_key`` and pool membership at value keys (``contains_key``)
 ConstraintMap = Union[MovingBox, MovingPolytope]
 
 
@@ -407,10 +389,11 @@ def build_instance(dims: Sequence[int],
         if cmap.own_dim != dims[i]:
             raise InputError(f"constraint map for player {i + 1} has wrong value dimension")
         if isinstance(cmap, MovingBox):
-            gap_lo, _ = cmap.nonempty_gap_range(x_lo, x_hi)
+            # componentwise range of upper - lower over the choice bounding box
+            gap_lo, _ = cmap.gap.range_over_box(x_lo, x_hi)
             if np.any(gap_lo < -1e-12):
                 row = int(np.argmin(gap_lo))
-                witness = cmap.gap_witness(row, x_lo, x_hi)
+                witness = cmap.gap.argmin_over_box(row, x_lo, x_hi)
                 if all(choice_sets[j].contains(witness[tmp.own_slice(j)]) for j in range(len(dims))):
                     raise HypothesisError(
                         f"constraint map for player {i + 1} is empty on a probe "
@@ -453,31 +436,20 @@ def build_instance(dims: Sequence[int],
         hypotheses=report,
     )
 
-    # self-exclusion over the hull product (plus choice corners)
+    # self-exclusion over the hull product (plus choice corners), or the
+    # probes a map declares; a hull-exact map excludes x_i structurally
     q_probes = _probe_grid_for_box(instance.hull_box, DEFAULT_PROBE_AXIS)
     checked = 0
     for i, p in enumerate(preference_maps):
-        sl = instance.own_slice(i)
-        if isinstance(p, DirectionField):
-            continue  # <c(x), x_i - x_i> = 0 is never > offset >= 0
-        if isinstance(p, UtilityInduced) and prefs.own_concavity_known(p):
-            continue  # strict upper level sets are convex and exclude x_i
-        if isinstance(p, Sampled):
-            for r, xp in enumerate(p._at):
-                checked += 1
-                if hull_preferred(p, np.array(xp), np.array(xp)[sl]):
-                    raise HypothesisError(
-                        f"self-exclusion fails for player {i + 1}",
-                        witness=list(xp))
+        if p.hull_exact:
             continue
-        for r in range(q_probes.shape[0]):
+        sl = instance.own_slice(i)
+        window = instance.hull_boxes[i].inflate(1.0)
+        for r, xp in enumerate(p.exclusion_probes(q_probes)):
             checked += 1
-            window = instance.hull_boxes[i].inflate(1.0)
-            if hull_preferred(p, q_probes[r], q_probes[r, sl], window=window,
-                              rng=seeded_rng(0, 7, i, r)):
-                raise HypothesisError(
-                    f"self-exclusion fails for player {i + 1}",
-                    witness=q_probes[r].tolist())
+            if hull_preferred(p, xp, xp[sl], window=window, rng=seeded_rng(0, 7, i, r)):
+                raise HypothesisError(f"self-exclusion fails for player {i + 1}",
+                                      witness=xp.tolist())
     report.self_exclusion_probes = checked
     return instance
 
@@ -554,18 +526,6 @@ def constraint_set(game: GameInstance, i: int, x) -> ConvexSet:
     return game.constraint_maps[i].materialize(x)
 
 
-def _scan_points(k_set: ConvexSet, h: float, budget: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """The solvers' grid over the constraint value (:func:`set_grid`) plus
-    seeded samples, with the grid resolution actually reached."""
-    grid, resolution = set_grid(k_set, h)
-    if budget > 0:
-        lo, hi = k_set.bounding_box()._np
-        randoms = k_set.project_many(rng.uniform(lo, hi, size=(budget, k_set.dim)))
-        grid = np.vstack([grid, randoms])
-    return grid, resolution
-
-
 def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
     """Per-player feasibility and intersection report at frozen constraints.
 
@@ -586,19 +546,13 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
         yi = y[sl]
         residual = float(np.linalg.norm(yi - project(k_set, yi)))
         pref = game.preference_maps[i]
-        resolution = cfg.h
-        if isinstance(pref, Sampled):
-            # the declared table is the scan resolution for tabulated maps
-            pts = np.array([z for z in pref._z if k_set.contains(z, tol=1e-9)])
-            pts = pts.reshape(-1, game.dims[i])
-        else:
-            rng = seeded_rng(cfg.seed, 11, i, arrays=(x_fix, y))
-            pts, resolution = _scan_points(k_set, cfg.h, cfg.random_budget, rng)
+        rng = seeded_rng(cfg.seed, 11, i, arrays=(x_fix, y))
+        pts, resolution = pref.scan_points(k_set, cfg.h, cfg.random_budget, rng)
         if pts.shape[0] == 0:
             out.append(PlayerCheck(membership_residual=residual, witness=None,
                                    emptiness_resolution=resolution, points_scanned=0))
             continue
-        gains = prefs.strict_gain_outer(game.preference_maps[i], y[None, :], pts)[0]
+        gains = prefs.strict_gain_outer(pref, y[None, :], pts)[0]
         hits = np.nonzero(gains > cfg.strictness + WITNESS_GUARD)[0]
         witness = tuple(pts[hits[0]]) if hits.size else None
         out.append(PlayerCheck(

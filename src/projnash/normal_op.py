@@ -22,7 +22,6 @@ from .errors import InputError
 from .game import GameInstance, seeded_rng
 from .geometry import ConeSample, probe_points, separate
 from . import preferences as prefs
-from .preferences import DirectionField, UtilityInduced
 
 POLAR_TOL = 1e-9
 #: most (row, pool point) entries of one polar-check slab
@@ -43,24 +42,11 @@ class UnitNormalProduct:
     flagged: tuple[bool, ...]  # True where no direction could be found
 
     def contains_factor(self, i: int, v, tol: float = POLAR_TOL) -> bool:
-        from scipy.optimize import linprog  # imported on first use: a slow import
         v = np.asarray(v, dtype=np.float64).reshape(-1)
         factor = self.factors[i]
         if factor.is_full_space:
             return float(np.linalg.norm(v)) <= 1.0 + tol
-        dirs = factor.as_array
-        if dirs.shape[0] == 0:
-            return False
-        res = linprog(
-            c=np.zeros(dirs.shape[0]),
-            A_eq=np.vstack([dirs.T, np.ones(dirs.shape[0])]),
-            b_eq=np.concatenate([v, [1.0]]),
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            return False
-        return float(np.max(np.abs(dirs.T @ res.x - v))) <= tol
+        return prefs._in_convex_hull(factor.as_array, v, tol)
 
 
 def _sampling_window(game: GameInstance, i: int):
@@ -112,14 +98,10 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         nonempty = (np.max(lifted, axis=1)[group] - base) - margin > 0.0
         full_mask[rows] = ~nonempty
 
-        # the field whose negated unit vector is the candidate direction;
-        # tabulated maps have none (a zero field never qualifies)
-        if isinstance(p, UtilityInduced):
-            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
-        elif isinstance(p, DirectionField):
-            field = p.c.eval_many(block)
-        else:
-            field = np.zeros((block.shape[0], k))
+        # the field whose negated unit vector is the candidate direction (a
+        # zero field never qualifies); a table never gets here, since its
+        # gains reject the off-grid probe pool
+        field = p.normal_field(block)
         norms = np.linalg.norm(field, axis=1)
         cand_ok = nonempty & (norms > 1e-12)
         d = np.zeros_like(field)

@@ -1,7 +1,10 @@
 """Set-valued strict-preference maps and their graph-distance function.
 
 A preference map assigns to each joint strategy ``x`` the set of own-block
-strategies a player strictly prefers to the current one.  Three variants:
+strategies a player strictly prefers to the current one.  Every kind is a
+:class:`PreferenceMap` and answers the solvers' questions itself (its strict
+gain, the points a certificate scans, its hull and self-exclusion probes,
+its normal field).  Three kinds:
 
 * ``UtilityInduced`` -- preferred points are strict upper level sets of a
   polynomial utility, ``{z : u(x_-i, z) > u(x) + margin}``.
@@ -24,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
-from .geometry import Box, ConvexSet, grid_axis, probe_points
+from .geometry import Box, ConvexSet, grid_axis, probe_points, set_grid
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,13 +47,79 @@ GRID_MATCH_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UtilityInduced:
-    """Preference induced by a polynomial utility over the joint vector."""
+class PreferenceMap:
+    """A player's strict-preference map ``x -> P_i(x)`` over the own block
+    ``own_start : own_start + own_dim`` of ``n_vars`` joint coordinates.
+
+    The defaults serve the factorized kinds, whose strict gain is
+    ``sum_t L_t(x) z^e_t - sum_t L_t(x) x_i^e_t - margin`` with the rival
+    factors ``L_t`` from ``_gain_terms``.
+    """
 
     player_index: int
     n_vars: int
     own_start: int
     own_dim: int
+
+    #: every preferred set is its own convex hull, which then never holds
+    #: ``x_i`` (its gain cancels to exactly ``-margin <= 0``)
+    hull_exact = False
+    #: the normal field as an affine map, where it is one
+    field_map = None
+
+    def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
+        """The strict gain on ``xs`` × ``zs`` rows as ``(lead, base, margin,
+        lift)``: ``gain[rows] = (lift(rows) - base[rows, None]) - margin``,
+        where ``lift`` evaluates ``A_L(z) = sum_t L_t z^e_t`` from the rival
+        factors ``L = lead[rows]``."""
+        lead, exps, margin = self._gain_terms(xs)
+        own, monos = _own_of(self, xs), [_monomial(zs, e) for e in exps]
+        base = np.zeros(xs.shape[0])
+        for t, e in enumerate(exps):
+            base += lead[:, t] * _monomial(own, e)
+
+        def lift(rows) -> np.ndarray:              # L_0 z^e_0 + L_1 z^e_1 + ...
+            a = np.zeros((base[rows].shape[0], zs.shape[0]))
+            for t, mono in enumerate(monos):
+                a += np.multiply.outer(lead[rows, t], mono)
+            return a
+        return lead, base, margin, lift
+
+    def scan_points(self, k_set: ConvexSet, h: float, budget: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        """The points a certificate scans in the constraint value ``k_set``:
+        the solvers' grid over it (:func:`set_grid`) plus ``budget`` seeded
+        samples, with the grid resolution actually reached."""
+        grid, resolution = set_grid(k_set, h)
+        if budget > 0:
+            lo, hi = k_set.bounding_box()._np
+            randoms = k_set.project_many(rng.uniform(lo, hi, size=(budget, k_set.dim)))
+            grid = np.vstack([grid, randoms])
+        return grid, resolution
+
+    def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
+        """The joint points at which self-exclusion is checked, given the
+        probe grid over the hull product: that grid."""
+        return probes
+
+    def _sample(self, x: np.ndarray, region: ConvexSet, budget: int,
+                rng: Optional[np.random.Generator]) -> np.ndarray:
+        """The preferred points among ``budget`` seeded probes of ``region``."""
+        candidates = probe_points(region, budget, np.random.default_rng(0) if rng is None else rng)
+        return candidates[preferred_many(self, x, candidates)]
+
+    def _hull_contains(self, x: np.ndarray, z: np.ndarray, window: ConvexSet,
+                       budget: int, rng: Optional[np.random.Generator]) -> bool:
+        """``z`` preferred, or inside the hull of the preferred samples in
+        ``window``."""
+        return preferred(self, x, z) or _in_convex_hull(
+            self._sample(x, window, budget, rng), z)
+
+
+@dataclass(frozen=True)
+class UtilityInduced(PreferenceMap):
+    """Preference induced by a polynomial utility over the joint vector."""
+
     utility: Polynomial
     margin: float = 0.0
 
@@ -77,6 +146,49 @@ class UtilityInduced:
         return [self.utility.partial(self.own_start + j) for j in range(self.own_dim)]
 
     @cached_property
+    def hull_exact(self) -> bool:
+        """Cheap structural test that the utility is concave in the own
+        block, which makes strict upper level sets convex.
+
+        Detects own-degree <= 1, and constant-coefficient own-quadratics
+        with a negative-semidefinite quadratic form.  Anything fancier
+        takes the sampled-hull path.
+        """
+        k, s = self.own_dim, self.own_start
+        own = range(s, s + k)
+        own_degree = 0
+        quad = np.zeros((k, k))
+        for e, c in self.utility.terms:
+            deg = sum(e[j] for j in own)
+            own_degree = max(own_degree, deg)
+            if deg == 2:
+                if sum(e) != 2:
+                    return False  # rival-modulated quadratic term
+                idx = [j - s for j in own for _ in range(e[j])]
+                if len(idx) == 1:
+                    quad[idx[0], idx[0]] += c
+                else:
+                    quad[idx[0], idx[1]] += c / 2.0
+                    quad[idx[1], idx[0]] += c / 2.0
+            elif deg > 2:
+                return False
+        if own_degree <= 1:
+            return True
+        return bool(np.all(np.linalg.eigvalsh(quad) <= 1e-12))
+
+    @cached_property
+    def field_map(self) -> Optional[AffineMap]:
+        """The own gradient, when every component has degree <= 1."""
+        if all(g.degree() <= 1 for g in self.own_gradient):
+            return AffineMap.from_polynomials(self.own_gradient)
+        return None
+
+    def normal_field(self, xs: np.ndarray) -> np.ndarray:
+        """The own gradient at ``xs`` rows; its negated unit vector is the
+        candidate normal direction."""
+        return np.stack([g.eval_many(xs) for g in self.own_gradient], axis=1)
+
+    @cached_property
     def _own_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
         """The utility's terms that read the own block, sorted by own
         exponent: their rival exponents (own columns zeroed) and
@@ -101,21 +213,31 @@ class UtilityInduced:
 
 
 @dataclass(frozen=True)
-class DirectionField:
+class DirectionField(PreferenceMap):
     """Open half-space preference ``{z : <c(x), z - x_i> > offset}``."""
 
-    player_index: int
-    n_vars: int
-    own_start: int
-    own_dim: int
     c: AffineMap
     offset: float = 0.0
+
+    hull_exact = True
 
     def __post_init__(self):
         if self.c.in_dim != self.n_vars or self.c.out_dim != self.own_dim:
             raise InputError("direction field shape does not match player dimensions")
         if self.offset < 0:
             raise InputError("direction offset must be nonnegative")
+
+    @property
+    def margin(self) -> float:
+        return self.offset
+
+    @property
+    def field_map(self) -> AffineMap:
+        return self.c
+
+    def normal_field(self, xs: np.ndarray) -> np.ndarray:
+        """``c`` at ``xs`` rows (see :meth:`UtilityInduced.normal_field`)."""
+        return self.c.eval_many(xs)
 
     @cached_property
     def gain(self) -> Polynomial:
@@ -134,11 +256,11 @@ class DirectionField:
         """``c(x)``, unit own exponents and the offset (see
         :meth:`UtilityInduced._gain_terms`)."""
         units = tuple(map(tuple, np.eye(self.own_dim, dtype=int).tolist()))
-        return self.c.eval_many(xs), units, self.offset
+        return self.normal_field(xs), units, self.offset
 
 
 @dataclass(frozen=True)
-class Sampled:
+class Sampled(PreferenceMap):
     """Tabulated preference over a declared finite grid.
 
     ``at_points`` are joint strategies, ``zpoints`` the own-block universe,
@@ -146,10 +268,6 @@ class Sampled:
     ``at_points[r]``.
     """
 
-    player_index: int
-    n_vars: int
-    own_start: int
-    own_dim: int
     at_points: tuple[tuple[float, ...], ...]
     zpoints: tuple[tuple[float, ...], ...]
     prefers: tuple[tuple[bool, ...], ...]
@@ -187,8 +305,36 @@ class Sampled:
                 f"sampled preference queried off its declared grid ({what} {v.tolist()})")
         return idx
 
+    def _preferred_at(self, x: np.ndarray) -> np.ndarray:
+        return self._z[self._table[self._locate(self._at, x, "at-point")]]
 
-PreferenceMap = Union[UtilityInduced, DirectionField, Sampled]
+    def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
+        """The rival factor is the at-point index, the lift +/-1 from the
+        table (see :meth:`PreferenceMap._gain_factors`)."""
+        at = np.array([self._locate(self._at, x, "at-point") for x in xs], dtype=np.float64)
+        cols = [self._locate(self._z, z, "z-point") for z in zs]
+        lift = lambda rows: np.where(self._table[np.ix_(at[rows].astype(np.intp), cols)], 1.0, -1.0)
+        return at[:, None], np.zeros(at.shape[0]), 0.0, lift
+
+    def scan_points(self, k_set: ConvexSet, h: float, budget: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        """The declared points inside ``k_set``: the table is the scan, and
+        ``h`` its stamped resolution."""
+        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], h
+
+    def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
+        """The declared at-points."""
+        return self._at
+
+    def _sample(self, x, region, budget, rng) -> np.ndarray:
+        """The first ``budget`` declared preferred points inside ``region``."""
+        keep = [z for z in self._preferred_at(x) if region.contains(z, tol=GRID_MATCH_TOL)]
+        return np.array(keep[:budget]).reshape(-1, self.own_dim)
+
+    def _hull_contains(self, x, z, window, budget, rng) -> bool:
+        """Exact: the hull of the declared preferred points, which ``z`` may
+        lie between."""
+        return _in_convex_hull(self._preferred_at(x), z)
 
 
 def _own_of(p: PreferenceMap, x: np.ndarray) -> np.ndarray:
@@ -210,29 +356,9 @@ def _monomial(v: np.ndarray, e: tuple) -> np.ndarray:
 
 
 def _gain_factors(p: PreferenceMap, xs, zs):
-    """The strict gain on ``xs`` × ``zs`` as ``(lead, base, margin, lift)``:
-    ``gain[rows] = (lift(rows) - base[rows, None]) - margin``, where
-    ``lift`` evaluates ``A_L(z) = sum_t L_t z^e_t`` from the rival factors
-    ``L = lead[rows]``.  A table's rival factor is the at-point index."""
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars)
-    zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
-    if isinstance(p, Sampled):
-        at = np.array([p._locate(p._at, x, "at-point") for x in xs], dtype=np.float64)
-        cols = [p._locate(p._z, z, "z-point") for z in zs]
-        lift = lambda rows: np.where(p._table[np.ix_(at[rows].astype(np.intp), cols)], 1.0, -1.0)
-        return at[:, None], np.zeros(at.shape[0]), 0.0, lift
-    lead, exps, margin = p._gain_terms(xs)
-    own, monos = _own_of(p, xs), [_monomial(zs, e) for e in exps]
-    base = np.zeros(xs.shape[0])
-    for t, e in enumerate(exps):
-        base += lead[:, t] * _monomial(own, e)
-
-    def lift(rows) -> np.ndarray:                  # L_0 z^e_0 + L_1 z^e_1 + ...
-        a = np.zeros((base[rows].shape[0], zs.shape[0]))
-        for t, mono in enumerate(monos):
-            a += np.multiply.outer(lead[rows, t], mono)
-        return a
-    return lead, base, margin, lift
+    """:meth:`PreferenceMap._gain_factors` on ``xs`` and ``zs`` as float rows."""
+    return p._gain_factors(np.asarray(xs, dtype=np.float64).reshape(-1, p.n_vars),
+                           np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim))
 
 
 def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -322,64 +448,23 @@ def _in_convex_hull(points: np.ndarray, target: np.ndarray, tol: float = 1e-9) -
     return float(np.max(np.abs(combo - target))) <= tol
 
 
-def own_concavity_known(p: UtilityInduced) -> bool:
-    """Cheap structural test that the utility is concave in the own block,
-    which makes strict upper level sets convex (hull view == raw view).
-
-    Detects own-degree <= 1, and constant-coefficient own-quadratics with a
-    negative-semidefinite quadratic form.  Anything fancier takes the
-    sampled-hull path.
-    """
-    n, k, s = p.n_vars, p.own_dim, p.own_start
-    own = range(s, s + k)
-    own_degree = 0
-    quad = np.zeros((k, k))
-    for e, c in p.utility.terms:
-        deg = sum(e[j] for j in own)
-        own_degree = max(own_degree, deg)
-        if deg == 2:
-            if sum(e) != 2:
-                return False  # rival-modulated quadratic term
-            idx = [j - s for j in own for _ in range(e[j])]
-            if len(idx) == 1:
-                quad[idx[0], idx[0]] += c
-            else:
-                quad[idx[0], idx[1]] += c / 2.0
-                quad[idx[1], idx[0]] += c / 2.0
-        elif deg > 2:
-            return False
-    if own_degree <= 1:
-        return True
-    return bool(np.all(np.linalg.eigvalsh(quad) <= 1e-12))
-
-
 def hull_preferred(p: PreferenceMap, x, z, sample_budget: int = 256,
                    window: Optional[ConvexSet] = None,
                    rng: Optional[np.random.Generator] = None) -> bool:
     """True iff ``z`` lies in the convex hull of the preference set at ``x``.
 
-    Exact for half-space variants (they equal their own hulls) and for
-    utilities with a known-concave own block; otherwise a hull-of-samples
-    test, which under-approximates the true hull at the stated budget.
+    Exact for maps whose preferred sets are their own hulls
+    (``hull_exact``) and for tables; otherwise a hull-of-samples test in
+    ``window``, which under-approximates the true hull at the stated budget.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if isinstance(p, DirectionField):
+    if p.hull_exact:
         return preferred(p, x, z)
-    if isinstance(p, UtilityInduced) and own_concavity_known(p):
-        return preferred(p, x, z)
-    if isinstance(p, Sampled):
-        # z may fall between declared grid points; the hull is continuous
-        i = p._locate(p._at, x, "at-point")
-        pts = p._z[p._table[i]]
-        return _in_convex_hull(pts, z)
-    if preferred(p, x, z):
-        return True
     if window is None:
         own = _own_of(p, x)
         window = Box(tuple(own - 2.0), tuple(own + 2.0))
-    samples = sample_preferred(p, x, window, sample_budget, rng=rng)
-    return _in_convex_hull(samples, z)
+    return p._hull_contains(x, z, window, sample_budget, rng)
 
 
 def sample_preferred(p: PreferenceMap, x, region: ConvexSet, budget: int,
@@ -391,17 +476,7 @@ def sample_preferred(p: PreferenceMap, x, region: ConvexSet, budget: int,
     """
     if budget < 1:
         raise InputError("sample budget must be at least 1")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if isinstance(p, Sampled):
-        i = p._locate(p._at, x, "at-point")
-        pts = p._z[p._table[i]]
-        keep = [z for z in pts if region.contains(z, tol=GRID_MATCH_TOL)]
-        return np.array(keep[:budget]).reshape(-1, p.own_dim)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    candidates = probe_points(region, budget, rng)
-    mask = preferred_many(p, x, candidates)
-    return candidates[mask]
+    return p._sample(np.asarray(x, dtype=np.float64).reshape(-1), region, budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -434,49 +509,27 @@ def context_for(joint_box: Box, own_box: Box, h_g: float) -> GraphDistanceContex
 
 
 def _halfspace_form(p: PreferenceMap) -> Optional[tuple[np.ndarray, float]]:
-    """Constant direction vector and offset when the complement is a global
-    half-space ``{(x, z) : <c, z - x_i> <= offset}``."""
-    if isinstance(p, DirectionField) and p.c.is_constant():
-        c = np.array(p.c.offset, dtype=np.float64)
-        if np.any(c != 0.0):
-            return c, p.offset
+    """Constant direction vector and margin when the complement is a global
+    half-space ``{(x, z) : <c, z - x_i> <= margin}``: a constant, nonzero
+    normal field."""
+    f = p.field_map
+    if f is None or not f.is_constant() or not any(f.offset):
         return None
-    if isinstance(p, UtilityInduced):
-        grads = p.own_gradient
-        if all(g.is_constant() for g in grads):
-            c = np.array([g.constant_value() for g in grads])
-            if np.any(c != 0.0):
-                return c, p.margin
-        return None
-    return None
+    return np.array(f.offset, dtype=np.float64), p.margin
 
 
 def _rival_scalar_form(p: PreferenceMap) -> Optional[tuple[AffineMap, np.ndarray]]:
     """Affine scalar field over rival coordinates, for 1-D own blocks with
-    zero offset: complement is ``{c(x_-i) * (z - x_i) <= 0}``, a union of two
-    orthogonal half-space intersections with an exact distance."""
-    if p.own_dim != 1:
+    zero margin: complement is ``{c(x_-i) * (z - x_i) <= 0}``, a union of two
+    orthogonal half-space intersections with an exact distance.  The field
+    is not constant, so its row ``a`` is nonzero."""
+    f = p.field_map
+    if p.own_dim != 1 or f is None or f.is_constant() or p.margin != 0.0:
         return None
-    if isinstance(p, DirectionField):
-        if p.offset != 0.0 or p.c.is_constant():
-            return None
-        cmap = p.c
-    elif isinstance(p, UtilityInduced):
-        if p.margin != 0.0:
-            return None
-        g = p.own_gradient[0]
-        if g.is_constant() or g.degree() > 1:
-            return None
-        # own-linear utility: gain factors as c(x) * (z - x_i)
-        cmap = AffineMap.from_polynomials([g])
-    else:
+    a = np.array(f.matrix[0], dtype=np.float64)
+    if a[p.own_start] != 0.0:
         return None
-    a = np.array(cmap.matrix[0], dtype=np.float64)
-    if np.any(a[p.own_start:p.own_start + 1] != 0.0):
-        return None
-    if np.all(a == 0.0):
-        return None
-    return cmap, a
+    return f, a
 
 
 class _ComplementCloud:

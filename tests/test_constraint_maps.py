@@ -1,10 +1,10 @@
 """Property tests of the batched constraint-map surface.
 
-``linear_max_many``, ``residual_many`` and ``contains_many`` of both map
-kinds are checked against the materialized value at each row.  Polytope
-rows compare raw normals where the materialized set normalizes them, so
-points within 1e-9 of a row boundary are left out of the exact
-comparisons there.
+``linear_max_many``, ``residual_many`` and ``contains_key`` (at
+``value_key`` rows) of both map kinds are checked against the
+materialized value at each row.  Polytope rows compare raw normals where
+the materialized set normalizes them, so points within 1e-9 of a row
+boundary are left out of the exact comparisons there.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def test_residual_vanishes_exactly_on_members(cmap, xs, ys):
 
 @given(maps, joint_points, arrays(np.float64, (8, OWN), elements=_floats(-0.5, 1.5)))
 def test_pool_membership_matches_contains(cmap, xs, pool):
-    inside = cmap.contains_many(xs, pool)
+    inside = cmap.contains_key(cmap.value_key(xs), pool)
     assert inside.shape == (ROWS, pool.shape[0])
     for r in range(ROWS):
         value = cmap.materialize(xs[r])

@@ -10,8 +10,8 @@ from projnash.geometry import Box, ConeSample, grid_points, polar_membership, pr
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
                                 audit_normal_direction, normal_directions_batch,
                                 normal_operator, unit_normal_product)
-from projnash.preferences import (DirectionField, UtilityInduced, gain_groups,
-                                  sample_preferred)
+from projnash.preferences import (DirectionField, UtilityInduced, sample_preferred,
+                                  strict_gain_outer)
 from projnash.solvers import SolverConfig, _scan
 
 CFG = SolverConfig(h=0.05, random_budget=128)
@@ -164,9 +164,11 @@ def test_hull_membership_of_product_factor():
     assert not product.contains_factor(0, [1.2])
 
 
-def _normal_directions_whole_block(game, i, xs, cfg):
-    """The direction kernel with the polar check over each whole outer
-    chunk at once, as before the check was cut into slabs."""
+def normal_directions_reference(game, i, xs, cfg):
+    """The direction kernel with the gain of every (row, probe) pair from
+    ``strict_gain_outer`` and the polar check over each whole outer chunk at
+    once; ``<z - x_i, d>`` adds one coordinate at a time, in coordinate
+    order, for every own dimension."""
     p = game.preference_maps[i]
     sl = game.own_slice(i)
     zpool = probe_points(game.hull_boxes[i].inflate(1.0), max(8, cfg.random_budget),
@@ -177,27 +179,17 @@ def _normal_directions_whole_block(game, i, xs, cfg):
     for start in range(0, xs.shape[0], chunk):
         rows = slice(start, start + chunk)
         block = xs[rows]
-        reps, group, base, margin, lift = gain_groups(p, block, zpool)
-        lifted = lift(reps)
-        nonempty = (np.max(lifted, axis=1)[group] - base) - margin > 0.0
-        if isinstance(p, UtilityInduced):
-            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
-        else:
-            field = p.c.eval_many(block)
+        pref = strict_gain_outer(p, block, zpool) > 0.0
+        nonempty = np.any(pref, axis=1)
+        field = p.normal_field(block)
         norms = np.linalg.norm(field, axis=1)
         ok = nonempty & (norms > 1e-12)
         d = np.zeros_like(field)
         d[ok] = -field[ok] / norms[ok, None]
-        pref = (lifted[group] - base[:, None]) - margin > 0.0
         diffs = zpool[None, :, :] - block[:, None, sl]
-        if diffs.shape[2] <= 2:
-            inner = np.einsum("rpk,rk->rp", diffs, d)
-        else:
-            # einsum adds k >= 3 coordinates in SIMD lanes; the kernel keeps
-            # coordinate order
-            inner = diffs[:, :, 0] * d[:, None, 0]
-            for j in range(1, diffs.shape[2]):
-                inner = inner + diffs[:, :, j] * d[:, None, j]
+        inner = diffs[:, :, 0] * d[:, None, 0]
+        for j in range(1, diffs.shape[2]):
+            inner = inner + diffs[:, :, j] * d[:, None, j]
         ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
         out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
     return out
@@ -225,9 +217,8 @@ def _cubic_game(k=2):
                                     ("cubic4", 0.5)])
 def test_slabbed_polar_check_matches_the_whole_block(name, h):
     # every scan row in one call, so the check spans many slabs (and on
-    # disk more than one outer chunk); on the cubics it rejects most rows.
-    # Own blocks of 1 and 2 match the einsum bit for bit, 3 and 4 the
-    # coordinate-order sum
+    # disk more than one outer chunk); on the cubics it rejects most rows,
+    # with own blocks of 2, 3 and 4
     game = _cubic_game(int(name[5:] or 2)) if name.startswith("cubic") else load_fixture(name)
     cfg = SolverConfig(h=h)
     ys = np.vstack([block for _, block in _scan(game, cfg)[1]])
@@ -235,7 +226,7 @@ def test_slabbed_polar_check_matches_the_whole_block(name, h):
     rejected = 0
     for i in range(game.player_count):
         got = normal_directions_batch(game, i, ys, cfg)
-        want = _normal_directions_whole_block(game, i, ys, cfg)
+        want = normal_directions_reference(game, i, ys, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
         rejected += int(np.sum(~got[1] & ~got[2]))
     assert (rejected > 0) == name.startswith("cubic")

@@ -7,14 +7,13 @@ from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
                            WITNESS_GUARD, from_utilities, seeded_rng)
-from projnash.geometry import (Box, grid_points, lattice_axis, mesh_points,
-                               probe_points)
-from projnash.normal_op import (POLAR_TOL, normal_directions_batch, normal_operator,
-                                unit_normal_product)
+from projnash.geometry import Box, grid_points, lattice_axis, mesh_points
+from projnash.normal_op import normal_directions_batch, normal_operator, unit_normal_product
 from projnash.geometry import grid_axis
-from projnash.preferences import UtilityInduced, strict_gain_outer
+from projnash.preferences import strict_gain_outer
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
+from test_normal_op import normal_directions_reference
 from projnash import solvers
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
                               _projection_term_many, _scan, _witness_prefilter,
@@ -283,7 +282,8 @@ def _pairwise_prefilter(game, xs, ys, cfg):
         rng = seeded_rng(cfg.seed, 43, i)
         pool = np.vstack([pool, rng.uniform(lo, hi, size=(cfg.random_budget, game.dims[i]))])
         gains = strict_gain_outer(game.preference_maps[i], ys, pool)
-        in_k = game.constraint_maps[i].contains_many(xs, pool)
+        cmap = game.constraint_maps[i]
+        in_k = cmap.contains_key(cmap.value_key(xs), pool)
         hit |= np.any(in_k & (gains > cfg.strictness + WITNESS_GUARD), axis=1)
     return hit
 
@@ -298,34 +298,6 @@ def test_witness_prefilter_matches_the_pairwise_test(strictness):
                                   _pairwise_prefilter(game, xs, ys, cfg))
 
 
-def _normal_directions_per_row(game, i, xs, cfg):
-    """The direction kernel with gains evaluated for every row and probe."""
-    p = game.preference_maps[i]
-    sl = game.own_slice(i)
-    zpool = probe_points(game.hull_boxes[i].inflate(1.0), max(8, cfg.random_budget),
-                         seeded_rng(cfg.seed, 29, i))
-    out = (np.zeros((xs.shape[0], game.dims[i])), np.zeros(xs.shape[0], dtype=bool),
-           np.zeros(xs.shape[0], dtype=bool))
-    chunk = max(1, int(2_000_000 // zpool.shape[0]))
-    for start in range(0, xs.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        block = xs[rows]
-        pref = strict_gain_outer(p, block, zpool) > 0.0
-        nonempty = np.any(pref, axis=1)
-        if isinstance(p, UtilityInduced):
-            field = np.stack([g.eval_many(block) for g in p.own_gradient], axis=1)
-        else:
-            field = p.c.eval_many(block)
-        norms = np.linalg.norm(field, axis=1)
-        ok = nonempty & (norms > 1e-12)
-        d = np.zeros_like(field)
-        d[ok] = -field[ok] / norms[ok, None]
-        inner = np.einsum("rpk,rk->rp", zpool[None, :, :] - block[:, None, sl], d)
-        ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
-        out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
-    return out
-
-
 def test_normal_directions_match_the_per_row_kernel():
     # spin's field vanishes at x2 = 0.5; vacuous is full-space on every row
     cfg = SolverConfig(h=0.05)
@@ -334,7 +306,7 @@ def test_normal_directions_match_the_per_row_kernel():
         for _, ys in _scan(game, cfg)[1]:
             for i in range(game.player_count):
                 got = normal_directions_batch(game, i, ys, cfg)
-                want = _normal_directions_per_row(game, i, ys, cfg)
+                want = normal_directions_reference(game, i, ys, cfg)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, i)
 
 
@@ -526,6 +498,7 @@ def test_cluster_representative_ties_break_lexicographically():
     (cluster,) = _cluster_certificates(certs, 0.1)
     assert (cluster.x, cluster.y) == ((0.0,), (0.2,))
     assert cluster.cluster_size == 3
+
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2)),
