@@ -500,9 +500,11 @@ def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certi
     """Single-linkage clustering of certificates on joint (x, y) coordinates.
 
     Two certificates link when their squared distance is at most
-    ``radius**2 + 1e-15``.  Each cluster is reported by its member with the
-    smallest residual sum (ties broken lexicographically), annotated with
-    the member count and the per-coordinate ranges over the cluster.
+    ``radius**2 + 1e-15``.  Each cluster is reported by its lexicographically
+    first member whose residual sum is within 1e-12 of the cluster's
+    smallest, so sums that tie in exact arithmetic cannot hand the cluster
+    to another member on a last-bit change; the report carries the member
+    count and the per-coordinate ranges over the cluster.
     """
     if not certs:
         return []
@@ -523,8 +525,9 @@ def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certi
     out: list[Certificate] = []
     for label in range(labels.max() + 1):
         members = np.nonzero(labels == label)[0]
-        # rows are in lexicographic order, so the first minimum breaks ties
-        rep = certs[members[np.argmin(residual_sums[members])]]
+        # rows are in lexicographic order, so the first near-minimum wins
+        sums = residual_sums[members]
+        rep = certs[members[np.argmax(sums <= sums.min() + 1e-12)]]
         member_pts = pts[members]
         out.append(Certificate(
             x=rep.x, y=rep.y, players=rep.players,

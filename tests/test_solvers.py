@@ -501,6 +501,16 @@ def test_cluster_representative_ties_break_lexicographically():
 
 
 
+def test_cluster_representative_ignores_last_bit_differences():
+    # the sums differ by one ulp, the larger on the lexicographically first
+    # member: it still represents the cluster
+    first = _passing_cert([0.0], [0.5], np.nextafter(0.1, 1.0))
+    second = _passing_cert([0.05], [0.5], 0.1)
+    (cluster,) = _cluster_certificates([second, first], 0.1)
+    assert cluster.x == (0.0,) and cluster.players == first.players
+    assert cluster.cluster_size == 2
+
+
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2)),
                 min_size=1, max_size=30))
 def test_cluster_matches_pairwise_single_linkage(cells):
