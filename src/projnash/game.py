@@ -389,7 +389,6 @@ def build_instance(dims: Sequence[int],
         if cmap.own_dim != dims[i]:
             raise InputError(f"constraint map for player {i + 1} has wrong value dimension")
         if isinstance(cmap, MovingBox):
-            # componentwise range of upper - lower over the choice bounding box
             gap_lo, _ = cmap.gap.range_over_box(x_lo, x_hi)
             if np.any(gap_lo < -1e-12):
                 row = int(np.argmin(gap_lo))

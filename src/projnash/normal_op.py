@@ -7,10 +7,12 @@ section.  An empty preference set (at the sampling resolution) makes the
 section the whole sphere and its hull the closed unit ball, which contains
 the zero vector.
 
-Fast paths: smooth utilities propose the negated own-block gradient
-direction (validated against sampled preferred points each call, never
-trusted blindly); direction fields negate their own field.  Degenerate or
-tabulated preferences fall back to the sphere-scan separator.
+Fast paths: both factorized kinds propose their negated unit
+``normal_field`` (the own-block gradient of a utility, the field of a
+direction field), validated against sampled preferred points each call,
+never trusted blindly.  Degenerate preferences fall back to the
+sphere-scan separator.  Tables have no normal field: their gains reject
+the off-grid probe pool with :class:`InputError`.
 """
 
 from __future__ import annotations
