@@ -531,8 +531,8 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
     For each player: the distance of ``y_i`` to ``K_i(x_fix)``, and either the
     first strictly preferred feasible point found (a witness against
     equilibrium) or a record that none was found at the grid resolution
-    reached (``cfg.h`` unless a non-box grid hit its axis cap) with
-    ``cfg.random_budget`` extra samples.
+    reached (``cfg.h`` unless a non-box grid hit its axis cap, 0 for a
+    table's exhaustive scan) with ``cfg.random_budget`` extra samples.
     """
     x_fix = np.asarray(x_fix, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)

@@ -318,9 +318,9 @@ class Sampled(PreferenceMap):
 
     def scan_points(self, k_set: ConvexSet, h: float, budget: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """The declared points inside ``k_set``: the table is the scan, and
-        ``h`` its stamped resolution."""
-        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], h
+        """The declared points inside ``k_set``: the table is the whole scan,
+        exhaustive, so its stamped resolution is 0."""
+        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], 0.0
 
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The declared at-points."""

@@ -175,7 +175,7 @@ def test_check_nep_on_a_table_with_no_declared_point_feasible():
     cfg = SolverConfig(h=0.05)
     (check,) = check_nep(game, [0.5], [0.5], cfg)
     assert check.points_scanned == 0 and check.witness is None
-    assert check.emptiness_resolution == cfg.h
+    assert check.emptiness_resolution == 0.0
     assert check.membership_residual == 0.25
 
 
