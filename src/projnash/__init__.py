@@ -13,7 +13,9 @@ from .preferences import (DirectionField, GraphDistanceContext, PreferenceMap,
                           hull_preferred, preferred, sample_preferred)
 from .game import (Certificate, ConstraintMap, GameInstance, MovingBox,
                    MovingPolytope, PlayerCheck, build_instance, check_nep,
-                   check_projected_solution, constraint_set, from_utilities)
+                   check_nep_many, check_projected_solution,
+                   check_projected_solution_many, constraint_set,
+                   from_utilities)
 from .normal_op import (NormalDirectionAudit, UnitNormalProduct,
                         audit_normal_direction, normal_operator,
                         unit_normal_product)

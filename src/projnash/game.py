@@ -525,6 +525,28 @@ def constraint_set(game: GameInstance, i: int, x) -> ConvexSet:
     return game.constraint_maps[i].materialize(x)
 
 
+#: most gain entries (rows × scanned points) of one certificate slab
+CHECK_SLAB = 65_536
+
+
+def _joint_rows(game: GameInstance, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != game.n:
+        raise InputError("joint strategy dimension mismatch")
+    return xs, ys
+
+
+def _scan_samples(k_set: ConvexSet, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` seeded draws from the bounding box of ``k_set``, projected
+    onto it as one batch."""
+    lo, hi = k_set.bounding_box()._np
+    if k_set.dim == 1:
+        # scalar bounds draw the same numbers, without numpy's array checks
+        lo, hi = float(lo[0]), float(hi[0])
+    return k_set.project_many(rng.uniform(lo, hi, size=(count, k_set.dim)))
+
+
 def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
     """Per-player feasibility and intersection report at frozen constraints.
 
@@ -532,33 +554,90 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
     first strictly preferred feasible point found (a witness against
     equilibrium) or a record that none was found at the grid resolution
     reached (``cfg.h`` unless a non-box grid hit its axis cap, 0 for a
-    table's exhaustive scan) with ``cfg.random_budget`` extra samples.
+    table's exhaustive scan) with ``cfg.random_budget`` extra samples.  The
+    one-row call of :func:`check_nep_many`.
     """
-    x_fix = np.asarray(x_fix, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x_fix.shape[0] != game.n or y.shape[0] != game.n:
-        raise InputError("joint strategy dimension mismatch")
-    out: list[PlayerCheck] = []
+    x_fix = np.asarray(x_fix, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    return list(check_nep_many(game, x_fix, y, cfg)[0])
+
+
+def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, ...]]:
+    """:func:`check_nep` on each row of ``(m, n)`` arrays ``xs``, ``ys``.
+
+    Per player, rows whose constraint values have equal ``value_key`` bits
+    share one materialized ``K_i(x)`` and one scan grid.  Each row keeps
+    its own content-keyed samples (``seeded_rng(cfg.seed, 11, i, arrays=(x,
+    y))``), its own projection for the membership residual, and its first
+    hit in scan order (grid, then samples) as the witness; gains run in
+    slabs of at most ``CHECK_SLAB`` entries.  Every check is bitwise the
+    one the row gets alone.
+    """
+    xs, ys = _joint_rows(game, xs, ys)
+    columns = []
     for i in range(game.player_count):
-        k_set = game.constraint_maps[i].materialize(x_fix)
-        sl = game.own_slice(i)
-        yi = y[sl]
-        residual = float(np.linalg.norm(yi - project(k_set, yi)))
-        pref = game.preference_maps[i]
-        rng = seeded_rng(cfg.seed, 11, i, arrays=(x_fix, y))
-        pts, resolution = pref.scan_points(k_set, cfg.h, cfg.random_budget, rng)
-        if pts.shape[0] == 0:
-            out.append(PlayerCheck(membership_residual=residual, witness=None,
-                                   emptiness_resolution=resolution, points_scanned=0))
-            continue
-        gains = prefs.strict_gain_outer(pref, y[None, :], pts)[0]
-        hits = np.nonzero(gains > cfg.strictness + WITNESS_GUARD)[0]
-        witness = tuple(pts[hits[0]]) if hits.size else None
-        out.append(PlayerCheck(
-            membership_residual=residual,
-            witness=witness,
-            emptiness_resolution=resolution,
-            points_scanned=pts.shape[0],
+        cmap, pref, sl = game.constraint_maps[i], game.preference_maps[i], game.own_slice(i)
+        groups: dict[bytes, list[int]] = {}
+        # a lone row is its own group, with no key to evaluate
+        for r, key in enumerate(cmap.value_key(xs) if xs.shape[0] != 1 else [xs[0, :0]]):
+            groups.setdefault(key.tobytes(), []).append(r)
+        checks: list[Optional[PlayerCheck]] = [None] * xs.shape[0]
+        for rows in groups.values():
+            k_set = cmap.materialize(xs[rows[0]])
+            grid, resolution, count = pref.scan_grid(k_set, cfg.h, cfg.random_budget)
+            total = grid.shape[0] + count
+            witnesses: list[Optional[tuple]] = [None] * len(rows)
+            step = max(1, CHECK_SLAB // max(1, total))
+            for s in range(0, len(rows) if total else 0, step):
+                slab = rows[s:s + step]
+                # each row's scan points: the shared grid, then its own samples
+                if count:
+                    pts = np.empty((len(slab), total, k_set.dim))
+                    pts[:, :grid.shape[0]] = grid
+                    for j, r in enumerate(slab):
+                        rng = seeded_rng(cfg.seed, 11, i, arrays=(xs[r], ys[r]))
+                        pts[j, grid.shape[0]:] = _scan_samples(k_set, count, rng)
+                    gains = prefs.strict_gain_paired(pref, ys[slab], pts)
+                else:
+                    pts = np.broadcast_to(grid, (len(slab),) + grid.shape)
+                    gains = prefs.strict_gain_outer(pref, ys[slab], grid)
+                hits = gains > cfg.strictness + WITNESS_GUARD
+                for j in hits.any(axis=1).nonzero()[0]:
+                    witnesses[s + j] = tuple(pts[j, np.argmax(hits[j])])
+            for r, witness in zip(rows, witnesses):
+                yi = ys[r, sl]
+                checks[r] = PlayerCheck(
+                    membership_residual=float(np.linalg.norm(yi - project(k_set, yi))),
+                    witness=witness, emptiness_resolution=resolution, points_scanned=total)
+        columns.append(checks)
+    return list(zip(*columns))
+
+
+def _certify(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
+             players: Sequence[Sequence[PlayerCheck]], cfg,
+             eps: Optional[float]) -> list[Certificate]:
+    """Certificates from the rows' player checks and the nearest-point
+    condition on the choice-set product."""
+    eps = cfg.eps_analytic if eps is None else float(eps)
+    out = []
+    for x, y, row, gap in zip(xs, ys, players, game.project_choice_many(ys) - xs):
+        projection_residual = float(np.linalg.norm(gap))
+        reason = None
+        if projection_residual > eps:
+            reason = "projection"
+        else:
+            for i, pc in enumerate(row):
+                if pc.membership_residual > eps:
+                    reason = f"membership[{i}]"
+                    break
+                if pc.witness is not None:
+                    reason = f"intersection[{i}]"
+                    break
+        out.append(Certificate(
+            x=tuple(x), y=tuple(y), players=tuple(row),
+            projection_residual=projection_residual,
+            verdict="pass" if reason is None else "fail",
+            reason=reason, eps=eps, h=cfg.h, budget=cfg.random_budget, seed=cfg.seed,
         ))
     return out
 
@@ -570,26 +649,17 @@ def check_projected_solution(game: GameInstance, x_tilde, y_tilde, cfg,
     Combines the nearest-point condition on the choice-set product with the
     per-player feasibility and empty-intersection checks of
     :func:`check_nep`; tolerances default to the analytic epsilon of ``cfg``.
+    The one-row case of :func:`check_projected_solution_many`, taking its
+    player checks from :func:`check_nep` so that wrappers of that name (the
+    benchmark's tracer) see every one-row check.
     """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64).reshape(-1)
-    y_tilde = np.asarray(y_tilde, dtype=np.float64).reshape(-1)
-    eps = cfg.eps_analytic if eps is None else float(eps)
-    projection_residual = float(np.linalg.norm(game.project_choice(y_tilde) - x_tilde))
-    players = tuple(check_nep(game, x_tilde, y_tilde, cfg))
-    reason = None
-    if projection_residual > eps:
-        reason = "projection"
-    else:
-        for i, pc in enumerate(players):
-            if pc.membership_residual > eps:
-                reason = f"membership[{i}]"
-                break
-            if pc.witness is not None:
-                reason = f"intersection[{i}]"
-                break
-    return Certificate(
-        x=tuple(x_tilde), y=tuple(y_tilde), players=players,
-        projection_residual=projection_residual,
-        verdict="pass" if reason is None else "fail",
-        reason=reason, eps=eps, h=cfg.h, budget=cfg.random_budget, seed=cfg.seed,
-    )
+    xs, ys = _joint_rows(game, np.reshape(x_tilde, (1, -1)), np.reshape(y_tilde, (1, -1)))
+    return _certify(game, xs, ys, [check_nep(game, xs[0], ys[0], cfg)], cfg, eps)[0]
+
+
+def check_projected_solution_many(game: GameInstance, xs, ys, cfg,
+                                  eps: Optional[float] = None) -> list[Certificate]:
+    """:func:`check_projected_solution` on each row of ``(m, n)`` arrays
+    ``xs``, ``ys``, through one :func:`check_nep_many` call."""
+    xs, ys = _joint_rows(game, xs, ys)
+    return _certify(game, xs, ys, check_nep_many(game, xs, ys, cfg), cfg, eps)

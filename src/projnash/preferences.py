@@ -71,7 +71,9 @@ class PreferenceMap:
         """The strict gain on ``xs`` × ``zs`` rows as ``(lead, base, margin,
         lift)``: ``gain[rows] = (lift(rows) - base[rows, None]) - margin``,
         where ``lift`` evaluates ``A_L(z) = sum_t L_t z^e_t`` from the rival
-        factors ``L = lead[rows]``."""
+        factors ``L = lead[rows]``.  Candidates ``zs`` of shape ``(m, s,
+        own_dim)`` pair row ``r`` with its own ``zs[r]``; every entry is the
+        same products added in the same order."""
         lead, exps, margin = self._gain_terms(xs)
         own, monos = _own_of(self, xs), [_monomial(zs, e) for e in exps]
         base = np.zeros(xs.shape[0])
@@ -79,23 +81,19 @@ class PreferenceMap:
             base += lead[:, t] * _monomial(own, e)
 
         def lift(rows) -> np.ndarray:              # L_0 z^e_0 + L_1 z^e_1 + ...
-            a = np.zeros((base[rows].shape[0], zs.shape[0]))
+            a = np.zeros((base[rows].shape[0], zs.shape[-2]))
             for t, mono in enumerate(monos):
-                a += np.multiply.outer(lead[rows, t], mono)
+                a += lead[rows, t][:, None] * (mono if zs.ndim == 2 else mono[rows])
             return a
         return lead, base, margin, lift
 
-    def scan_points(self, k_set: ConvexSet, h: float, budget: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """The points a certificate scans in the constraint value ``k_set``:
-        the solvers' grid over it (:func:`set_grid`) plus ``budget`` seeded
-        samples, with the grid resolution actually reached."""
-        grid, resolution = set_grid(k_set, h)
-        if budget > 0:
-            lo, hi = k_set.bounding_box()._np
-            randoms = k_set.project_many(rng.uniform(lo, hi, size=(budget, k_set.dim)))
-            grid = np.vstack([grid, randoms])
-        return grid, resolution
+    def scan_grid(self, k_set: ConvexSet, h: float, budget: int
+                  ) -> tuple[np.ndarray, float, int]:
+        """What a certificate scans in the constraint value ``k_set``: the
+        solvers' grid over it (:func:`set_grid`), the grid resolution
+        actually reached, and how many seeded samples each row adds to the
+        grid: the whole ``budget``."""
+        return (*set_grid(k_set, h), budget)
 
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The joint points at which self-exclusion is checked, given the
@@ -310,17 +308,18 @@ class Sampled(PreferenceMap):
 
     def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
         """The rival factor is the at-point index, the lift +/-1 from the
-        table (see :meth:`PreferenceMap._gain_factors`)."""
+        table (see :meth:`PreferenceMap._gain_factors`).  Candidates are
+        shared rows only: a table's scan draws no samples."""
         at = np.array([self._locate(self._at, x, "at-point") for x in xs], dtype=np.float64)
         cols = [self._locate(self._z, z, "z-point") for z in zs]
         lift = lambda rows: np.where(self._table[np.ix_(at[rows].astype(np.intp), cols)], 1.0, -1.0)
         return at[:, None], np.zeros(at.shape[0]), 0.0, lift
 
-    def scan_points(self, k_set: ConvexSet, h: float, budget: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """The declared points inside ``k_set``: the table is the whole scan,
-        exhaustive, so its stamped resolution is 0."""
-        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], 0.0
+    def scan_grid(self, k_set: ConvexSet, h: float, budget: int
+                  ) -> tuple[np.ndarray, float, int]:
+        """The declared points inside ``k_set`` and no samples: the table is
+        the whole scan, exhaustive, so its stamped resolution is 0."""
+        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], 0.0, 0
 
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The declared at-points."""
@@ -346,12 +345,13 @@ def _own_of(p: PreferenceMap, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _monomial(v: np.ndarray, e: tuple) -> np.ndarray:
-    """Rowwise ``prod_j v_j^e_j`` (``e`` nonzero) by repeated multiplication,
-    so equal rows give bitwise equal values."""
+    """Rowwise ``prod_j v_j^e_j`` (``e`` nonzero) over the last axis of
+    ``v`` by repeated multiplication, so equal rows give bitwise equal
+    values."""
     out = None
     for j, power in enumerate(e):
         for _ in range(power):
-            out = v[:, j] if out is None else out * v[:, j]
+            out = v[..., j] if out is None else out * v[..., j]
     return out
 
 
@@ -372,7 +372,17 @@ def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.nd
     comparison there is exactly false.  For the sampled variant the
     magnitude is conventional (+/-1); only the sign matters.
     """
-    _, base, margin, lift = _gain_factors(p, xs, zs)
+    return _strict_gain(*_gain_factors(p, xs, zs)[1:])
+
+
+def strict_gain_paired(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Strict gain of each ``xs`` row against its own candidate rows
+    ``zs[r]`` (``zs`` of shape ``(m, s, own_dim)``): ``(m, s)`` entries,
+    each bitwise the matching entry of :func:`strict_gain_outer`."""
+    return _strict_gain(*p._gain_factors(xs, zs)[1:])
+
+
+def _strict_gain(base: np.ndarray, margin: float, lift) -> np.ndarray:
     gain = lift(slice(None))
     gain -= base[:, None]
     gain -= margin
@@ -432,8 +442,13 @@ def preferred_many(p: PreferenceMap, x, zs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _in_convex_hull(points: np.ndarray, target: np.ndarray, tol: float = 1e-9) -> bool:
+    """``target`` within ``tol`` of a convex combination of the ``points``
+    rows: exact for 1-D sets (the hull is an interval), else a HiGHS
+    feasibility LP."""
     if points.shape[0] == 0:
         return False
+    if points.shape[1] == 1:
+        return bool(points.min() - tol <= target[0] <= points.max() + tol)
     from scipy.optimize import linprog  # imported on first use: a slow import
     res = linprog(
         c=np.zeros(points.shape[0]),

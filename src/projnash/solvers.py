@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .game import (Certificate, GameInstance, WITNESS_GUARD,
-                   check_projected_solution, constraint_set, seeded_rng)
+                   check_projected_solution_many, constraint_set, seeded_rng)
 from .geometry import (Box, grid_axis, grid_points, lattice_axis, mesh_points,
                        project, set_grid)
 from . import preferences as prefs
@@ -274,7 +274,6 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     an empty certificate list with an advisory is the honest failure mode.
     """
     result = SolveResult(solver="solve-fp", certificates=[])
-    raw_certs: list[Certificate] = []
     for start in _multistart_points(game, cfg):
         x = start.copy()
         y = start.copy()
@@ -299,11 +298,14 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
         x = game.project_choice(y)
         trace.limit_x = tuple(x)
         trace.limit_y = tuple(y)
-        cert = check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid)
+        result.starts.append(trace)
+    certs = _check_rows(game, [t.limit_x for t in result.starts],
+                        [t.limit_y for t in result.starts], cfg)
+    raw_certs = []
+    for trace, cert in zip(result.starts, certs):
         trace.certified = cert.passed
         if cert.passed:
             raw_certs.append(cert)
-        result.starts.append(trace)
     result.certificates = _cluster_certificates(raw_certs, 2.0 * cfg.h)
     result.candidates = len(raw_certs)
     if not result.certificates:
@@ -457,8 +459,8 @@ def solve_qvi(game: GameInstance, cfg: SolverConfig) -> SolveResult:
                      residual=float(res_exact[r]), witness=(tuple(eta[r]), tuple(z[r])))
             for r in range(xs.shape[0]))
     result.candidates = len(result.qvi_points)
-    certs = (check_projected_solution(game, pt.x, pt.y, cfg, eps=cfg.eps_grid)
-             for pt in result.qvi_points)
+    certs = _check_rows(game, [pt.x for pt in result.qvi_points],
+                        [pt.y for pt in result.qvi_points], cfg)
     raw_certs = [cert for cert in certs if cert.passed]
     result.certificates = _cluster_certificates(raw_certs, 2.0 * cfg.h)
     return result
@@ -485,11 +487,19 @@ def brute_force_oracle(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     for xs, ys in blocks:
         witnessed = _witness_prefilter(game, xs, ys, cfg)
         survivors.extend(zip(xs[~witnessed], ys[~witnessed]))
-    certs = (check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid) for x, y in survivors)
+    certs = _check_rows(game, [x for x, _ in survivors], [y for _, y in survivors], cfg)
     raw_certs = [cert for cert in certs if cert.passed]
     return SolveResult(solver="oracle",
                        certificates=_cluster_certificates(raw_certs, 2.0 * cfg.h),
                        cells_scanned=total, candidates=len(survivors))
+
+
+def _check_rows(game: GameInstance, xs, ys, cfg: SolverConfig) -> list[Certificate]:
+    """Certificates at the grid tolerance for the ``(x, y)`` rows, in one
+    batched check."""
+    shape = (-1, game.n)
+    return check_projected_solution_many(game, np.reshape(xs, shape), np.reshape(ys, shape),
+                                         cfg, eps=cfg.eps_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +568,14 @@ def equivalence_scan(game: GameInstance, cfg: SolverConfig
     """
     _, blocks = _scan(game, cfg)
     qvi_rows: list[np.ndarray] = []
-    nep_rows: list[np.ndarray] = []
+    x_rows: list[np.ndarray] = []
+    y_rows: list[np.ndarray] = []
     tol = cfg.eps_analytic + 1e-12
     for xs, ys in blocks:
         residual, _, ok = _candidate_residual(game, xs, ys, cfg, tol)
         qvi_rows.extend(ys[ok & (residual <= tol)])
-        nep_rows.extend(y for x, y in zip(xs, ys)
-                        if check_projected_solution(game, x, y, cfg, eps=cfg.eps_grid).passed)
-    to_arr = lambda rows: (np.array(rows).reshape(-1, game.n) if rows
-                           else np.zeros((0, game.n)))
+        x_rows.extend(xs)
+        y_rows.extend(ys)
+    nep_rows = [y for y, cert in zip(y_rows, _check_rows(game, x_rows, y_rows, cfg)) if cert.passed]
+    to_arr = lambda rows: np.reshape(rows, (-1, game.n))
     return to_arr(qvi_rows), to_arr(nep_rows)

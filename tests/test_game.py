@@ -4,11 +4,11 @@ import pytest
 from projnash.errors import HypothesisError, InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
-from projnash.game import (MovingBox, MovingPolytope, check_nep,
+from projnash.game import (MovingBox, MovingPolytope, _scan_samples, check_nep,
                            check_projected_solution, constraint_set,
                            from_utilities, seeded_rng)
 from projnash.geometry import Ball, Box, HalfspacePolytope
-from projnash.preferences import UtilityInduced, preferred, sample_preferred
+from projnash.preferences import preferred, sample_preferred
 from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
 
@@ -289,10 +289,7 @@ def test_polytope_samples_are_drawn_from_the_vertex_box():
     k_set = triangle_constraint(3).materialize([0.5, 0.5, 0.5])
     lo, hi = k_set.bounding_box()._np
     assert np.allclose(lo, 0.0, atol=1e-12) and np.allclose(hi, 0.75, atol=1e-12)
-    p = UtilityInduced(player_index=0, n_vars=3, own_start=0, own_dim=2,
-                       utility=parse_polynomial_text("x1 + x2", 3))
-    grid, _ = p.scan_points(k_set, 0.1, 128, np.random.default_rng(0))
-    samples = grid[-128:]
+    samples = _scan_samples(k_set, 128, np.random.default_rng(0))
     assert np.unique(samples, axis=0).shape[0] == 128
 
 

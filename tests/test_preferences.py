@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +16,12 @@ from projnash.fixtures import load_fixture
 from projnash.geometry import Box, grid_axis
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
                                   _ComplementCloud, _cloud_for, _halfspace_form,
+                                  _in_convex_hull,
                                   _rival_scalar_form, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
                                   gain_groups, preferred, preferred_many,
                                   sample_preferred, strict_gain_max,
-                                  strict_gain_outer)
+                                  strict_gain_outer, strict_gain_paired)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -593,3 +598,63 @@ def test_grouped_gain_maximum_on_a_table(seed):
     assert np.array_equal(strict_gain_max(p, xs, zs, mask.astype(np.float64),
                                           lambda rows: mask[rows]),
                           _masked_max(p, xs, zs, mask))
+
+
+# -- one-dimensional hulls ------------------------------------------------------
+
+def _lp_in_hull(points, target, tol=1e-9):
+    # the HiGHS feasibility LP of the general path
+    from scipy.optimize import linprog
+    res = linprog(c=np.zeros(points.shape[0]),
+                  A_eq=np.vstack([points.T, np.ones(points.shape[0])]),
+                  b_eq=np.concatenate([target, [1.0]]), bounds=(0, None), method="highs")
+    return res.status == 0 and float(np.max(np.abs(points.T @ res.x - target))) <= tol
+
+
+def test_one_dimensional_hull_is_the_interval_the_lp_finds():
+    # the LP agrees at the endpoints, inside and 1e-6 outside.  Within a
+    # few tol of an endpoint its answer follows HiGHS's own tolerances (it
+    # accepts most points 2 tol outside, admitting weights a little below
+    # 0, and rejects some single points tol/2 outside), so there the
+    # interval is held to the definition: within tol of the hull
+    rng = np.random.default_rng(0)
+    tol = 1e-9
+    for _ in range(60):
+        points = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), 1))
+        lo, hi = float(points.min()), float(points.max())
+        targets = [lo, hi, lo - 1e-6, hi + 1e-6, float(rng.uniform(lo, hi)),
+                   float(rng.uniform(-3.0, 3.0))]
+        for t in targets:
+            target = np.array([t])
+            assert _in_convex_hull(points, target, tol) == _lp_in_hull(points, target, tol), \
+                (points.ravel().tolist(), t)
+        for t, inside in ((lo - tol / 2, True), (hi + tol / 2, True),
+                          (lo - 2 * tol, False), (hi + 2 * tol, False)):
+            assert _in_convex_hull(points, np.array([t]), tol) == inside
+
+
+def test_loading_a_table_leaves_the_lp_solver_unimported():
+    # scipy.optimize is a slow import; a table's one-dimensional hulls need
+    # no LP, so parsing the table fixture must not load it
+    code = ("import sys; from projnash.cli import parse_problem; "
+            "from projnash.fixtures import fixture_text; parse_problem(fixture_text('table')); "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_paired_gains_are_the_outer_gains_entry_by_entry():
+    # each row against its own candidates: the entries strict_gain_outer
+    # gives on that row's diagonal, bit for bit
+    rng = np.random.default_rng(2)
+    p = UtilityInduced(player_index=1, n_vars=3, own_start=1, own_dim=2,
+                       utility=parse_polynomial_text("x1*x2^2 - 0.3*x2*x3 + x1^2*x3 - x3^3", 3))
+    xs = rng.uniform(-1.0, 1.0, size=(7, 3))
+    zs = rng.uniform(-1.0, 1.0, size=(7, 5, 2))
+    paired = strict_gain_paired(p, xs, zs)
+    for r in range(7):
+        assert np.array_equal(paired[r], strict_gain_outer(p, xs[r:r + 1], zs[r])[0])
