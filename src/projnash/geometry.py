@@ -368,6 +368,9 @@ def project(s: ConvexSet, y) -> np.ndarray:
 
 def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Product of per-axis point lists, one row per point, lexicographic order."""
+    if len(axes) == 1:
+        # the one-axis product is the axis; meshgrid would cost 10 us more
+        return np.array(axes[0]).reshape(-1, 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
