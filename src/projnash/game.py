@@ -173,21 +173,17 @@ class MovingPolytope:
         viol = pool @ self._normals.T
         return np.all(viol[None, :, :] <= keys[:, None, :] + 1e-12, axis=2)
 
-    def _extended_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows ``A v <= b0 + B x`` of the values intersected with the hint."""
-        k = self.own_dim
-        b_mat, b0 = self.offsets._np
-        eye = np.eye(k)
-        lo, hi = self.bounds_hint._np
-        a_ext = np.vstack([self._normals, eye, -eye])
-        b0_ext = np.concatenate([b0, hi, -lo])
-        b_ext = np.vstack([b_mat, np.zeros((2 * k, b_mat.shape[1]))])
-        return a_ext, b0_ext, b_ext
+    @cached_property
+    def _extended_normals(self) -> np.ndarray:
+        """Row normals of the values intersected with the hint: the map's
+        rows, then ``z_j <= hi_j`` and ``-z_j <= -lo_j``."""
+        eye = np.eye(self.own_dim)
+        return np.vstack([self._normals, eye, -eye])
 
     @cached_property
     def _vertex_maps(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         import itertools
-        a_ext, _, _ = self._extended_system()
+        a_ext = self._extended_normals
         out = []
         for subset in itertools.combinations(range(a_ext.shape[0]), self.own_dim):
             sub = a_ext[list(subset)]
@@ -199,19 +195,30 @@ class MovingPolytope:
     def linear_max_many(self, xs: np.ndarray, ws: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Exact rowwise ``max_z <w, z>`` over the hinted values at ``xs``,
-        with the best feasible vertex per row."""
-        a_ext, b0_ext, b_ext = self._extended_system()
-        offs = xs @ b_ext.T + b0_ext                      # (m, rows)
+        with the best feasible vertex per row.  No product is a matmul, so a
+        row's result does not depend on its batch."""
+        a_ext = self._extended_normals
+        lo, hi = self.bounds_hint._np
+        hint = np.broadcast_to(np.concatenate([hi, -lo]), (xs.shape[0], 2 * self.own_dim))
+        offs = np.hstack([self.offsets.eval_many(xs), hint])          # (m, rows)
         best = np.full(xs.shape[0], -np.inf)
         arg = np.full((xs.shape[0], self.own_dim), np.nan)
         for subset, inv in self._vertex_maps:
-            verts = offs[:, list(subset)] @ inv.T          # (m, k)
-            feasible = np.all(verts @ a_ext.T <= offs + 1e-7, axis=1)
+            verts = _column_products(offs[:, list(subset)], inv)      # (m, k)
+            feasible = np.all(_column_products(verts, a_ext) <= offs + 1e-7, axis=1)
             vals = np.sum(verts * ws, axis=1)
             better = feasible & (vals > best)
             best = np.where(better, vals, best)
             arg[better] = verts[better]
         return best, arg
+
+
+def _column_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat.T``, adding ``rows[:, c] * mat[:, c]`` in column order."""
+    out = np.zeros((rows.shape[0], mat.shape[0]))
+    for col, mat_col in zip(rows.T, mat.T):
+        out += col[:, None] * mat_col
+    return out
 
 
 #: both kinds answer the solvers through one batched surface over scan rows
@@ -300,9 +307,14 @@ class GameInstance:
         return out
 
     def in_choice(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return all(self.choice_sets[i].contains(x[self.own_slice(i)], tol)
-                   for i in range(self.player_count))
+        return bool(self.in_choice_many(np.asarray(x, dtype=np.float64).reshape(1, -1), tol)[0])
+
+    def in_choice_many(self, xs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Membership of each ``(m, n)`` row in the choice-set product."""
+        keep = np.ones(xs.shape[0], dtype=bool)
+        for i in range(self.player_count):
+            keep &= self.choice_sets[i].contains_many(xs[:, self.own_slice(i)], tol)
+        return keep
 
     def distance_context(self, i: int, h_g: float):
         key = ("ctx", i, h_g)
@@ -380,8 +392,7 @@ def build_instance(dims: Sequence[int],
     tmp = GameInstance(dims, tuple(choice_sets), tuple(constraint_maps),
                        tuple(preference_maps), tuple(Box((0,), (1,)) for _ in dims),
                        utility_reducible=False)
-    keep = [r for r in range(x_probes.shape[0]) if tmp.in_choice(x_probes[r])]
-    x_probes = x_probes[keep]
+    x_probes = x_probes[tmp.in_choice_many(x_probes)]
     report.constraint_probes = x_probes.shape[0]
 
     hull_boxes: list[Box] = []

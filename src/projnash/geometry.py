@@ -74,9 +74,12 @@ class Box:
         return np.clip(points, lo, hi)
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
+        return bool(self.contains_many(_as_vector(x, self.dim)[None, :], tol)[0])
+
+    def contains_many(self, points: np.ndarray, tol: float = CONE_TOL) -> np.ndarray:
+        """Membership of each ``(m, dim)`` row, within ``tol`` per coordinate."""
         lo, hi = self._np
-        v = _as_vector(x, self.dim)
-        return bool(np.all(v >= lo - tol) and np.all(v <= hi + tol))
+        return np.all((points >= lo - tol) & (points <= hi + tol), axis=1)
 
     def bounding_box(self) -> "Box":
         return self
@@ -116,7 +119,11 @@ class Ball:
         return self._c + v * scale[:, None]
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
-        return float(np.linalg.norm(_as_vector(x, self.dim) - self._c)) <= self.radius + tol
+        return bool(self.contains_many(_as_vector(x, self.dim)[None, :], tol)[0])
+
+    def contains_many(self, points: np.ndarray, tol: float = CONE_TOL) -> np.ndarray:
+        """Membership of each ``(m, dim)`` row, within ``tol`` of the radius."""
+        return np.linalg.norm(points - self._c, axis=1) <= self.radius + tol
 
     def bounding_box(self) -> Box:
         c = self._c

@@ -9,8 +9,9 @@ the zero vector.
 
 Fast paths: both factorized kinds propose their negated unit
 ``normal_field`` (the own-block gradient of a utility, the field of a
-direction field), validated against sampled preferred points each call,
-never trusted blindly.  Degenerate preferences fall back to the
+direction field), validated against sampled preferred points each call.
+Half-space kinds (``halfspace_valued``) skip that check, which holds for
+them by construction.  Degenerate preferences fall back to the
 sphere-scan separator.  Tables have no normal field: their gains reject
 the off-grid probe pool with :class:`InputError`.
 """
@@ -111,8 +112,11 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
 
         # validate the polar inequality on the sampled preferred points, in
         # row slabs of at most POLAR_SLAB pool entries; <z - x_i, d> adds
-        # one coordinate at a time, in coordinate order
-        for s in range(0, block.shape[0], slab):
+        # one coordinate at a time, in coordinate order.  A half-space kind
+        # passes by construction: a preferred z has <L, z - x_i> > margin >= 0
+        # with L the normal field up to rounding, so <z - x_i, d> <= ~1e-16 |z|,
+        # far below POLAR_TOL
+        for s in range(0, 0 if p.halfspace_valued else block.shape[0], slab):
             r = slice(s, s + slab)
             if not np.any(cand_ok[r]):
                 continue

@@ -64,6 +64,9 @@ class PreferenceMap:
     #: every preferred set is its own convex hull, which then never holds
     #: ``x_i`` (its gain cancels to exactly ``-margin <= 0``)
     hull_exact = False
+    #: every preferred set is an open half-space ``{z : <L(x), z - x_i> >
+    #: margin}`` (or empty), whose normal is ``normal_field``
+    halfspace_valued = False
     #: the normal field as an affine map, where it is one
     field_map = None
 
@@ -175,6 +178,12 @@ class UtilityInduced(PreferenceMap):
         return bool(np.all(np.linalg.eigvalsh(quad) <= 1e-12))
 
     @cached_property
+    def halfspace_valued(self) -> bool:
+        """Every own exponent has degree 1 (or there is none): the gain is
+        affine in ``z``, with the own gradient as its normal."""
+        return all(sum(e) == 1 for e in self._own_groups[3])
+
+    @cached_property
     def field_map(self) -> Optional[AffineMap]:
         """The own gradient, when every component has degree <= 1."""
         if all(g.degree() <= 1 for g in self.own_gradient):
@@ -218,6 +227,7 @@ class DirectionField(PreferenceMap):
     offset: float = 0.0
 
     hull_exact = True
+    halfspace_valued = True
 
     def __post_init__(self):
         if self.c.in_dim != self.n_vars or self.c.out_dim != self.own_dim:
@@ -389,14 +399,29 @@ def _strict_gain(base: np.ndarray, margin: float, lift) -> np.ndarray:
     return gain
 
 
+def _mix_rows(bits: np.ndarray) -> np.ndarray:
+    """One ``uint64`` key per row of ``uint64`` columns (multiply-xorshift);
+    equal rows get equal keys, distinct rows usually distinct ones."""
+    key = np.zeros(bits.shape[0], dtype=np.uint64)
+    for col in bits.T:
+        key ^= col
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)
+    return key
+
+
 def gain_groups(p: PreferenceMap, xs, zs, key: Optional[np.ndarray] = None):
     """Rows grouped by the exact bits of their rival factors and optional
     ``key`` rows: ``(reps, group, base, margin, lift)``, one row index per
-    group, each row's group and the :func:`_gain_factors` terms, so
-    ``(lift(reps)[group] - base[:, None]) - margin`` is the outer gain."""
+    group (its first row), each row's group and the :func:`_gain_factors`
+    terms, so ``(lift(reps)[group] - base[:, None]) - margin`` is the outer
+    gain.  Rows are grouped by a hash of their bits, kept only when every
+    row equals its representative; on a collision, by sorting the rows."""
     lead, base, margin, lift = _gain_factors(p, xs, zs)
     bits = np.hstack([lead] if key is None else [lead, key]).view(np.uint64)
-    _, reps, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    _, reps, group = np.unique(_mix_rows(bits), return_index=True, return_inverse=True)
+    if not np.array_equal(bits[reps][group.reshape(-1)], bits):
+        _, reps, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     return reps, group.reshape(-1), base, margin, lift
 
 
@@ -459,8 +484,11 @@ def _in_convex_hull(points: np.ndarray, target: np.ndarray, tol: float = 1e-9) -
     )
     if res.status != 0:
         return False
-    combo = points.T @ res.x
-    return float(np.max(np.abs(combo - target))) <= tol
+    # HiGHS meets its constraints only to its own tolerance (about 1e-7):
+    # accept only weights that are a convex combination within ``tol``
+    weights = np.clip(res.x, 0.0, None)
+    weights /= weights.sum()
+    return float(np.max(np.abs(points.T @ weights - target))) <= tol
 
 
 def hull_preferred(p: PreferenceMap, x, z, sample_budget: int = 256,

@@ -122,3 +122,28 @@ def test_pool_membership_matches_contains(cmap, xs, pool):
         for s, z in enumerate(pool):
             if _boundary_margin(value, z) > 1e-9:
                 assert inside[r, s] == value.contains(z, tol=1e-12)
+
+
+def test_polytope_linear_max_does_not_depend_on_the_batch():
+    # generic normals and offset coefficients: a row's maximum and vertex
+    # are bitwise the same in the full batch, in a row subset (as the QVI
+    # cascade passes) and alone
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(3) / 3.0 \
+            + rng.uniform(-0.3, 0.3, 3)
+        normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        offsets = _affine(rng.uniform(-0.2, 0.2, (3, N_VARS)), rng.uniform(0.5, 1.0, 3))
+        cmap = MovingPolytope(player_index=0, normals=tuple(map(tuple, normals.tolist())),
+                              offsets=offsets, bounds_hint=Box((-5.0, -5.0), (5.0, 5.0)))
+        xs = rng.uniform(0.0, 1.0, (600, N_VARS))
+        ws = rng.normal(size=(600, OWN))
+        best, arg = cmap.linear_max_many(xs, ws)
+        assert np.all(np.isfinite(best))
+        sub_best, sub_arg = cmap.linear_max_many(xs[::3], ws[::3])
+        assert sub_best.tobytes() == best[::3].tobytes()
+        assert sub_arg.tobytes() == arg[::3].tobytes()
+        for r in range(0, 600, 7):
+            one_best, one_arg = cmap.linear_max_many(xs[r:r + 1], ws[r:r + 1])
+            assert one_best.tobytes() == best[r:r + 1].tobytes(), r
+            assert one_arg.tobytes() == arg[r:r + 1].tobytes(), r

@@ -3,14 +3,17 @@ import pytest
 
 from projnash.errors import HypothesisError, InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
-from projnash.fixtures import load_fixture
-from projnash.game import (MovingBox, MovingPolytope, _scan_samples, check_nep,
+from projnash.fixtures import FIXTURE_NAMES, load_fixture
+from projnash.game import (DEFAULT_PROBE_AXIS, MovingBox, MovingPolytope,
+                           _probe_grid_for_box, _scan_samples, check_nep,
                            check_projected_solution, constraint_set,
                            from_utilities, seeded_rng)
 from projnash.geometry import Ball, Box, HalfspacePolytope
 from projnash.preferences import preferred, sample_preferred
 from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
+
+from test_check_nep_many import _polytope_game
 
 
 # -- constraint materialization -------------------------------------------------
@@ -331,6 +334,62 @@ def test_ball_choice_set_instance():
     cert = check_projected_solution(g, [0.25, 0.5, 0.25], [0.25, 0.5, 0.25],
                                     SolverConfig(h=0.01))
     assert cert.passed
+
+
+# -- load-time probe filter ----------------------------------------------------------
+
+def _member(s, v, tol=1e-9):
+    """One point against one choice set, by the set's scalar rule."""
+    if isinstance(s, Ball):
+        return float(np.linalg.norm(v - np.array(s.center))) <= s.radius + tol
+    lo, hi = np.array(s.lower), np.array(s.upper)
+    return bool(np.all(v >= lo - tol) and np.all(v <= hi + tol))
+
+
+def _kept_probes(game):
+    """The probes inside the choice-set product, one membership call per
+    probe and player."""
+    probes = _probe_grid_for_box(game.x_bbox, DEFAULT_PROBE_AXIS)
+    keep = [r for r, x in enumerate(probes)
+            if all(_member(game.choice_sets[i], x[game.own_slice(i)])
+                   for i in range(game.player_count))]
+    return probes, np.array(keep, dtype=np.intp)
+
+
+def _random_choice_game(rng, boundary):
+    """Two players on a random ball and a random box; with ``boundary``,
+    a ball whose probe grid has points exactly on its sphere."""
+    if boundary:
+        ball = Ball((0.0,) * 2, 1.0) if rng.random() < 0.5 else Ball((0.5, 0.5, 0.5), 0.5)
+    else:
+        d = int(rng.integers(1, 3))
+        ball = Ball(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(0.1, 2)))
+    lo = rng.uniform(-1, 1, 1 if ball.dim == 3 else int(rng.integers(1, 3)))
+    box = Box(tuple(lo), tuple(lo + rng.uniform(0, 2, lo.size)))
+    sets = [ball, box] if rng.random() < 0.5 else [box, ball]
+    dims = [s.dim for s in sets]
+    n = sum(dims)
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant([0.0] * d, n),
+                      upper=AffineMap.constant([1.0] * d, n)) for i, d in enumerate(dims)]
+    return from_utilities(dims, sets, maps, ["x1", f"x{n}"])
+
+
+def test_load_probe_filter_matches_a_per_probe_loop():
+    rng = np.random.default_rng(0)
+    games = [load_fixture(name) for name in FIXTURE_NAMES] + [_polytope_game()]
+    games += [_random_choice_game(rng, boundary=r % 3 == 0) for r in range(30)]
+    on_sphere = 0
+    for game in games:
+        probes, keep = _kept_probes(game)
+        assert np.array_equal(np.flatnonzero(game.in_choice_many(probes)), keep)
+        assert game.hypotheses.constraint_probes == keep.size
+        assert [game.in_choice(x) for x in probes] == np.isin(np.arange(len(probes)), keep).tolist()
+        for i, s in enumerate(game.choice_sets):
+            pts = probes[:, game.own_slice(i)]
+            assert s.contains_many(pts, 1e-9).tolist() == [_member(s, v) for v in pts]
+            if isinstance(s, Ball):
+                on_sphere += int(np.sum(np.linalg.norm(pts - s.center, axis=1) == s.radius))
+    assert on_sphere > 0
 
 
 # -- deterministic rng ---------------------------------------------------------------

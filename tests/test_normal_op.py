@@ -1,18 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
-from projnash.fixtures import load_fixture
+from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.game import MovingBox, build_instance, from_utilities
 from projnash.game import seeded_rng
-from projnash.geometry import Box, ConeSample, grid_points, polar_membership, probe_points
+from projnash.geometry import (Box, ConeSample, grid_points, lattice_axis, mesh_points,
+                               polar_membership, probe_points)
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
                                 audit_normal_direction, normal_directions_batch,
                                 normal_operator, unit_normal_product)
 from projnash.preferences import (DirectionField, UtilityInduced, sample_preferred,
                                   strict_gain_outer)
 from projnash.solvers import SolverConfig, _scan
+
+from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
+                                   random_direction_instance)
 
 CFG = SolverConfig(h=0.05, random_budget=128)
 
@@ -230,3 +236,96 @@ def test_slabbed_polar_check_matches_the_whole_block(name, h):
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
         rejected += int(np.sum(~got[1] & ~got[2]))
     assert (rejected > 0) == name.startswith("cubic")
+
+
+#: which fixture players have half-space preferred sets
+HALFSPACE = {"expand": (True, True), "selfmap": (False, False), "spin": (True, True),
+             "chase": (False, False), "corner": (True, True), "offside": (True, True),
+             "vacuous": (True, True), "disk": (True, False), "table": (False, True)}
+
+
+def test_halfspace_valued_on_fixture_players():
+    assert set(HALFSPACE) == set(FIXTURE_NAMES)
+    for name, want in HALFSPACE.items():
+        got = tuple(p.halfspace_valued for p in load_fixture(name).preference_maps)
+        assert got == want, name
+
+
+def _lattice_rows(game, h):
+    lo, hi = game.hull_box._np
+    return mesh_points([lattice_axis(lo[j], hi[j], h) for j in range(game.n)])
+
+
+def _scaled(game, ys, factor):
+    """The game with its hull boxes, hence its probe pools, and the rows
+    scaled by ``factor``."""
+    boxes = tuple(Box(tuple(factor * b._np[0]), tuple(factor * b._np[1]))
+                  for b in game.hull_boxes)
+    return replace(game, hull_boxes=boxes, _caches={}), factor * ys
+
+
+def assert_directions_match_the_reference(game, ys, cfg, players=None):
+    """``(directions, full_mask, ok_mask)`` bit for bit the reference's for
+    every player; returns the validated rows of half-space players, whose
+    polar check the kernel skips."""
+    skipped = 0
+    for i in range(game.player_count) if players is None else players:
+        got = normal_directions_batch(game, i, ys, cfg)
+        want = normal_directions_reference(game, i, ys, cfg)
+        assert all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(got, want)), i
+        if game.preference_maps[i].halfspace_valued:
+            skipped += int(np.sum(got[2]))
+    return skipped
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e3])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_directions_match_the_reference_on_fixtures(name, factor):
+    game = load_fixture(name)
+    cfg = SolverConfig(h=0.1, random_budget=256)
+    # a table answers only at its declared at-points, and its own gains
+    # reject the off-grid probe pool
+    if name == "table":
+        ys = np.array(game.preference_maps[0].at_points)
+    else:
+        ys = _lattice_rows(game, 0.1)
+    game, ys = _scaled(game, ys, factor)
+    players = [1] if name == "table" else None
+    if name == "table":
+        with pytest.raises(InputError):
+            normal_directions_batch(game, 0, ys, cfg)
+    skipped = assert_directions_match_the_reference(game, ys, cfg, players)
+    assert (skipped > 0) == (any(HALFSPACE[name]) and name != "vacuous")
+
+
+@pytest.mark.parametrize("family", ["interior", "pinned", "direction"])
+def test_directions_match_the_reference_on_generated_games(family):
+    rng = np.random.default_rng(5)
+    make = {"interior": lambda: interior_target_instance(rng, 3),
+            "pinned": lambda: boundary_pinned_instance(rng, 2),
+            "direction": lambda: random_direction_instance(rng)}[family]
+    skipped = 0
+    for _ in range(3):
+        game, _ = make()
+        skipped += assert_directions_match_the_reference(game, _lattice_rows(game, 0.05),
+                                                         SolverConfig(h=0.05))
+    assert (skipped > 0) == (family != "interior")
+
+
+@pytest.mark.parametrize("offset", [0.05, 0.4])
+def test_directions_match_the_reference_with_offset_fields(offset):
+    # a two-dimensional field that turns with the rival coordinate, and a
+    # one-dimensional field whose sign flips inside the box
+    n = 3
+    sets = [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))]
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant(list(s.lower), n),
+                      upper=AffineMap.constant(list(s.upper), n)) for i, s in enumerate(sets)]
+    fields = [AffineMap(((0.0, 0.0, -1.0), (0.0, 0.0, 0.3)), (0.5, -0.2)),
+              AffineMap(((1.0, -1.0, 0.0),), (0.1,))]
+    maps_p = [DirectionField(player_index=i, n_vars=n, own_start=2 * i, own_dim=s.dim,
+                             c=c, offset=offset) for i, (s, c) in enumerate(zip(sets, fields))]
+    game = build_instance([2, 1], sets, maps, maps_p)
+    assert all(p.halfspace_valued for p in game.preference_maps)
+    assert assert_directions_match_the_reference(game, _lattice_rows(game, 0.05),
+                                                 SolverConfig(h=0.05)) > 0

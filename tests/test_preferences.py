@@ -10,18 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from projnash import preferences as prefs_mod
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import load_fixture
-from projnash.geometry import Box, grid_axis
+from projnash.geometry import Box, grid_axis, lattice_axis, mesh_points
+from projnash.normal_op import normal_directions_batch
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
-                                  _ComplementCloud, _cloud_for, _halfspace_form,
-                                  _in_convex_hull,
+                                  _ComplementCloud, _cloud_for, _gain_factors,
+                                  _halfspace_form, _in_convex_hull,
                                   _rival_scalar_form, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
                                   gain_groups, preferred, preferred_many,
                                   sample_preferred, strict_gain_max,
                                   strict_gain_outer, strict_gain_paired)
+from projnash.solvers import SolverConfig
 
 SQRT2 = math.sqrt(2.0)
 
@@ -600,15 +603,63 @@ def test_grouped_gain_maximum_on_a_table(seed):
                           _masked_max(p, xs, zs, mask))
 
 
+def _prefilter_cases(name, h=0.1):
+    """Per player of a fixture: its preference, the hull-lattice rows, the
+    prefilter's lattice pool, the constraint keys and their pool mask."""
+    game = load_fixture(name)
+    lo, hi = game.hull_box._np
+    ys = mesh_points([lattice_axis(lo[j], hi[j], h) for j in range(game.n)])
+    xs = game.project_choice_many(ys)
+    for i in range(game.player_count):
+        lo_q, hi_q = game.hull_boxes[i]._np
+        pool = mesh_points([lattice_axis(lo_q[j], hi_q[j], h) for j in range(game.dims[i])])
+        cmap, keys = game.constraint_maps[i], game.constraint_maps[i].value_key(xs)
+        yield (game, i, ys, pool, keys,
+               lambda reps, cmap=cmap, keys=keys, pool=pool: cmap.contains_key(keys[reps], pool))
+
+
+@pytest.mark.parametrize("name", ["disk", "chase", "expand", "spin"])
+def test_hash_collisions_fall_back_to_the_row_sort(name, monkeypatch):
+    # every row hashed to one key: the grouping must notice and sort the rows
+    cfg = SolverConfig(h=0.1, random_budget=64)
+    most = 0
+    for game, i, ys, pool, keys, allowed in _prefilter_cases(name):
+        p = game.preference_maps[i]
+        hashed = gain_groups(p, ys, pool, keys)[:2]
+        best = strict_gain_max(p, ys, pool, keys, allowed)
+        dirs = normal_directions_batch(game, i, ys, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(prefs_mod, "_mix_rows",
+                          lambda bits: np.zeros(bits.shape[0], dtype=np.uint64))
+            collided = gain_groups(p, ys, pool, keys)[:2]
+            best_c = strict_gain_max(p, ys, pool, keys, allowed)
+            dirs_c = normal_directions_batch(game, i, ys, cfg)
+        bits = np.hstack([_gain_factors(p, ys, pool)[0], keys]).view(np.uint64)
+        _, reps, group = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        most = max(most, reps.size)
+        # representatives are first rows either way, so each row's
+        # representative names its group
+        for got_reps, got_group in (hashed, collided):
+            assert set(got_reps.tolist()) == set(reps.tolist())
+            assert np.array_equal(got_reps[got_group], reps[group.reshape(-1)])
+        assert best.tobytes() == best_c.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(dirs, dirs_c))
+    assert most > 1
+
+
 # -- one-dimensional hulls ------------------------------------------------------
 
 def _lp_in_hull(points, target, tol=1e-9):
-    # the HiGHS feasibility LP of the general path
+    # the HiGHS feasibility LP of the general path, its weights clipped at 0
+    # and renormalised before the distance check
     from scipy.optimize import linprog
     res = linprog(c=np.zeros(points.shape[0]),
                   A_eq=np.vstack([points.T, np.ones(points.shape[0])]),
                   b_eq=np.concatenate([target, [1.0]]), bounds=(0, None), method="highs")
-    return res.status == 0 and float(np.max(np.abs(points.T @ res.x - target))) <= tol
+    if res.status != 0:
+        return False
+    weights = np.clip(res.x, 0.0, None)
+    return float(np.max(np.abs(points.T @ (weights / weights.sum()) - target))) <= tol
 
 
 def test_one_dimensional_hull_is_the_interval_the_lp_finds():
@@ -631,6 +682,26 @@ def test_one_dimensional_hull_is_the_interval_the_lp_finds():
         for t, inside in ((lo - tol / 2, True), (hi + tol / 2, True),
                           (lo - 2 * tol, False), (hi + 2 * tol, False)):
             assert _in_convex_hull(points, np.array([t]), tol) == inside
+
+
+def test_two_dimensional_hull_answers_are_held_to_tol():
+    # HiGHS meets its constraints only to about 1e-7, so its weights can
+    # reach a target just past the hull; the returned weights are verified
+    rng = np.random.default_rng(0)
+    tol = 1e-9
+    outside = accepted = 0
+    for _ in range(300):
+        points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2))
+        weights = rng.dirichlet(np.ones(points.shape[0]))
+        assert _in_convex_hull(points, points.T @ weights, tol)
+        # past the max-x vertex by push: at least push from every hull point
+        push = float(np.exp(rng.uniform(np.log(1e-9), np.log(3e-7))))
+        target = points[np.argmax(points[:, 0])] + np.array([push, 0.0])
+        if push > 2 * tol:
+            outside += 1
+            accepted += _in_convex_hull(points, target, tol)
+    assert outside > 200
+    assert accepted == 0
 
 
 def test_loading_a_table_leaves_the_lp_solver_unimported():
