@@ -545,6 +545,8 @@ def _joint_rows(game: GameInstance, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != game.n:
         raise InputError("joint strategy dimension mismatch")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InputError("joint strategies must be finite")
     return xs, ys
 
 

@@ -35,6 +35,9 @@ CONE_TOL = 1e-9
 ANGULAR_RESOLUTION = 6283
 #: most points per axis of a non-box constraint grid (:func:`set_grid`)
 GRID_AXIS_CAP = 201
+#: most points of a scan grid (or of one axis of the fixed-point start
+#: grid); larger grids stop with an InputError before any axis is built
+GRID_GUARD = 10_000_000
 
 
 def _as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -389,12 +392,34 @@ def grid_points(box: Box, per_axis: Sequence[int]) -> np.ndarray:
                         for j in range(box.dim)])
 
 
+def grid_axis_size(lo: float, hi: float, step: float) -> Union[int, float]:
+    """Point count of :func:`grid_axis`, without building the axis
+    (``inf`` when the count overflows a float)."""
+    if hi <= lo + 1e-15:
+        return 1
+    # Python floats: an overflowing division is inf, with no numpy warning
+    cells = float(hi - lo) / step - 1e-9
+    return int(math.ceil(cells)) + 1 if math.isfinite(cells) else math.inf
+
+
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """Axis points spaced at most ``step`` apart, both endpoints included."""
     if hi <= lo + 1e-15:
         return np.array([lo])
-    n = int(math.ceil((hi - lo) / step - 1e-9)) + 1
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, grid_axis_size(lo, hi, step))
+
+
+def lattice_span(lo: float, hi: float, step: float) -> tuple[float, float, Union[int, float]]:
+    """First and last point and point count of :func:`lattice_axis`,
+    without building the axis (count ``inf`` when it overflows a float)."""
+    a, b = float(lo) / step + 1e-9, float(hi) / step - 1e-9
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return lo, hi, math.inf
+    lo_s = math.floor(a) * step
+    hi_s = math.ceil(b) * step
+    if hi_s <= lo_s + 1e-15:
+        return lo_s, lo_s, 1
+    return lo_s, hi_s, int(round((hi_s - lo_s) / step)) + 1
 
 
 def lattice_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -403,12 +428,26 @@ def lattice_axis(lo: float, hi: float, step: float) -> np.ndarray:
     Zero-anchored scan grids keep round-coordinate points representable
     whatever the interval phase, and nest under step halving.
     """
-    lo_s = math.floor(lo / step + 1e-9) * step
-    hi_s = math.ceil(hi / step - 1e-9) * step
-    if hi_s <= lo_s + 1e-15:
-        return np.array([lo_s])
-    n = int(round((hi_s - lo_s) / step)) + 1
-    return np.linspace(lo_s, hi_s, n)
+    lo_s, hi_s, n = lattice_span(lo, hi, step)
+    return np.array([lo_s]) if n == 1 else np.linspace(lo_s, hi_s, n)
+
+
+def cell_count_text(total: Union[int, float]) -> str:
+    """A cell count for an error message: exact below 1e15, else its order
+    of magnitude."""
+    if total < 10 ** 15:
+        return str(total)
+    return "more than 1e308" if total == math.inf else f"about 1e{math.log10(total):.0f}"
+
+
+def check_grid_size(counts: Sequence[Union[int, float]], what: str) -> int:
+    """The cell count of a grid with these axis point counts, or an
+    InputError naming it when it exceeds :data:`GRID_GUARD`."""
+    total = math.prod(counts)
+    if total > GRID_GUARD:
+        raise InputError(f"{what} of {cell_count_text(total)} cells exceeds the guard "
+                         f"({GRID_GUARD}); use a coarser h")
+    return total
 
 
 def constraint_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -424,6 +463,11 @@ def constraint_axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.unique(np.concatenate([base, lattice]))
 
 
+def _constraint_axis_bound(lo: float, hi: float, step: float) -> Union[int, float]:
+    """An upper bound on the point count of :func:`constraint_axis`."""
+    return grid_axis_size(lo, hi, step) + lattice_span(lo, hi, step)[2]
+
+
 def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
     """Scan grid over a constraint value, with the resolution it reaches.
 
@@ -431,18 +475,23 @@ def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
     grid their bounding box with :func:`grid_axis` (a zero-width axis is one
     point), capped at ``GRID_AXIS_CAP`` points per axis, and project the
     grid back onto the set; a capped axis coarsens the returned resolution
-    to its actual spacing.
+    to its actual spacing.  A box grid over ``GRID_GUARD`` points stops with
+    an InputError before any axis is built.
     """
     if isinstance(s, Box):
         lo, hi = s._np
+        check_grid_size([_constraint_axis_bound(lo[j], hi[j], step) for j in range(s.dim)],
+                        "constraint scan grid")
         return mesh_points([constraint_axis(lo[j], hi[j], step) for j in range(s.dim)]), step
     lo, hi = s.bounding_box()._np
-    axes = [grid_axis(lo[j], hi[j], step) for j in range(s.dim)]
+    axes = []
     resolution = step
-    for j, ax in enumerate(axes):
-        if ax.shape[0] > GRID_AXIS_CAP:
-            axes[j] = np.linspace(lo[j], hi[j], GRID_AXIS_CAP)
+    for j in range(s.dim):
+        if grid_axis_size(lo[j], hi[j], step) > GRID_AXIS_CAP:
+            axes.append(np.linspace(lo[j], hi[j], GRID_AXIS_CAP))
             resolution = max(resolution, float(hi[j] - lo[j]) / (GRID_AXIS_CAP - 1))
+        else:
+            axes.append(grid_axis(lo[j], hi[j], step))
     return s.project_many(mesh_points(axes)), resolution
 
 

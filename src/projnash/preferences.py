@@ -30,11 +30,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
-from .geometry import Box, ConvexSet, grid_axis, probe_points, set_grid
+from .geometry import (Box, ConvexSet, cell_count_text, grid_axis, grid_axis_size,
+                       probe_points, set_grid)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -604,12 +604,12 @@ class _ComplementCloud:
                 active.append(j)
         active = sorted(active)
         self.active = np.array(active, dtype=np.int64)
-        axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
-        shape = tuple(len(ax) for ax in axes)
-        total = int(np.prod(shape))
+        total = math.prod(grid_axis_size(lo[j], hi[j], ctx.h_g) for j in active)
         if total > 120_000_000:
             raise InputError(
-                f"distance grid of {total} cells is too large; increase h_g")
+                f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
+        axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
+        shape = tuple(len(ax) for ax in axes)
         self.points = self._boundary_points(gain, active, axes, shape)
         if self.points.shape[0] == 0:
             raise InputError(
@@ -667,7 +667,8 @@ class _ComplementCloud:
         return np.vstack(boundary)
 
     @cached_property
-    def _tree(self) -> cKDTree:
+    def _tree(self):
+        from scipy.spatial import cKDTree  # imported on first use: a slow import
         return cKDTree(self.points)
 
     def min_distance(self, queries: np.ndarray) -> np.ndarray:

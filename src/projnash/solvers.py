@@ -22,19 +22,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import InputError
 from .game import (Certificate, GameInstance, WITNESS_GUARD,
                    check_projected_solution_many, constraint_set, seeded_rng)
-from .geometry import (Box, grid_axis, grid_points, lattice_axis, mesh_points,
-                       project, set_grid)
+from .geometry import (Box, check_grid_size, grid_axis, grid_axis_size, grid_points,
+                       lattice_axis, lattice_span, mesh_points, project, set_grid)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
-_GRID_GUARD = 10_000_000
 #: rows per lexicographic block of the joint scan grid
 _SCAN_BLOCK = 65536
 
@@ -64,10 +60,15 @@ class SolverConfig:
     angular_resolution: int = 6283
 
     def __post_init__(self):
-        if self.h <= 0:
+        # the chained comparisons also refuse NaN, which ``x <= 0`` lets through
+        if not 0 < self.h < math.inf:
             raise InputError("grid resolution h must be positive")
-        if self.eps is not None and self.eps <= 0:
+        if self.eps is not None and not 0 < self.eps < math.inf:
             raise InputError("residual tolerance eps must be positive")
+        if self.h_g is not None and not 0 < self.h_g < math.inf:
+            raise InputError("distance grid step must be positive")
+        if not 0 <= self.strictness < math.inf:
+            raise InputError("strictness must be finite and nonnegative")
         if not 0 < self.damping <= 1:
             raise InputError("damping must lie in (0, 1]")
         if self.max_iter < 0 or self.multistart < 1 or self.random_budget < 0:
@@ -136,12 +137,10 @@ def _scan(game: GameInstance, cfg: SolverConfig
     skipped.
     """
     lo, hi = game.hull_box._np
+    total = check_grid_size([lattice_span(lo[j], hi[j], cfg.h)[2] for j in range(game.n)],
+                            "scan grid")
     axes = [lattice_axis(lo[j], hi[j], cfg.h) for j in range(game.n)]
     shape = tuple(ax.shape[0] for ax in axes)
-    total = math.prod(shape)
-    if total > _GRID_GUARD:
-        raise InputError(
-            f"scan grid of {total} cells exceeds the guard ({_GRID_GUARD}); use a coarser h")
 
     def blocks():
         for start in range(0, total, _SCAN_BLOCK):
@@ -240,6 +239,8 @@ def _multistart_points(game: GameInstance, cfg: SolverConfig) -> np.ndarray:
     center = (lo + hi) / 2.0
     rng = seeded_rng(cfg.seed, 37)
     extras = []
+    for j in range(game.n):
+        check_grid_size([grid_axis_size(lo[j], hi[j], cfg.h)], "start grid axis")
     axes = [grid_axis(lo[j], hi[j], cfg.h) for j in range(game.n)]
     for _ in range(max(0, cfg.multistart)):
         extras.append([ax[rng.integers(0, ax.shape[0])] for ax in axes])
@@ -518,6 +519,10 @@ def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certi
     """
     if not certs:
         return []
+    # imported on first use: slow imports that parsing and verify never need
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
     pts = np.array([c.x + c.y for c in certs])
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]

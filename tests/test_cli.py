@@ -10,6 +10,7 @@ from projnash.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from projnash.preferences import preferred
 
 EXPAND = str(fixture_path("expand"))
+SELFMAP = str(fixture_path("selfmap"))
 
 
 def run_capture(argv):
@@ -128,6 +129,21 @@ def test_cli_missing_file_exit_two(capsys):
 
 def test_cli_bad_candidate_vector_exit_two(capsys):
     assert run(["verify", EXPAND, "--x", "1", "--y", "2,2"]) == 2
+
+
+@pytest.mark.parametrize("x, y", [("0.5,0.5", "nan,0.5"), ("nan,0.5", "0.5,0.5"),
+                                  ("0.5,inf", "0.5,0.5")])
+def test_cli_verify_non_finite_candidate_exit_two(capsys, x, y):
+    # unchecked, a NaN y passes with NaN residuals
+    assert run(["verify", SELFMAP, "--x", x, "--y", y]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--h", "inf"), ("--h-g", "nan"),
+                                         ("--eps", "nan"), ("--h", "1e-300")])
+def test_cli_verify_degenerate_config_exit_two(capsys, flag, value):
+    assert run(["verify", SELFMAP, "--x", "0,0", "--y", "0,0", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_floats_printed_at_17_digits():

@@ -6,7 +6,8 @@ from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.game import (DEFAULT_PROBE_AXIS, MovingBox, MovingPolytope,
                            _probe_grid_for_box, _scan_samples, check_nep,
-                           check_projected_solution, constraint_set,
+                           check_nep_many, check_projected_solution,
+                           check_projected_solution_many, constraint_set,
                            from_utilities, seeded_rng)
 from projnash.geometry import Ball, Box, HalfspacePolytope
 from projnash.preferences import preferred, sample_preferred
@@ -92,6 +93,19 @@ def test_check_projected_solution_intersection_failure():
     cert = check_projected_solution(g, [1.0, 1.0], [1.0, 1.0], SolverConfig())
     assert not cert.passed
     assert cert.reason.startswith("intersection")
+
+
+@pytest.mark.parametrize("x, y", [([0.5, 0.5], [np.nan, 0.5]), ([np.nan, 0.5], [0.5, 0.5]),
+                                  ([0.5, -np.inf], [0.5, 0.5])])
+def test_certifier_entry_points_reject_non_finite_rows(x, y):
+    g, cfg = load_fixture("selfmap"), SolverConfig(h=0.1)
+    calls = (lambda: check_nep(g, x, y, cfg),
+             lambda: check_nep_many(g, [[0.5, 0.5], x], [[0.5, 0.5], y], cfg),
+             lambda: check_projected_solution(g, x, y, cfg),
+             lambda: check_projected_solution_many(g, [x], [y], cfg))
+    for call in calls:
+        with pytest.raises(InputError, match="must be finite"):
+            call()
 
 
 # -- from_utilities ---------------------------------------------------------------

@@ -279,6 +279,34 @@ def test_set_grid_polytope_zero_width_axis_is_one_point():
     assert np.allclose(pts[:, 1], 0.3)
 
 
+def test_axis_sizes_match_the_axes_they_count():
+    # the grid guards decide on these counts before any axis is built
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(rng.choice([0.0, 1e-16, rng.uniform(0.0, 4.0)]))
+        step = float(rng.choice([0.05, 0.1, 0.25, rng.uniform(0.01, 1.0)]))
+        assert geometry.grid_axis_size(lo, hi, step) == geometry.grid_axis(lo, hi, step).shape[0]
+        lo_s, hi_s, n = geometry.lattice_span(lo, hi, step)
+        axis = geometry.lattice_axis(lo, hi, step)
+        assert (axis[0], axis[-1], axis.shape[0]) == (lo_s, hi_s if n > 1 else lo_s, n)
+        assert (geometry._constraint_axis_bound(lo, hi, step)
+                >= geometry.constraint_axis(lo, hi, step).shape[0])
+
+
+def test_set_grid_guards_box_grids_and_caps_others_before_allocating():
+    box = Box((0.0, 0.0), (1.0, 2.0))
+    with pytest.raises(InputError, match=r"about 1e\d+ cells exceeds the guard"):
+        set_grid(box, 1e-300)
+    # a step whose point count overflows a float is refused the same way
+    with pytest.raises(InputError, match="more than 1e308 cells exceeds the guard"):
+        set_grid(box, 1e-320)
+    # a non-box grid is capped per axis, so it never needs the guard
+    pts, resolution = set_grid(Ball((0.0, 0.0), 1.0), 1e-300)
+    assert pts.shape == (geometry.GRID_AXIS_CAP ** 2, 2)
+    assert resolution == 2.0 / (geometry.GRID_AXIS_CAP - 1)
+
+
 # -- batched face polish -------------------------------------------------------
 
 def _polish_one(a, b, y, x):

@@ -1,0 +1,95 @@
+"""Import hygiene: parsing, building and verifying games need numpy only.
+
+scipy serves the complement-cloud KD-tree, certificate clustering and the
+hull LP in two or more dimensions, each imported on first use, so every
+CLI call that never reaches them starts without scipy's slow submodules.
+Each check runs in a fresh interpreter, where ``sys.modules`` shows
+exactly what the work loaded.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from projnash.fixtures import fixture_path
+from test_golden import EXIT_CODES, FLAGS, VERIFY_POINTS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SLOW_MODULES = ("scipy.sparse", "scipy.spatial", "scipy.optimize")
+
+_PREAMBLE = f"""
+import json, runpy, sys
+SLOW_MODULES = {SLOW_MODULES!r}
+def loaded():
+    return [m for m in SLOW_MODULES if m in sys.modules]
+"""
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
+    proc = _python("-c", _PREAMBLE + code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_loading_and_verifying_leave_scipy_unimported():
+    verify_args = {name: ["verify", str(fixture_path(name)), *FLAGS, "--x", x, "--y", y]
+                   for name, (x, y) in VERIFY_POINTS.items()}
+    out = _fresh(f"""
+import projnash
+from projnash import (AffineMap, Box, MovingBox, MovingPolytope, from_utilities,
+                      load_fixture, parse_polynomial_text)
+from projnash.fixtures import FIXTURE_NAMES
+for name in FIXTURE_NAMES:
+    load_fixture(name)
+offsets = AffineMap.from_polynomials([parse_polynomial_text(t, 3)
+                                      for t in ("0", "0", "0.5 + 0.5*x3")])
+triangle = MovingPolytope(player_index=0, normals=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),
+                          offsets=offsets, bounds_hint=Box((0.0, 0.0), (1.0, 1.0)))
+fixed = MovingBox(player_index=1, lower=AffineMap.constant([0.0], 3),
+                  upper=AffineMap.constant([1.0], 3))
+from_utilities([2, 1], [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))],
+               [triangle, fixed], ["x1 + x2", "-(x3 - 0.5)^2"])
+after_loading = loaded()
+codes = {{}}
+for name, argv in {verify_args!r}.items():
+    # what ``python -m projnash verify ...`` runs
+    sys.argv = ["projnash", *argv]
+    try:
+        runpy.run_module("projnash", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes[name] = exc.code
+print(json.dumps({{"after_loading": after_loading, "codes": codes, "loaded": loaded()}}))
+""")
+    assert out["after_loading"] == []
+    expected = json.loads(EXIT_CODES.read_text())
+    assert out["codes"] == {name: expected[f"{name}.verify"] for name in VERIFY_POINTS}
+    assert out["loaded"] == []
+
+
+def test_clustering_still_imports_scipy_on_first_use():
+    out = _fresh("""
+from projnash import SolverConfig, brute_force_oracle, load_fixture
+result = brute_force_oracle(load_fixture("selfmap"), SolverConfig(h=0.05, seed=0))
+print(json.dumps({"certificates": len(result.certificates), "loaded": loaded()}))
+""")
+    assert out["certificates"] == 1
+    assert {"scipy.sparse", "scipy.spatial"} <= set(out["loaded"])
+
+
+def test_python_dash_m_runs_the_cli():
+    x, y = VERIFY_POINTS["expand"]
+    proc = _python("-m", "projnash", "verify", str(fixture_path("expand")), *FLAGS,
+                   "--x", x, "--y", y)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict = pass" in proc.stdout

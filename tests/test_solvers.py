@@ -6,7 +6,8 @@ from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
-                           WITNESS_GUARD, from_utilities, seeded_rng)
+                           WITNESS_GUARD, check_projected_solution, from_utilities,
+                           seeded_rng)
 from projnash.geometry import Box, grid_points, lattice_axis, mesh_points
 from projnash.normal_op import normal_directions_batch, normal_operator, unit_normal_product
 from projnash.geometry import grid_axis
@@ -34,6 +35,25 @@ def test_config_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(InputError):
         SolverConfig(eps=-1.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("h", float("nan"), "grid resolution h"),
+    ("h", float("inf"), "grid resolution h"),
+    ("eps", float("nan"), "residual tolerance eps"),
+    ("eps", float("inf"), "residual tolerance eps"),
+    ("h_g", float("nan"), "distance grid step"),
+    ("h_g", float("inf"), "distance grid step"),
+    ("h_g", 0.0, "distance grid step"),
+    ("strictness", float("nan"), "strictness"),
+    ("strictness", float("inf"), "strictness"),
+    ("strictness", -1e-3, "strictness"),
+])
+def test_config_rejects_values_that_disable_checks(field, value, message):
+    # NaN fails every comparison, so a NaN strictness or eps would pass
+    # every intersection scan or residual test
+    with pytest.raises(InputError, match=message):
+        SolverConfig(**{field: value})
 
 
 def test_config_eps_defaults_and_override():
@@ -415,6 +435,20 @@ def test_oracle_grid_guard():
     g = load_fixture("expand")
     with pytest.raises(InputError):
         brute_force_oracle(g, SolverConfig(h=1e-4))
+
+
+def test_grid_guards_stop_before_building_any_axis():
+    # only steps the guards refuse before allocating belong here: a finer h
+    # that passes them can allocate gigabytes
+    g = load_fixture("selfmap")
+    cfg = SolverConfig(h=1e-300)
+    for route in (brute_force_oracle, solve_qvi, solve_fixed_point):
+        with pytest.raises(InputError, match="about 1e[0-9]+ cells exceeds the guard"):
+            route(g, cfg)
+    with pytest.raises(InputError, match="exceeds the guard"):
+        check_projected_solution(g, [0.5, 0.5], [0.5, 0.5], cfg)
+    with pytest.raises(InputError, match="distance grid of about 1e[0-9]+ cells is too large"):
+        solve_fixed_point(load_fixture("chase"), SolverConfig(h=0.05, h_g=1e-300))
 
 
 def test_oracle_spin_cluster_shape():
