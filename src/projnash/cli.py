@@ -13,6 +13,7 @@ run with no certificate, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -402,7 +403,10 @@ def _emit_result(report: Report, result: SolveResult) -> None:
 # Command-line entry
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse keeps its
+    results in a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="projnash",
         description="Compute and verify projected solutions of generalized "

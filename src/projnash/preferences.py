@@ -40,6 +40,8 @@ _SQRT2 = math.sqrt(2.0)
 
 #: grid-point matching tolerance for the sampled variant
 GRID_MATCH_TOL = 1e-9
+#: grid cells per block of whole slabs in a complement-cloud scan
+_CLOUD_BLOCK = 65_536
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +320,21 @@ class Sampled(PreferenceMap):
 
     def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
         """The rival factor is the at-point index, the lift +/-1 from the
-        table (see :meth:`PreferenceMap._gain_factors`).  Candidates are
-        shared rows only: a table's scan draws no samples."""
-        at = np.array([self._locate(self._at, x, "at-point") for x in xs], dtype=np.float64)
-        cols = [self._locate(self._z, z, "z-point") for z in zs]
-        lift = lambda rows: np.where(self._table[np.ix_(at[rows].astype(np.intp), cols)], 1.0, -1.0)
-        return at[:, None], np.zeros(at.shape[0]), 0.0, lift
+        table (see :meth:`PreferenceMap._gain_factors`).  Paired candidates
+        are located row by row after the row's at-point, so the first row
+        off the declared grid is the one named."""
+        at, cols = [], []
+        for r, x in enumerate(xs):
+            at.append(self._locate(self._at, x, "at-point"))
+            if zs.ndim == 3:
+                cols.append([self._locate(self._z, z, "z-point") for z in zs[r]])
+        if zs.ndim == 2:
+            cols = [self._locate(self._z, z, "z-point") for z in zs]
+        at, cols = np.array(at, dtype=np.intp), np.array(cols, dtype=np.intp)
+        pick = (lambda rows: np.ix_(at[rows], cols)) if zs.ndim == 2 else (
+            lambda rows: (at[rows, None], cols[rows]))
+        lift = lambda rows: np.where(self._table[pick(rows)], 1.0, -1.0)
+        return at[:, None].astype(np.float64), np.zeros(at.shape[0]), 0.0, lift
 
     def scan_grid(self, k_set: ConvexSet, h: float, budget: int
                   ) -> tuple[np.ndarray, float, int]:
@@ -618,58 +629,50 @@ class _ComplementCloud:
 
     def _boundary_points(self, gain: Polynomial, active: list[int],
                          axes: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-        # slab-wise scan along the first active axis keeps memory bounded;
-        # every other active variable is its axis, broadcast along its own
-        # slab dimension
+        # blocks of whole slabs along the first active axis keep memory
+        # bounded; every active variable is its axis, broadcast along its
+        # own block dimension.  A block's mask carries the slab before it and
+        # the slab after it, each evaluated once, for the neighbour test.
         d = len(axes)
         slab_shape = shape[1:] if d > 1 else (1,)
+        per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
         cols: list = [None] * gain.n_vars
         for c in range(1, d):
-            cols[active[c]] = axes[c].reshape([-1 if a == c - 1 else 1 for a in range(d - 1)])
+            cols[active[c]] = axes[c].reshape([-1 if a == c else 1 for a in range(d)])
 
-        def slab_mask(i: int) -> np.ndarray:
-            # a one-element array, not a scalar: numpy's scalar ``**`` rounds
-            # differently from its array ``**``
-            cols[active[0]] = axes[0][i:i + 1]
-            return gain.eval_columns(cols, slab_shape) <= 0.0
-
-        def neighbours(pref: np.ndarray) -> np.ndarray:
-            # points with a preferred neighbour along some in-slab axis
-            out = np.zeros_like(pref)
-            for axis in range(pref.ndim):
-                lo = (slice(None),) * axis + (slice(None, -1),)
-                hi = (slice(None),) * axis + (slice(1, None),)
-                out[hi] |= pref[lo]
-                out[lo] |= pref[hi]
-            return out
+        def masks(start: int, stop: int) -> np.ndarray:
+            cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
+            return gain.eval_columns(cols, (stop - start,) + slab_shape) <= 0.0
 
         boundary: list[np.ndarray] = []
-        prev_mask = None
-        cur_mask = slab_mask(0)
-        for i in range(shape[0]):
-            next_mask = slab_mask(i + 1) if i + 1 < shape[0] else None
-            neighbor_pref = neighbours(~cur_mask)
-            if prev_mask is not None:
-                neighbor_pref |= ~prev_mask
-            if next_mask is not None:
-                neighbor_pref |= ~next_mask
-            sel = cur_mask & neighbor_pref
-            if np.any(sel):
-                idx = np.argwhere(sel)
-                coords = np.empty((idx.shape[0], d))
-                coords[:, 0] = axes[0][i]
-                for col in range(1, d):
-                    coords[:, col] = axes[col][idx[:, col - 1]]
-                boundary.append(coords)
-            prev_mask, cur_mask = cur_mask, next_mask
-        if not boundary:
-            return np.zeros((0, d))
+        first, block = 0, masks(0, min(shape[0], per + 1))      # block[0] is slab ``first``
+        for start in range(0, shape[0], per):
+            stop = min(shape[0], start + per)
+            # points with a preferred neighbour along some axis
+            pref, near = ~block, np.zeros_like(block)
+            for axis in range(block.ndim):
+                lo = (slice(None),) * axis + (slice(None, -1),)
+                hi = (slice(None),) * axis + (slice(1, None),)
+                near[hi] |= pref[lo]
+                near[lo] |= pref[hi]
+            idx = np.argwhere((block & near)[start - first:stop - first])
+            coords = np.empty((idx.shape[0], d))
+            coords[:, 0] = axes[0][start + idx[:, 0]]
+            for col in range(1, d):
+                coords[:, col] = axes[col][idx[:, col]]
+            boundary.append(coords)
+            if stop < shape[0]:
+                ahead = masks(stop + 1, min(shape[0], stop + per + 1)) if stop + 1 < shape[0] else None
+                block = np.concatenate([block[stop - 1 - first:]] + ([ahead] if ahead is not None else []))
+                first = stop - 1
         return np.vstack(boundary)
 
     @cached_property
     def _tree(self):
         from scipy.spatial import cKDTree  # imported on first use: a slow import
-        return cKDTree(self.points)
+        # an unbalanced, uncompacted build is twice as fast; queries return
+        # the same distances
+        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
 
     def min_distance(self, queries: np.ndarray) -> np.ndarray:
         return self._tree.query(queries[:, self.active])[0]
@@ -687,40 +690,41 @@ def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:
 
 def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
                         y, zs: np.ndarray) -> np.ndarray:
-    """Graph distance for many own-block candidates at one joint ``y``."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    zs = np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim)
-    queries = np.hstack([np.broadcast_to(y, (zs.shape[0], y.shape[0])), zs])
+    """Graph distance for many own-block candidates at one joint ``y``, or,
+    with ``y`` of shape ``(m, n)`` and ``zs`` of shape ``(m, s, own_dim)``,
+    of each row against its own candidates: ``(m, s)`` values, each bitwise
+    the one-row call's."""
+    ys = np.asarray(y, dtype=np.float64)
+    paired = ys.ndim == 2
+    ys = ys.reshape(-1, ys.shape[-1])
+    zs = np.asarray(zs, dtype=np.float64).reshape(ys.shape[0], -1, p.own_dim)
     lo, hi = ctx.region._np
-    if np.any(queries < lo - GRID_MATCH_TOL) or np.any(queries > hi + GRID_MATCH_TOL):
+    n = ys.shape[1]
+    if any(np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)
+           for v, a, b in ((ys, lo[:n], hi[:n]), (zs, lo[n:], hi[n:]))):
         raise InputError("graph-distance query lies outside the context region")
-    pref = preferred_many(p, y, zs)
-    out = np.zeros(zs.shape[0])
+    pref = strict_gain_paired(p, ys, zs) > 0.0
     if not np.any(pref):
-        return out
-    own = _own_of(p, y)
-
-    half = _halfspace_form(p)
+        return np.zeros(pref.shape) if paired else np.zeros(pref.shape[1])
+    own = _own_of(p, ys)[:, None, :]
+    half, scalar = _halfspace_form(p), _rival_scalar_form(p)
     if half is not None:
         c, off = half
-        gainvals = (zs - own) @ c - off
-        out[pref] = gainvals[pref] / (_SQRT2 * float(np.linalg.norm(c)))
-        return out
-    scalar = _rival_scalar_form(p)
-    if scalar is not None:
+        gainvals = ((zs - own).reshape(-1, p.own_dim) @ c).reshape(pref.shape) - off
+        out = np.where(pref, gainvals / (_SQRT2 * float(np.linalg.norm(c))), 0.0)
+    elif scalar is not None:
         cmap, a = scalar
-        cval = float(cmap.eval(y)[0])
+        cval = cmap.eval_many(ys)[:, :1]
         anorm = float(np.linalg.norm(a))
-        dz = zs[:, 0] - own[0]
-        plus = np.hypot(max(0.0, -cval) / anorm, np.clip(dz, 0.0, None) / _SQRT2)
-        minus = np.hypot(max(0.0, cval) / anorm, np.clip(-dz, 0.0, None) / _SQRT2)
-        vals = np.minimum(plus, minus)
-        out[pref] = vals[pref]
-        return out
-
-    cloud = _cloud_for(p, ctx)
-    out[pref] = cloud.min_distance(queries[pref])
-    return out
+        dz = zs[..., 0] - own[..., 0]
+        plus = np.hypot(np.maximum(0.0, -cval) / anorm, np.clip(dz, 0.0, None) / _SQRT2)
+        minus = np.hypot(np.maximum(0.0, cval) / anorm, np.clip(-dz, 0.0, None) / _SQRT2)
+        out = np.where(pref, np.minimum(plus, minus), 0.0)
+    else:
+        rows, cols = np.nonzero(pref)
+        out = np.zeros(pref.shape)
+        out[rows, cols] = _cloud_for(p, ctx).min_distance(np.hstack([ys[rows], zs[rows, cols]]))
+    return out if paired else out[0]
 
 
 def graph_distance(p: PreferenceMap, ctx: GraphDistanceContext, y, z) -> float:

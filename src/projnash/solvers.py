@@ -24,15 +24,17 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InputError
-from .game import (Certificate, GameInstance, WITNESS_GUARD,
-                   check_projected_solution_many, constraint_set, seeded_rng)
-from .geometry import (Box, check_grid_size, grid_axis, grid_axis_size, grid_points,
-                       lattice_axis, lattice_span, mesh_points, project, set_grid)
+from .game import (Certificate, GameInstance, MovingBox, WITNESS_GUARD,
+                   check_projected_solution_many, seeded_rng)
+from .geometry import (Box, box_grids, check_grid_size, grid_axis, grid_axis_size,
+                       grid_points, lattice_axis, lattice_span, mesh_points, project, set_grid)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
 #: rows per lexicographic block of the joint scan grid
 _SCAN_BLOCK = 65536
+#: most padded (row, grid point) entries of one batched best-response call
+_RESPONSE_ENTRIES = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +217,68 @@ def best_response_distance(game: GameInstance, i: int, x, y, cfg: SolverConfig
     resolution) and the selection is the projection of ``y_i`` onto the
     constraint: the iteration is stationary at true solutions.  Otherwise
     the selection is the centroid of the maximizer list, a point of the
-    hull of best responses.
+    hull of best responses.  The one-row call of :func:`_best_responses`.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    k_set = constraint_set(game, i, x)
-    pts, _ = set_grid(k_set, cfg.h)
+    xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    ys = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    maximizers, selected = _best_responses(game, i, xs, ys, cfg)
+    return maximizers[0], selected[0]
+
+
+def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
+                    cfg: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`best_response_distance` at every ``(x, y)`` row.
+
+    The scan grids of ``K_i(x)`` come from one ``bounds_many`` for box
+    values (other values are materialized row by row); the graph distance
+    of every (row, grid point) pair is one call per chunk of rows padded to
+    at most ``_RESPONSE_ENTRIES`` entries; the selection runs row by row.
+    Each row's maximizers and selection are bitwise its one-row call's.
+    """
+    if xs.shape[1] != game.n:
+        raise InputError(f"joint strategy has dimension {xs.shape[1]}, expected {game.n}")
+    if not np.all(game.in_choice_many(xs, tol=1e-9)):
+        raise InputError("joint strategy lies outside the choice-set product")
+    cmap, sl = game.constraint_maps[i], game.own_slice(i)
+    if isinstance(cmap, MovingBox):
+        lo, hi = cmap.bounds_many(xs)
+        if np.any(lo > hi):     # an empty value: materializing the first raises
+            cmap.materialize(xs[np.argmax(np.any(lo > hi, axis=1))])
+        sizes, grids = box_grids(lo, hi, cfg.h)
+        projection = lambda r: np.clip(ys[r, sl], lo[r], hi[r])
+    else:
+        k_sets = [cmap.materialize(x) for x in xs]
+        flat = [set_grid(k_set, cfg.h)[0] for k_set in k_sets]
+        sizes = np.array([grid.shape[0] for grid in flat])
+        grids = lambda rows: np.stack([flat[r][np.minimum(np.arange(sizes[rows].max()), sizes[r] - 1)]
+                                       for r in rows])
+        projection = lambda r: project(k_sets[r], ys[r, sl])
     ctx = game.distance_context(i, cfg.distance_step)
-    vals = prefs.graph_distance_many(game.preference_maps[i], ctx, y, pts)
-    gmax = float(np.max(vals))
-    if gmax <= 0.0:
-        selected = project(k_set, y[game.own_slice(i)])
-        return pts, selected
-    # the zero-distance plateau is the non-preferred region, never a maximizer
-    maximizers = pts[(vals >= gmax - cfg.eps_analytic) & (vals > 0.0)]
-    return maximizers, np.mean(maximizers, axis=0)
+    maximizers: list = [None] * xs.shape[0]
+    selected = np.empty((xs.shape[0], game.dims[i]))
+    start = 0
+    while start < xs.shape[0]:
+        # consecutive rows whose padded grids fit the bound; a larger grid alone
+        stop = start + 1
+        while stop < xs.shape[0] and (stop + 1 - start) * sizes[start:stop + 1].max() <= _RESPONSE_ENTRIES:
+            stop += 1
+        rows = np.arange(start, stop)
+        pts = grids(rows)
+        vals = prefs.graph_distance_many(game.preference_maps[i], ctx, ys[rows], pts)
+        # a padded entry repeats a grid point, so it moves no maximum
+        gmax = vals.max(axis=1)
+        # the zero-distance plateau is the non-preferred region, never a maximizer
+        best = (vals >= (gmax - cfg.eps_analytic)[:, None]) & (vals > 0.0)
+        for r, grid, mask, top in zip(rows, pts, best, gmax.tolist()):
+            grid = grid[:sizes[r]]
+            if top <= 0.0:
+                maximizers[r], selected[r] = grid, projection(r)
+            else:
+                maximizers[r] = grid[mask[:sizes[r]]]
+                # np.mean's own sum and division, without its dispatch
+                selected[r] = np.add.reduce(maximizers[r], axis=0) / maximizers[r].shape[0]
+        start = stop
+    return maximizers, selected
 
 
 def _multistart_points(game: GameInstance, cfg: SolverConfig) -> np.ndarray:
@@ -258,50 +307,53 @@ def _multistart_points(game: GameInstance, cfg: SolverConfig) -> np.ndarray:
     return np.array(picks)
 
 
-def _best_response_target(game: GameInstance, x: np.ndarray, y: np.ndarray,
-                          cfg: SolverConfig) -> np.ndarray:
-    """Joint vector of every player's selected best response at ``(x, y)``."""
-    target = np.empty_like(y)
-    for i in range(game.player_count):
-        _, target[game.own_slice(i)] = best_response_distance(game, i, x, y, cfg)
-    return target
-
-
 def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     """Damped multistart iteration of the projection/best-response map.
 
-    Every limit point is passed through the full projected-solution check;
-    only certified points are returned.  Convergence is not guaranteed --
-    an empty certificate list with an advisory is the honest failure mode.
+    The starts iterate in lock-step: each iteration makes one batched best
+    response per player over the starts still moving, and a start leaves
+    once its step is at most ``eps_analytic``.  Every limit point is passed
+    through the full projected-solution check; only certified points are
+    returned.  Convergence is not guaranteed -- an empty certificate list
+    with an advisory is the honest failure mode.
     """
+    def responses(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        target = np.empty_like(ys)
+        for i in range(game.player_count):
+            target[:, game.own_slice(i)] = _best_responses(game, i, xs, ys, cfg)[1]
+        return target
+
     result = SolveResult(solver="solve-fp", certificates=[])
-    for start in _multistart_points(game, cfg):
-        x = start.copy()
-        y = start.copy()
-        trace = StartTrace(start=tuple(start), iterations=0, converged=False,
-                           limit_x=(), limit_y=(), certified=False)
-        for _ in range(cfg.max_iter):
+    starts = _multistart_points(game, cfg)
+    result.starts = [StartTrace(start=tuple(start), iterations=0, converged=False,
+                                limit_x=(), limit_y=(), certified=False) for start in starts]
+    xs, ys = starts.copy(), starts.copy()
+    live = np.arange(starts.shape[0])
+    for _ in range(cfg.max_iter):
+        if live.size == 0:
+            break
+        x, y = xs[live], ys[live]
+        y_next = (1.0 - cfg.damping) * y + cfg.damping * responses(x, y)
+        x_next = game.project_choice_many(y_next)
+        steps = np.concatenate([x_next - x, y_next - y], axis=1)
+        xs[live], ys[live] = x_next, y_next
+        result.iterations += live.size
+        moving = np.ones(live.size, dtype=bool)
+        for j, r in enumerate(live):
+            trace = result.starts[r]
             trace.iterations += 1
-            result.iterations += 1
-            target = _best_response_target(game, x, y, cfg)
-            y_next = (1.0 - cfg.damping) * y + cfg.damping * target
-            x_next = game.project_choice(y_next)
-            delta = float(np.linalg.norm(np.concatenate([x_next - x, y_next - y])))
-            trace.history.append((tuple(x_next), tuple(y_next)))
-            x, y = x_next, y_next
-            if delta <= cfg.eps_analytic:
-                trace.converged = True
-                break
-        # one undamped step before certification: exact fixed points are
-        # unchanged (the tie-break is stationary there), while damped limits
-        # that crept up to a best-response vertex snap onto it
-        y = _best_response_target(game, x, y, cfg)
-        x = game.project_choice(y)
-        trace.limit_x = tuple(x)
-        trace.limit_y = tuple(y)
-        result.starts.append(trace)
-    certs = _check_rows(game, [t.limit_x for t in result.starts],
-                        [t.limit_y for t in result.starts], cfg)
+            trace.history.append((tuple(x_next[j]), tuple(y_next[j])))
+            if float(np.linalg.norm(steps[j])) <= cfg.eps_analytic:
+                trace.converged, moving[j] = True, False
+        live = live[moving]
+    # one undamped step before certification: exact fixed points are
+    # unchanged (the tie-break is stationary there), while damped limits
+    # that crept up to a best-response vertex snap onto it
+    ys = responses(xs, ys)
+    xs = game.project_choice_many(ys)
+    for trace, x, y in zip(result.starts, xs, ys):
+        trace.limit_x, trace.limit_y = tuple(x), tuple(y)
+    certs = _check_rows(game, xs, ys, cfg)
     raw_certs = []
     for trace, cert in zip(result.starts, certs):
         trace.certified = cert.passed

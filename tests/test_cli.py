@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from projnash import cli
 from projnash.cli import (instance_digest, parse_problem, run,
                           serialize_instance)
 from projnash.errors import HypothesisError, ParseError
@@ -144,6 +145,30 @@ def test_cli_verify_non_finite_candidate_exit_two(capsys, x, y):
 def test_cli_verify_degenerate_config_exit_two(capsys, flag, value):
     assert run(["verify", SELFMAP, "--x", "0,0", "--y", "0,0", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_reuses_one_parser_across_calls(capsys):
+    calls = [["oracle", EXPAND, "--h", "0.05"],
+             ["verify", SELFMAP, "--x", "0.5,0.5", "--y", "0.5,0.5", "--seed", "3"],
+             ["oracle", EXPAND, "--frobnicate", "1"],
+             ["solve-fp", EXPAND, "--h", "0.05", "--multistart", "2", "--lambda", "0.5"],
+             ["verify", EXPAND, "--x", "1,1"],
+             ["solve-qvi", SELFMAP, "--h", "0.05"],
+             ["oracle", EXPAND, "--h", "0.05"]]
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return run_capture(argv)
+
+    want = [fresh(argv) for argv in calls]
+    cli._build_parser.cache_clear()
+    got = [run_capture(argv) for argv in calls]
+    assert got == want
+    assert [code for code, _ in got] == [0, 0, 2, 0, 2, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+    # a parse that fails leaves the next call unchanged
+    assert run_capture(["frobnicate", EXPAND]) == (2, "")
+    assert run_capture(calls[0]) == want[0]
 
 
 def test_cli_floats_printed_at_17_digits():

@@ -93,3 +93,22 @@ def test_python_dash_m_runs_the_cli():
                    "--x", x, "--y", y)
     assert proc.returncode == 0, proc.stderr
     assert "verdict = pass" in proc.stdout
+
+
+def test_closed_form_fixed_point_builds_no_kd_tree():
+    # expand and corner have closed-form graph distances, so their fixed
+    # point reaches scipy.spatial only through certificate clustering;
+    # chase needs a complement cloud, whose KD-tree loads it earlier
+    for name, tree in (("expand", False), ("corner", False), ("chase", True)):
+        out = _fresh(f"""
+from projnash import SolverConfig, load_fixture, solvers
+seen = []
+cluster = solvers._cluster_certificates
+def recording(certs, radius):
+    seen.append("scipy.spatial" in sys.modules)
+    return cluster(certs, radius)
+solvers._cluster_certificates = recording
+result = solvers.solve_fixed_point(load_fixture({name!r}), SolverConfig(h=0.05, multistart=5))
+print(json.dumps({{"certificates": len(result.certificates), "seen": seen}}))
+""")
+        assert out == {"certificates": 1, "seen": [tree]}, name

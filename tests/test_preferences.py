@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from projnash import preferences as prefs_mod
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
-from projnash.fixtures import load_fixture
+from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.geometry import Box, grid_axis, lattice_axis, mesh_points
 from projnash.normal_op import normal_directions_batch
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
@@ -478,6 +478,75 @@ def test_complement_cloud_matches_the_row_scan_on_one_active_axis():
     ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
     assert _check_cloud_against_rows(p, ctx) == 2
     assert _ComplementCloud(p, ctx).active.tolist() == [1]
+
+
+def _boundary_points_by_slabs(gain, active, axes, shape):
+    """The complement boundary one first-axis slab at a time, each slab's
+    mask kept for its neighbours' test: the scan the block-wise cloud
+    replaced."""
+    d = len(axes)
+    slab_shape = shape[1:] if d > 1 else (1,)
+    cols = [None] * gain.n_vars
+    for c in range(1, d):
+        cols[active[c]] = axes[c].reshape([-1 if a == c - 1 else 1 for a in range(d - 1)])
+
+    def slab_mask(i):
+        cols[active[0]] = axes[0][i:i + 1]
+        return gain.eval_columns(cols, slab_shape) <= 0.0
+
+    boundary = [np.zeros((0, d))]
+    prev_mask, cur_mask = None, slab_mask(0)
+    for i in range(shape[0]):
+        next_mask = slab_mask(i + 1) if i + 1 < shape[0] else None
+        pref = ~cur_mask
+        near = np.zeros_like(pref)
+        for axis in range(pref.ndim):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            near[hi] |= pref[lo]
+            near[lo] |= pref[hi]
+        for other in (prev_mask, next_mask):
+            if other is not None:
+                near |= ~other
+        idx = np.argwhere(cur_mask & near)
+        coords = np.empty((idx.shape[0], d))
+        coords[:, 0] = axes[0][i]
+        for col in range(1, d):
+            coords[:, col] = axes[col][idx[:, col - 1]]
+        boundary.append(coords)
+        prev_mask, cur_mask = cur_mask, next_mask
+    return np.vstack(boundary)
+
+
+def _check_cloud_against_slabs(p, ctx) -> int:
+    try:
+        cloud = _ComplementCloud(p, ctx)
+    except InputError:
+        return 0
+    lo, hi = ctx.region._np
+    axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in cloud.active]
+    want = _boundary_points_by_slabs(p.gain, cloud.active.tolist(), axes,
+                                     tuple(ax.shape[0] for ax in axes))
+    assert cloud.points.tobytes() == want.tobytes()
+    return cloud.points.shape[0]
+
+
+@pytest.mark.parametrize("block, steps, clouds", [(prefs_mod._CLOUD_BLOCK, (0.013, 0.02, 0.05), 43),
+                                                   (997, (0.05,), 15), (1, (0.05,), 15)])
+def test_block_wise_cloud_matches_the_slab_scan(monkeypatch, block, steps, clouds):
+    # small blocks split the first axis into many blocks of one or more slabs
+    monkeypatch.setattr(prefs_mod, "_CLOUD_BLOCK", block)
+    built = 0
+    for name in FIXTURE_NAMES:
+        game = load_fixture(name)
+        for h_g in steps:
+            for i, p in enumerate(game.preference_maps):
+                if not isinstance(p, Sampled):
+                    built += _check_cloud_against_slabs(p, game.distance_context(i, h_g)) > 0
+    assert built >= clouds
+    one_axis = SimpleNamespace(n_vars=1, own_dim=1, gain=parse_polynomial_text("x2^2 - 0.25", 2))
+    ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
+    assert _check_cloud_against_slabs(one_axis, ctx) == 2
 
 
 # -- self-exclusion of the gain kernel ------------------------------------------
