@@ -662,8 +662,8 @@ class _ComplementCloud:
                 coords[:, col] = axes[col][idx[:, col]]
             boundary.append(coords)
             if stop < shape[0]:
-                ahead = masks(stop + 1, min(shape[0], stop + per + 1)) if stop + 1 < shape[0] else None
-                block = np.concatenate([block[stop - 1 - first:]] + ([ahead] if ahead is not None else []))
+                block = np.concatenate([block[stop - 1 - first:],
+                                        masks(stop + 1, min(shape[0], stop + per + 1))])
                 first = stop - 1
         return np.vstack(boundary)
 
