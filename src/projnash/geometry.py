@@ -468,72 +468,11 @@ def _constraint_axis_bound(lo: float, hi: float, step: float) -> Union[int, floa
     return grid_axis_size(lo, hi, step) + lattice_span(lo, hi, step)[2]
 
 
-def constraint_axes(lo: np.ndarray, hi: np.ndarray, step: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`constraint_axis` of every ``(lo[r], hi[r])``, bitwise: rows
-    of an ``(m, w)`` array (padded with ``inf``) and the point counts.
-    ``linspace`` arithmetic, ``k * ((hi - lo) / (n - 1)) + lo`` with the
-    last point ``hi``, and the lattice ``k * step`` are sorted together and
-    repeats dropped.  A row with a ``-0.0`` bound (``np.unique`` keeps
-    either zero) or a lattice index past 2**52 takes :func:`constraint_axis`.
-    """
-    n, k_lo, n_lat, alone = [], [], [], {}
-    for r, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        k_a, k_b = math.ceil(a / step - 1e-9), math.floor(b / step + 1e-9)
-        if max(abs(k_a), abs(k_b)) >= 2 ** 52 or any(v == 0 and math.copysign(1, v) < 0 for v in (a, b)):
-            alone[r], k_a, k_b = constraint_axis(a, b, step), 0, -1
-        n.append(grid_axis_size(a, b, step))
-        k_lo.append(k_a)
-        n_lat.append(max(0, k_b - k_a + 1))
-    n, n_lat, k_lo = np.array(n), np.array(n_lat), np.array(k_lo, dtype=np.float64)
-    k, j = np.arange(n.max(), dtype=np.float64), np.arange(n_lat.max())
-    base = k * ((hi - lo) / np.maximum(n - 1, 1))[:, None] + lo[:, None]
-    base[np.arange(n.shape[0]), n - 1] = np.where(n > 1, hi, lo)
-    base[k >= n[:, None]] = np.inf
-    lattice = (k_lo[:, None] + j) * step
-    lattice[j >= n_lat[:, None]] = np.inf
-    vals = np.sort(np.concatenate([base, lattice], axis=1), axis=1)
-    vals[:, 1:][vals[:, 1:] == vals[:, :-1]] = np.inf
-    vals.sort(axis=1)
-    counts = np.count_nonzero(vals < np.inf, axis=1)
-    for r, axis in alone.items():
-        vals = np.pad(vals, ((0, 0), (0, max(0, axis.shape[0] - vals.shape[1]))),
-                      constant_values=np.inf)
-        vals[r, :axis.shape[0]], counts[r] = axis, axis.shape[0]
-    return vals, counts
-
-
-def box_grids(lo: np.ndarray, hi: np.ndarray, step: float):
-    """:func:`set_grid` of the boxes ``[lo[r], hi[r]]`` (``(m, d)`` rows):
-    the grid sizes, and a function giving the grids of some rows as one
-    ``(rows, s, d)`` array, each padded by repeating its last point.  A row
-    whose grid bound exceeds :data:`GRID_GUARD` stops with the InputError of
-    :func:`check_grid_size` before any axis is built."""
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        check_grid_size([_constraint_axis_bound(p, q, step) for p, q in zip(a, b)],
-                        "constraint scan grid")
-    axes, counts = zip(*(constraint_axes(lo[:, j], hi[:, j], step) for j in range(lo.shape[1])))
-    counts = np.stack(counts, axis=1)
-
-    def grids(rows: np.ndarray) -> np.ndarray:
-        # lexicographic, as mesh_points: the last axis varies fastest
-        c = counts[rows]
-        t = np.arange(np.prod(c, axis=1).max())
-        t = np.minimum(t, np.prod(c, axis=1)[:, None] - 1)
-        pts = np.empty(t.shape + (len(axes),))
-        for j in reversed(range(len(axes))):
-            pts[..., j] = axes[j][rows[:, None], t % c[:, j:j + 1]]
-            t = t // c[:, j:j + 1]
-        return pts
-    return np.prod(counts, axis=1), grids
-
-
 def set_grid(s: ConvexSet, step: float) -> tuple[np.ndarray, float]:
     """Scan grid over a constraint value, with the resolution it reaches.
 
-    Box axes are :func:`constraint_axis` and honour ``step`` (for one box,
-    twice as fast as :func:`box_grids`).  Other sets grid
-    their bounding box with :func:`grid_axis` (a zero-width axis is one
+    Box axes are :func:`constraint_axis` and honour ``step``.  Other sets
+    grid their bounding box with :func:`grid_axis` (a zero-width axis is one
     point), capped at ``GRID_AXIS_CAP`` points per axis, and project the
     grid back onto the set; a capped axis coarsens the returned resolution
     to its actual spacing.  A box grid over ``GRID_GUARD`` points stops with

@@ -691,13 +691,16 @@ def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:
 def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
                         y, zs: np.ndarray) -> np.ndarray:
     """Graph distance for many own-block candidates at one joint ``y``, or,
-    with ``y`` of shape ``(m, n)`` and ``zs`` of shape ``(m, s, own_dim)``,
+    with ``zs`` of shape ``(m, s, own_dim)`` and ``y`` of shape ``(m, n)``,
     of each row against its own candidates: ``(m, s)`` values, each bitwise
     the one-row call's."""
-    ys = np.asarray(y, dtype=np.float64)
-    paired = ys.ndim == 2
-    ys = ys.reshape(-1, ys.shape[-1])
-    zs = np.asarray(zs, dtype=np.float64).reshape(ys.shape[0], -1, p.own_dim)
+    ys, zs = np.asarray(y, dtype=np.float64), np.asarray(zs, dtype=np.float64)
+    paired = zs.ndim == 3
+    if paired and (ys.ndim != 2 or ys.shape[0] != zs.shape[0]):
+        raise InputError(f"paired graph-distance rows: y of shape {ys.shape} "
+                         f"against candidates of shape {zs.shape}")
+    ys = ys.reshape(ys.shape[0] if paired else 1, -1)
+    zs = zs.reshape(ys.shape[0], -1, p.own_dim)
     lo, hi = ctx.region._np
     n = ys.shape[1]
     if any(np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)

@@ -24,10 +24,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InputError
-from .game import (Certificate, GameInstance, MovingBox, WITNESS_GUARD,
+from .game import (Certificate, GameInstance, WITNESS_GUARD,
                    check_projected_solution_many, seeded_rng)
-from .geometry import (Box, box_grids, check_grid_size, grid_axis, grid_axis_size,
-                       grid_points, lattice_axis, lattice_span, mesh_points, project, set_grid)
+from .geometry import (Box, check_grid_size, grid_axis, grid_axis_size, grid_points,
+                       lattice_axis, lattice_span, mesh_points, project, set_grid)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
@@ -229,55 +229,48 @@ def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
                     cfg: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """:func:`best_response_distance` at every ``(x, y)`` row.
 
-    The scan grids of ``K_i(x)`` come from one ``bounds_many`` for box
-    values (other values are materialized row by row); the graph distance
-    of every (row, grid point) pair is one call per chunk of rows padded to
-    at most ``_RESPONSE_ENTRIES`` entries; the selection runs row by row.
-    Each row's maximizers and selection are bitwise its one-row call's.
+    Each row's grid is its own :func:`set_grid`, built when its chunk is
+    due: consecutive rows are padded to a common grid size of at most
+    ``_RESPONSE_ENTRIES`` entries (a larger grid runs alone) and take one
+    graph-distance call; the selection runs row by row.  Each row's
+    maximizers and selection are bitwise its one-row call's.
     """
     if xs.shape[1] != game.n:
         raise InputError(f"joint strategy has dimension {xs.shape[1]}, expected {game.n}")
     if not np.all(game.in_choice_many(xs, tol=1e-9)):
         raise InputError("joint strategy lies outside the choice-set product")
     cmap, sl = game.constraint_maps[i], game.own_slice(i)
-    if isinstance(cmap, MovingBox):
-        lo, hi = cmap.bounds_many(xs)
-        if np.any(lo > hi):     # an empty value: materializing the first raises
-            cmap.materialize(xs[np.argmax(np.any(lo > hi, axis=1))])
-        sizes, grids = box_grids(lo, hi, cfg.h)
-        projection = lambda r: np.clip(ys[r, sl], lo[r], hi[r])
-    else:
-        k_sets = [cmap.materialize(x) for x in xs]
-        flat = [set_grid(k_set, cfg.h)[0] for k_set in k_sets]
-        sizes = np.array([grid.shape[0] for grid in flat])
-        grids = lambda rows: np.stack([flat[r][np.minimum(np.arange(sizes[rows].max()), sizes[r] - 1)]
-                                       for r in rows])
-        projection = lambda r: project(k_sets[r], ys[r, sl])
     ctx = game.distance_context(i, cfg.distance_step)
-    maximizers: list = [None] * xs.shape[0]
+    maximizers: list = []
     selected = np.empty((xs.shape[0], game.dims[i]))
-    start = 0
-    while start < xs.shape[0]:
-        # consecutive rows whose padded grids fit the bound; a larger grid alone
-        stop = start + 1
-        while stop < xs.shape[0] and (stop + 1 - start) * sizes[start:stop + 1].max() <= _RESPONSE_ENTRIES:
-            stop += 1
-        rows = np.arange(start, stop)
-        pts = grids(rows)
+
+    def respond(chunk: list, width: int) -> None:
+        # a padded entry repeats the row's last grid point, so it moves no maximum
+        pts = np.stack([grid[np.minimum(np.arange(width), grid.shape[0] - 1)] for _, grid in chunk])
+        rows = np.arange(len(maximizers), len(maximizers) + len(chunk))
         vals = prefs.graph_distance_many(game.preference_maps[i], ctx, ys[rows], pts)
-        # a padded entry repeats a grid point, so it moves no maximum
         gmax = vals.max(axis=1)
         # the zero-distance plateau is the non-preferred region, never a maximizer
         best = (vals >= (gmax - cfg.eps_analytic)[:, None]) & (vals > 0.0)
-        for r, grid, mask, top in zip(rows, pts, best, gmax.tolist()):
-            grid = grid[:sizes[r]]
+        for r, (k_set, grid), mask, top in zip(rows, chunk, best, gmax.tolist()):
             if top <= 0.0:
-                maximizers[r], selected[r] = grid, projection(r)
+                maximizers.append(grid)
+                selected[r] = project(k_set, ys[r, sl])
             else:
-                maximizers[r] = grid[mask[:sizes[r]]]
+                maximizers.append(grid[mask[:grid.shape[0]]])
                 # np.mean's own sum and division, without its dispatch
                 selected[r] = np.add.reduce(maximizers[r], axis=0) / maximizers[r].shape[0]
-        start = stop
+
+    chunk, width = [], 0
+    for x in xs:
+        k_set = cmap.materialize(x)
+        grid = set_grid(k_set, cfg.h)[0]
+        if chunk and (len(chunk) + 1) * max(width, grid.shape[0]) > _RESPONSE_ENTRIES:
+            respond(chunk, width)
+            chunk, width = [], 0
+        chunk.append((k_set, grid))
+        width = max(width, grid.shape[0])
+    respond(chunk, width)
     return maximizers, selected
 
 

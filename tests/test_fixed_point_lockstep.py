@@ -4,7 +4,7 @@
 response per player per iteration.  The reference below is the per-start
 loop it replaced, built on the one-row primitives: each start runs to
 convergence before the next begins, with one scalar best response per
-player per iteration over a grid of per-row :func:`constraint_axis` axes.
+player per iteration over the :func:`set_grid` of its constraint value.
 Every start trace (iterations, convergence, history, limits) and the
 report must agree bit for bit.
 """
@@ -20,7 +20,7 @@ from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.game import MovingBox, MovingPolytope, constraint_set, from_utilities
-from projnash.geometry import Box, constraint_axis, mesh_points, project, set_grid
+from projnash.geometry import Box, project, set_grid
 from projnash.solvers import (SolveResult, SolverConfig, StartTrace, _check_rows,
                               _cluster_certificates, _multistart_points,
                               best_response_distance, solve_fixed_point)
@@ -28,16 +28,9 @@ from test_cross_validation import (boundary_pinned_instance, interior_target_ins
                                    random_direction_instance)
 
 
-def _grid(k_set, h):
-    if isinstance(k_set, Box):
-        lo, hi = k_set._np
-        return mesh_points([constraint_axis(lo[j], hi[j], h) for j in range(k_set.dim)])
-    return set_grid(k_set, h)[0]
-
-
 def _best_response(game, i, x, y, cfg):
     k_set = constraint_set(game, i, x)
-    pts = _grid(k_set, cfg.h)
+    pts = set_grid(k_set, cfg.h)[0]
     ctx = game.distance_context(i, cfg.distance_step)
     vals = prefs.graph_distance_many(game.preference_maps[i], ctx, y, pts)
     gmax = float(np.max(vals))
@@ -176,8 +169,49 @@ def test_lockstep_matches_sequential_in_small_chunks(monkeypatch):
         assert_same_run(load_fixture(name), SolverConfig(h=0.05, multistart=5))
 
 
+def test_best_response_grids_are_built_one_chunk_at_a_time(monkeypatch):
+    # fine 1-D grids (thousands of points a row) split the rows over several
+    # calls; a row's grid is built only once the chunk before it is scanned
+    game = load_fixture("expand")
+    cfg = SolverConfig(h=5e-4)
+    xs = _multistart_points(game, cfg)
+    events = []
+    real_grid, real_distance = solvers.set_grid, prefs.graph_distance_many
+
+    def grid(k_set, h):
+        pts, resolution = real_grid(k_set, h)
+        events.append(pts.shape[0])
+        return pts, resolution
+
+    def distance(p, ctx, ys, pts):
+        events.append(pts.shape[:2])
+        return real_distance(p, ctx, ys, pts)
+
+    monkeypatch.setattr(solvers, "set_grid", grid)
+    monkeypatch.setattr(prefs, "graph_distance_many", distance)
+    maximizers, selected = solvers._best_responses(game, 0, xs, xs, cfg)
+    sizes = [e for e in events if isinstance(e, int)]
+    calls = [e for e in events if isinstance(e, tuple)]
+    assert len(sizes) == xs.shape[0] and max(sizes) > 1000
+    assert len(calls) > 1 and max(rows for rows, _ in calls) > 1
+    built = scanned = 0
+    for event in events:
+        if isinstance(event, int):
+            built += 1
+            continue
+        rows, width = event
+        assert width == max(sizes[scanned:scanned + rows])
+        assert rows == 1 or rows * width <= solvers._RESPONSE_ENTRIES
+        scanned += rows
+        assert built <= scanned + 1      # at most the next chunk's first row
+    monkeypatch.undo()
+    for r, x in enumerate(xs):
+        want = _best_response(game, 0, x, x, cfg)
+        assert _bits(maximizers[r]) == _bits(want[0]) and _bits(selected[r]) == _bits(want[1])
+
+
 def test_lockstep_matches_sequential_on_a_polytope_constraint():
-    # polytope values are materialized row by row; boxes take bounds_many
+    # a polytope value's grid is projected back onto the set
     offsets = AffineMap.from_polynomials([parse_polynomial_text(t, 3)
                                           for t in ("0", "0", "0.5 + 0.5*x3")])
     triangle = MovingPolytope(player_index=0, normals=((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)),

@@ -1,8 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from projnash import geometry
 from projnash.errors import InputError, NonConvergenceError
@@ -432,59 +429,3 @@ def test_batched_polish_rows_do_not_depend_on_the_batch(monkeypatch):
         full = geometry._dykstra_many(a, b, ys)
         for j in range(0, ys.shape[0], 5):
             assert np.array_equal(geometry._dykstra_many(a, b, ys[j:j + 1])[0], full[j])
-
-
-# -- batched constraint axes -------------------------------------------------------
-
-@st.composite
-def axis_interval(draw):
-    """A constraint interval: degenerate (width 0 or at most 1e-15), one ulp
-    wide, or of general width, with bounds of either sign (``-0.0``
-    included)."""
-    lo = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 0.05, -0.3])))
-    kind = draw(st.sampled_from(["point", "sub-femto", "ulp", "wide"]))
-    if kind == "point":
-        hi = lo
-    elif kind == "sub-femto":
-        hi = lo + draw(st.floats(0.0, 1e-15))
-    elif kind == "ulp":
-        hi = math.nextafter(lo, math.inf)
-    else:
-        hi = lo + draw(st.floats(0.0, 3.0))
-    if draw(st.booleans()):
-        lo, hi = -hi, -lo
-    return lo, hi
-
-
-@given(st.lists(axis_interval(), min_size=1, max_size=6), st.floats(0.01, 0.1))
-def test_constraint_axes_match_the_per_row_axis(intervals, step):
-    lo, hi = (np.array(v, dtype=np.float64) for v in zip(*intervals))
-    axes, counts = geometry.constraint_axes(lo, hi, step)
-    for r in range(lo.shape[0]):
-        want = geometry.constraint_axis(lo[r], hi[r], step)
-        assert counts[r] == want.shape[0]
-        assert axes[r, :counts[r]].tobytes() == want.tobytes()
-
-
-def test_constraint_axes_keep_the_near_duplicate_endpoint():
-    # linspace's exact 0.3 and the lattice's 3 * 0.1 differ in the last bit;
-    # both stay, as in constraint_axis
-    axes, counts = geometry.constraint_axes(np.array([0.05, 0.0]), np.array([0.3, 0.3]), 0.1)
-    assert axes[0, :counts[0]].tolist()[-2:] == [0.3, 0.30000000000000004]
-    assert axes[0, :counts[0]].tobytes() == geometry.constraint_axis(0.05, 0.3, 0.1).tobytes()
-    assert axes[1, :counts[1]].tobytes() == geometry.constraint_axis(0.0, 0.3, 0.1).tobytes()
-
-
-def test_box_grids_are_each_rows_set_grid_padded():
-    lo = np.array([[0.0, -0.5], [0.1, 0.2], [0.3, 0.3]])
-    hi = np.array([[0.2, 0.1], [0.35, 0.2], [0.3, 0.5]])
-    sizes, grids = geometry.box_grids(lo, hi, 0.1)
-    for rows in (np.arange(3), np.array([2, 0])):
-        pts = grids(rows)
-        for r, got in zip(rows, pts):
-            want = set_grid(Box(tuple(lo[r]), tuple(hi[r])), 0.1)[0]
-            assert sizes[r] == want.shape[0]
-            assert got[:sizes[r]].tobytes() == want.tobytes()
-            assert (got[sizes[r]:] == want[-1]).all()      # padding repeats the last point
-    with pytest.raises(InputError, match="constraint scan grid of .* exceeds the guard"):
-        geometry.box_grids(np.array([[0.0], [0.0]]), np.array([[1.0], [1e9]]), 0.1)

@@ -326,6 +326,29 @@ def test_graph_distance_many_matches_scalar():
         assert abs(graph_distance(p, ctx, y, z) - val) < 1e-12
 
 
+def test_paired_graph_distance_rows_are_the_one_row_calls():
+    rng = np.random.default_rng(23)
+    for name in ("selfmap", "spin", "chase", "corner", "disk"):
+        g = load_fixture(name)
+        lo, hi = g.x_bbox._np
+        for i in range(g.player_count):
+            p, sl = g.preference_maps[i], g.own_slice(i)
+            ctx = g.distance_context(i, 0.05)
+            ys = rng.uniform(lo, hi, size=(4, g.n))
+            zs = rng.uniform(lo[sl], hi[sl], size=(4, 6, g.dims[i]))
+            paired = graph_distance_many(p, ctx, ys, zs)
+            assert paired.shape == (4, 6)
+            for r in range(4):
+                one = graph_distance_many(p, ctx, ys[r], zs[r])
+                assert paired[r].tobytes() == one.tobytes()
+                # a (1, n) joint row with flat candidates is the one-row call
+                assert graph_distance_many(p, ctx, ys[r:r + 1], zs[r]).tobytes() == one.tobytes()
+            with pytest.raises(InputError, match="paired graph-distance rows"):
+                graph_distance_many(p, ctx, ys[:3], zs)
+            with pytest.raises(InputError, match="paired graph-distance rows"):
+                graph_distance_many(p, ctx, ys[0], zs[:1])
+
+
 def test_self_exclusion_on_fixture_probes():
     for name in ("expand", "selfmap", "spin", "chase", "corner", "offside", "vacuous"):
         g = load_fixture(name)
