@@ -16,9 +16,7 @@ from .game import (Certificate, ConstraintMap, GameInstance, MovingBox,
                    check_nep_many, check_projected_solution,
                    check_projected_solution_many, constraint_set,
                    from_utilities)
-from .normal_op import (NormalDirectionAudit, UnitNormalProduct,
-                        audit_normal_direction, normal_operator,
-                        unit_normal_product)
+from .normal_op import UnitNormalProduct, normal_operator, unit_normal_product
 from .solvers import (QVIPoint, SolveResult, SolverConfig,
                       best_response_distance, brute_force_oracle,
                       equivalence_scan, qvi_residual, solve_fixed_point,

@@ -538,6 +538,8 @@ def constraint_set(game: GameInstance, i: int, x) -> ConvexSet:
 
 #: most gain entries (rows × scanned points) of one certificate slab
 CHECK_SLAB = 65_536
+#: most grid points one instance's scan cache holds; the oldest go first
+SCAN_CACHE_POINTS = 1_000_000
 
 
 def _joint_rows(game: GameInstance, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -560,6 +562,25 @@ def _scan_samples(k_set: ConvexSet, count: int, rng: np.random.Generator) -> np.
     return k_set.project_many(rng.uniform(lo, hi, size=(count, k_set.dim)))
 
 
+def _scan_entry(game: GameInstance, i: int, key: bytes, x: np.ndarray, cfg
+                ) -> tuple[ConvexSet, np.ndarray, float, int]:
+    """``(k_set, grid, resolution, count)``: player ``i``'s constraint value
+    at ``x``, whose ``value_key`` bytes are ``key``, and its ``scan_grid``
+    under ``cfg``, from the instance's scan cache; the grid is read-only."""
+    cache, slot = game._caches.setdefault("scan", {}), (i, key, cfg.h, cfg.random_budget)
+    entry = cache.get(slot)
+    if entry is None:
+        k_set = game.constraint_maps[i].materialize(x)
+        entry = cache[slot] = (k_set, *game.preference_maps[i].scan_grid(
+            k_set, cfg.h, cfg.random_budget))
+        entry[1].flags.writeable = False
+        held = game._caches.get("scan_points", 0) + entry[1].shape[0]
+        while held > SCAN_CACHE_POINTS:
+            held -= cache.pop(next(iter(cache)))[1].shape[0]
+        game._caches["scan_points"] = held
+    return entry
+
+
 def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
     """Per-player feasibility and intersection report at frozen constraints.
 
@@ -578,50 +599,48 @@ def check_nep(game: GameInstance, x_fix, y, cfg) -> list[PlayerCheck]:
 def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, ...]]:
     """:func:`check_nep` on each row of ``(m, n)`` arrays ``xs``, ``ys``.
 
-    Per player, rows whose constraint values have equal ``value_key`` bits
-    share one materialized ``K_i(x)`` and one scan grid.  Each row keeps
-    its own content-keyed samples (``seeded_rng(cfg.seed, 11, i, arrays=(x,
-    y))``), its own projection for the membership residual, and its first
-    hit in scan order (grid, then samples) as the witness; gains run in
-    slabs of at most ``CHECK_SLAB`` entries.  Every check is bitwise the
-    one the row gets alone.
+    Per player, rows with bitwise-equal ``value_key`` share one ``K_i(x)``
+    and scan grid from the instance's scan cache (:func:`_scan_entry`, at
+    most ``SCAN_CACHE_POINTS`` grid points, oldest evicted first).  The
+    scan order is the grid, then the row's own samples (``seeded_rng(
+    cfg.seed, 11, i, arrays=(x, y))``); the witness is the first hit.
+    Gains run in slabs of at most ``CHECK_SLAB`` entries, the grid first;
+    samples are drawn only for rows with no grid witness.
+    ``points_scanned`` is the size of the stamped scan, grid plus budget.
+    Every check is bitwise the one the row gets alone on a fresh instance.
     """
     xs, ys = _joint_rows(game, xs, ys)
+    threshold = cfg.strictness + WITNESS_GUARD
     columns = []
     for i in range(game.player_count):
-        cmap, pref, sl = game.constraint_maps[i], game.preference_maps[i], game.own_slice(i)
+        pref, sl = game.preference_maps[i], game.own_slice(i)
         groups: dict[bytes, list[int]] = {}
-        # a lone row is its own group, with no key to evaluate
-        for r, key in enumerate(cmap.value_key(xs) if xs.shape[0] != 1 else [xs[0, :0]]):
+        for r, key in enumerate(game.constraint_maps[i].value_key(xs)):
             groups.setdefault(key.tobytes(), []).append(r)
         checks: list[Optional[PlayerCheck]] = [None] * xs.shape[0]
-        for rows in groups.values():
-            k_set = cmap.materialize(xs[rows[0]])
-            grid, resolution, count = pref.scan_grid(k_set, cfg.h, cfg.random_budget)
+        for key, rows in groups.items():
+            k_set, grid, resolution, count = _scan_entry(game, i, key, xs[rows[0]], cfg)
             total = grid.shape[0] + count
-            witnesses: list[Optional[tuple]] = [None] * len(rows)
+            witnesses: dict[int, tuple] = {}
             step = max(1, CHECK_SLAB // max(1, total))
             for s in range(0, len(rows) if total else 0, step):
                 slab = rows[s:s + step]
-                # each row's scan points: the shared grid, then its own samples
-                if count:
-                    pts = np.empty((len(slab), total, k_set.dim))
-                    pts[:, :grid.shape[0]] = grid
-                    for j, r in enumerate(slab):
-                        rng = seeded_rng(cfg.seed, 11, i, arrays=(xs[r], ys[r]))
-                        pts[j, grid.shape[0]:] = _scan_samples(k_set, count, rng)
-                    gains = prefs.strict_gain_paired(pref, ys[slab], pts)
-                else:
-                    pts = np.broadcast_to(grid, (len(slab),) + grid.shape)
-                    gains = prefs.strict_gain_outer(pref, ys[slab], grid)
-                hits = gains > cfg.strictness + WITNESS_GUARD
+                hits = prefs.strict_gain_outer(pref, ys[slab], grid) > threshold
                 for j in hits.any(axis=1).nonzero()[0]:
-                    witnesses[s + j] = tuple(pts[j, np.argmax(hits[j])])
-            for r, witness in zip(rows, witnesses):
+                    witnesses[slab[j]] = tuple(grid[np.argmax(hits[j])])
+                misses = [r for r in slab if r not in witnesses] if count else []
+                if misses:
+                    samples = np.stack([_scan_samples(k_set, count, seeded_rng(
+                        cfg.seed, 11, i, arrays=(xs[r], ys[r]))) for r in misses])
+                    hits = prefs.strict_gain_paired(pref, ys[misses], samples) > threshold
+                    for j in hits.any(axis=1).nonzero()[0]:
+                        witnesses[misses[j]] = tuple(samples[j, np.argmax(hits[j])])
+            for r in rows:
                 yi = ys[r, sl]
                 checks[r] = PlayerCheck(
                     membership_residual=float(np.linalg.norm(yi - project(k_set, yi))),
-                    witness=witness, emptiness_resolution=resolution, points_scanned=total)
+                    witness=witnesses.get(r), emptiness_resolution=resolution,
+                    points_scanned=total)
         columns.append(checks)
     return list(zip(*columns))
 

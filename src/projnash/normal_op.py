@@ -56,13 +56,6 @@ def _sampling_window(game: GameInstance, i: int):
     return game.hull_boxes[i].inflate(1.0)
 
 
-def _preferred_samples(game: GameInstance, i: int, x: np.ndarray, cfg) -> np.ndarray:
-    window = _sampling_window(game, i)
-    rng = seeded_rng(cfg.seed, 23, i, arrays=(x,))
-    return prefs.sample_preferred(game.preference_maps[i], x, window,
-                                  max(1, cfg.random_budget), rng=rng)
-
-
 def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized single-direction evaluation over many points.
@@ -158,7 +151,9 @@ def normal_operator(game: GameInstance, i: int, x, cfg) -> ConeSample:
     if ok_mask[0]:
         return ConeSample.from_directions(dirs[0:1], k)
     # degenerate: scan the sphere against sampled hull points
-    samples = _preferred_samples(game, i, x, cfg)
+    samples = prefs.sample_preferred(game.preference_maps[i], x, _sampling_window(game, i),
+                                     max(1, cfg.random_budget),
+                                     rng=seeded_rng(cfg.seed, 23, i, arrays=(x,)))
     if samples.shape[0] == 0:
         return ConeSample.full_space(k)
     found = separate(samples, x[game.own_slice(i)],
@@ -184,40 +179,3 @@ def unit_normal_product(game: GameInstance, x, cfg) -> UnitNormalProduct:
         flagged.append(sample.is_empty)
     return UnitNormalProduct(point=tuple(x), factors=tuple(factors),
                              flagged=tuple(flagged))
-
-
-@dataclass(frozen=True)
-class NormalDirectionAudit:
-    """Result of auditing a claimed normal direction against samples."""
-
-    samples_checked: int
-    violations: tuple[tuple[float, ...], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
-def audit_normal_direction(game: GameInstance, i: int, x, direction, cfg
-                           ) -> NormalDirectionAudit:
-    """Search sampled preferred points for ``<direction, z - x_i> >= 0``.
-
-    For open-valued preferences any hit contradicts the claim that
-    ``direction`` is a unit normal of the translated hull, so hits are
-    reported as violations.  Used as a self-test of the operator
-    construction, not as a solver step.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    direction = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-9:
-        raise InputError("audited direction must have unit norm")
-    samples = _preferred_samples(game, i, x, cfg)
-    if samples.shape[0] == 0:
-        return NormalDirectionAudit(samples_checked=0, violations=())
-    own = x[game.own_slice(i)]
-    inner = (samples - own) @ direction
-    hits = samples[inner >= 0.0]
-    return NormalDirectionAudit(
-        samples_checked=int(samples.shape[0]),
-        violations=tuple(tuple(row) for row in hits),
-    )

@@ -18,7 +18,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -552,6 +552,41 @@ def _check_rows(game: GameInstance, xs, ys, cfg: SolverConfig) -> list[Certifica
 # Clustering
 # ---------------------------------------------------------------------------
 
+#: most candidate pairs one block of the clustering sweep compares
+_LINK_BLOCK = 8_192
+
+
+def _link_labels(pts: np.ndarray, r2: float) -> np.ndarray:
+    """Connected components of the lexsorted rows ``pts`` under the links
+    ``sum((p - q)**2) <= r2``, each labelled by its first row.  A row is
+    compared only with the later rows within ``sqrt(r2)`` on the first
+    coordinate, ``_LINK_BLOCK`` pairs at a time, and the exact predicate
+    decides each pair; labels come from min-label propagation with pointer
+    jumping."""
+    first = pts[:, 0]
+    counts = np.searchsorted(first, first + math.sqrt(r2) * (1 + 1e-9), side="right") \
+        - np.arange(1, pts.shape[0] + 1)            # later rows in each row's window
+    starts, total = np.cumsum(counts) - counts, int(counts.sum())
+    links = [np.empty((2, 0), dtype=np.intp)]
+    for t in range(0, total, _LINK_BLOCK):
+        pair = np.arange(t, min(t + _LINK_BLOCK, total))
+        a = np.searchsorted(starts, pair, side="right") - 1
+        b = a + 1 + pair - starts[a]
+        links.append(np.stack([a, b])[:, np.sum((pts[a] - pts[b]) ** 2, axis=1) <= r2])
+    a, b = np.hstack(links)
+    labels, root_a, root_b = np.arange(pts.shape[0]), a, b
+    while not np.array_equal(root_a, root_b):
+        # hook each link's larger root under the smaller, then jump
+        # pointers until every label is a root again
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(labels, root_a, low)
+        np.minimum.at(labels, root_b, low)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        root_a, root_b = labels[a], labels[b]
+    return labels
+
+
 def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certificate]:
     """Single-linkage clustering of certificates on joint (x, y) coordinates.
 
@@ -564,40 +599,26 @@ def _cluster_certificates(certs: list[Certificate], radius: float) -> list[Certi
     """
     if not certs:
         return []
-    # imported on first use: slow imports that parsing and verify never need
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
     pts = np.array([c.x + c.y for c in certs])
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     certs = [certs[int(i)] for i in order]
-    m, n = pts.shape[0], len(certs[0].x)
-    r2 = radius * radius + 1e-15
-    # the tree query over-reaches slightly; the exact predicate decides
-    pairs = cKDTree(pts).query_pairs(math.sqrt(r2) * (1 + 1e-9), output_type="ndarray")
-    pairs = pairs[np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1) <= r2]
-    links = coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
-    _, labels = connected_components(links, directed=False)
+    n = len(certs[0].x)
+    labels = _link_labels(pts, radius * radius + 1e-15)
     residual_sums = np.array([c.projection_residual + sum(p.membership_residual for p in c.players)
                               for c in certs])
 
     out: list[Certificate] = []
-    for label in range(labels.max() + 1):
-        members = np.nonzero(labels == label)[0]
+    for root in np.unique(labels):
+        members = np.nonzero(labels == root)[0]
         # rows are in lexicographic order, so the first near-minimum wins
         sums = residual_sums[members]
         rep = certs[members[np.argmax(sums <= sums.min() + 1e-12)]]
         member_pts = pts[members]
-        out.append(Certificate(
-            x=rep.x, y=rep.y, players=rep.players,
-            projection_residual=rep.projection_residual,
-            verdict=rep.verdict, reason=rep.reason,
-            eps=rep.eps, h=rep.h, budget=rep.budget, seed=rep.seed,
-            cluster_size=len(members),
+        out.append(replace(
+            rep, cluster_size=len(members),
             x_range=(tuple(member_pts[:, :n].min(axis=0)), tuple(member_pts[:, :n].max(axis=0))),
-            y_range=(tuple(member_pts[:, n:].min(axis=0)), tuple(member_pts[:, n:].max(axis=0))),
-        ))
+            y_range=(tuple(member_pts[:, n:].min(axis=0)), tuple(member_pts[:, n:].max(axis=0)))))
     out.sort(key=lambda c: (c.x, c.y))
     return out
 

@@ -3,13 +3,17 @@
 ``reference_check_nep`` is the one-row certificate check as it ran before
 rows were batched: one materialized constraint value, one scan grid and one
 seeded sample draw per row and player, and one ``strict_gain_outer`` call
-over the row's grid and samples.  ``check_nep_many`` shares grids between
-rows with equal constraint values and takes gains in slabs; every player
-check it returns must equal the reference's exactly, witnesses included.
+over the row's whole scan (grid plus samples), whose first hit is the
+witness.  ``check_nep_many`` shares cached grids between rows with equal
+constraint values, takes gains in slabs, and scans the grid before it
+draws any samples; every player check it returns must equal the
+reference's exactly, witnesses included.
 """
 
+import functools
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +95,18 @@ def assert_matches_reference(game, xs, ys, cfg):
     return witnesses
 
 
-def _polytope_game():
+@functools.cache
+def bench_workloads():
+    """The benchmark's workload module (its problems and verify batches)."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.polytope_game()
+    return module
+
+
+def _polytope_game():
+    return bench_workloads().polytope_game()
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05])
@@ -203,3 +213,32 @@ def test_batched_rows_reject_mismatched_shapes():
                    (np.zeros(2), np.zeros(2))):
         with pytest.raises(game_mod.InputError):
             check_nep_many(game, xs, ys, cfg)
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURE_NAMES if f != "table"])
+def test_samples_are_drawn_only_for_rows_with_no_grid_witness(name, monkeypatch):
+    calls = Counter()
+    real = game_mod.seeded_rng
+
+    def counting(seed, *tags, arrays=()):
+        calls[tags, np.concatenate(arrays).tobytes()] += 1
+        return real(seed, *tags, arrays=arrays)
+
+    monkeypatch.setattr(game_mod, "seeded_rng", counting)
+    game = load_fixture(name)
+    xs, ys = scan_rows(game, 0.05, 60)
+    for strictness in (0.0, 1e-3):
+        cfg = SolverConfig(h=0.05, strictness=strictness, random_budget=64)
+        calls.clear()
+        check_nep_many(game, xs, ys, cfg)
+        want = Counter()
+        for i, pref in enumerate(game.preference_maps):
+            for x, y in zip(xs, ys):
+                grid = set_grid(game.constraint_maps[i].materialize(x), cfg.h)[0]
+                gains = strict_gain_outer(pref, y[None, :], grid)
+                if not np.any(gains > strictness + WITNESS_GUARD):
+                    want[(11, i), np.concatenate([x, y]).tobytes()] += 1
+        assert calls == want
+        if name != "vacuous":
+            assert sum(want.values()) < 2 * xs.shape[0]     # some rows skip their samples
+

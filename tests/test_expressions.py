@@ -110,6 +110,7 @@ def test_affine_rows_do_not_depend_on_the_batch():
         assert np.array_equal(amap.eval_many(pts[::7]), want[::7])
         for r in range(0, 500, 25):
             assert np.array_equal(amap.eval(pts[r]), want[r])
+            assert np.array_equal(amap.eval_many(pts[r:r + 1]), want[r:r + 1])
 
 
 def test_affine_rejects_quadratic():

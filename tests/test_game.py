@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from projnash.errors import HypothesisError, InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
+from projnash import game as game_mod
 from projnash.game import (DEFAULT_PROBE_AXIS, MovingBox, MovingPolytope,
                            _probe_grid_for_box, _scan_samples, check_nep,
                            check_nep_many, check_projected_solution,
@@ -14,7 +17,7 @@ from projnash.preferences import preferred, sample_preferred
 from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
 
-from test_check_nep_many import _polytope_game
+from test_check_nep_many import _bits, _polytope_game, bench_workloads, scan_rows
 
 
 # -- constraint materialization -------------------------------------------------
@@ -414,3 +417,82 @@ def test_seeded_rng_stable_and_content_keyed():
     b = seeded_rng(0, 5, arrays=(np.array([1.0, 2.1]),)).uniform(size=3)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+# -- scan cache ----------------------------------------------------------------------
+
+def _fresh(game):
+    """The same game with an empty scan cache."""
+    return replace(game, _caches={})
+
+
+def _cert_bits(cert):
+    return (np.float64(cert.projection_residual).tobytes(), cert.verdict, cert.reason,
+            _bits(cert.players))
+
+
+def test_warm_instance_certifies_the_verify_batch_as_fresh_ones():
+    # every verify-batch row of the benchmark (box and ball fixtures, table,
+    # the moving polytope): one warm instance per problem across all calls
+    wl = bench_workloads()
+    batch = wl.WORKLOADS["certify"]
+    ops = wl.verify_ops(batch, 0)
+    games = {p: wl.load(p) for p, _ in batch.verify}
+    strict = SolverConfig(h=0.05, strictness=1e-3, random_budget=64, seed=4)
+    for cfg, rows in ((wl.config(wl.VERIFY_H, 0), ops), (strict, ops[::5])):
+        warm = {p: _fresh(g) for p, g in games.items()}
+        for op in rows:
+            got = check_projected_solution(warm[op.problem], op.x, op.y, cfg)
+            want = check_projected_solution(_fresh(warm[op.problem]), op.x, op.y, cfg)
+            assert _cert_bits(got) == _cert_bits(want), op
+        entries = sum(len(g._caches["scan"]) for g in warm.values())
+        assert entries < sum(g.player_count for g in warm.values()) * len(rows) / 2
+
+
+def test_scan_cache_never_shares_an_entry():
+    # table: both players' constraint values are [0, 1], so their value keys
+    # are equal bytes, but a table scans its declared points and a utility
+    # a grid plus samples
+    game = load_fixture("table")
+    at = np.array(game.preference_maps[0].at_points)
+    cfgs = [SolverConfig(h=h, random_budget=b) for h in (0.1, 0.05) for b in (0, 64)]
+    for cfg in cfgs + cfgs[::-1]:
+        for point in at:
+            got = check_nep(game, point, point, cfg)
+            assert _bits(got) == _bits(check_nep(_fresh(game), point, point, cfg))
+    cache = game._caches["scan"]
+    assert len(cache) == game.player_count * len(cfgs)
+    for (i, key, h, budget), (k_set, grid, resolution, count) in cache.items():
+        cmap = game.constraint_maps[i]
+        assert key == cmap.value_key(at[:1]).tobytes()
+        want_grid, want_resolution, want_count = game.preference_maps[i].scan_grid(
+            cmap.materialize(at[0]), h, budget)
+        assert np.array_equal(grid, want_grid)
+        assert (resolution, count) == (want_resolution, want_count)
+
+
+def test_cached_scan_grids_are_read_only():
+    game = load_fixture("disk")
+    xs, ys = scan_rows(game, 0.1, 20)
+    check_nep_many(game, xs, ys, SolverConfig(h=0.1))
+    grids = [entry[1] for entry in game._caches["scan"].values()]
+    assert grids and all(grid.size for grid in grids)
+    for grid in grids:
+        with pytest.raises(ValueError):
+            grid[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("bound", [250, 50])
+def test_scan_cache_stays_within_its_bound(bound, monkeypatch):
+    # expand at h = 0.02 scans about 100 grid points per constraint value:
+    # a bound of 250 keeps two values, a bound of 50 none
+    monkeypatch.setattr(game_mod, "SCAN_CACHE_POINTS", bound)
+    game = load_fixture("expand")
+    cfg = SolverConfig(h=0.02)
+    xs, ys = scan_rows(game, 0.05, 80)
+    for x, y in zip(xs, ys):
+        assert _bits(check_nep(game, x, y, cfg)) == _bits(check_nep(_fresh(game), x, y, cfg))
+        held = [entry[1].shape[0] for entry in game._caches["scan"].values()]
+        assert sum(held) == game._caches["scan_points"] <= bound
+        assert (len(held) > 0) == (bound == 250)
+

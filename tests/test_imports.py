@@ -1,8 +1,9 @@
 """Import hygiene: parsing, building and verifying games need numpy only.
 
-scipy serves the complement-cloud KD-tree, certificate clustering and the
-hull LP in two or more dimensions, each imported on first use, so every
-CLI call that never reaches them starts without scipy's slow submodules.
+scipy serves the complement-cloud KD-tree and the hull LP in two or more
+dimensions, each imported on first use, so every CLI call that never
+reaches them starts without scipy's slow submodules; certificate
+clustering needs numpy only.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows
 exactly what the work loaded.
 """
@@ -77,14 +78,24 @@ print(json.dumps({{"after_loading": after_loading, "codes": codes, "loaded": loa
     assert out["loaded"] == []
 
 
-def test_clustering_still_imports_scipy_on_first_use():
+def test_clustering_imports_no_scipy():
+    # selfmap certifies one cell, vacuous every cell: both cluster nonempty
+    # certificate lists with numpy alone
     out = _fresh("""
-from projnash import SolverConfig, brute_force_oracle, load_fixture
-result = brute_force_oracle(load_fixture("selfmap"), SolverConfig(h=0.05, seed=0))
-print(json.dumps({"certificates": len(result.certificates), "loaded": loaded()}))
+from projnash import SolverConfig, load_fixture, solvers
+sizes = []
+cluster = solvers._cluster_certificates
+def recording(certs, radius):
+    sizes.append(len(certs))
+    return cluster(certs, radius)
+solvers._cluster_certificates = recording
+found = [len(solvers.brute_force_oracle(load_fixture(name), SolverConfig(h=0.05, seed=0))
+             .certificates) for name in ("selfmap", "vacuous")]
+print(json.dumps({"certificates": found, "sizes": sizes, "loaded": loaded()}))
 """)
-    assert out["certificates"] == 1
-    assert {"scipy.sparse", "scipy.spatial"} <= set(out["loaded"])
+    assert out["certificates"][0] == 1 and out["certificates"][1] >= 1
+    assert min(out["sizes"]) >= 1 and max(out["sizes"]) > 100
+    assert not {"scipy.sparse", "scipy.spatial"} & set(out["loaded"])
 
 
 def test_python_dash_m_runs_the_cli():
@@ -96,9 +107,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_closed_form_fixed_point_builds_no_kd_tree():
-    # expand and corner have closed-form graph distances, so their fixed
-    # point reaches scipy.spatial only through certificate clustering;
-    # chase needs a complement cloud, whose KD-tree loads it earlier
+    # expand and corner have closed-form graph distances and clustering
+    # needs no scipy, so their fixed point never loads scipy.spatial;
+    # chase needs a complement cloud, whose KD-tree loads it
     for name, tree in (("expand", False), ("corner", False), ("chase", True)):
         out = _fresh(f"""
 from projnash import SolverConfig, load_fixture, solvers

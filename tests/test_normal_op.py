@@ -11,7 +11,7 @@ from projnash.game import seeded_rng
 from projnash.geometry import (Box, ConeSample, grid_points, lattice_axis, mesh_points,
                                polar_membership, probe_points)
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
-                                audit_normal_direction, normal_directions_batch,
+                                normal_directions_batch,
                                 normal_operator, unit_normal_product)
 from projnash.preferences import (DirectionField, UtilityInduced, sample_preferred,
                                   strict_gain_outer)
@@ -125,33 +125,6 @@ def test_direction_invariant_under_affine_utility_rescale():
             assert s1.is_full_space == s2.is_full_space
             if not s1.is_full_space:
                 assert np.allclose(s1.as_array, s2.as_array, atol=1e-12)
-
-
-def test_audit_clean_direction():
-    g = load_fixture("expand")
-    report = audit_normal_direction(g, 0, [0.5, 0.5], [-1.0], CFG)
-    assert report.clean
-    assert report.samples_checked > 0
-
-
-def test_audit_flags_wrong_direction():
-    g = load_fixture("expand")
-    report = audit_normal_direction(g, 0, [0.5, 0.5], [1.0], CFG)
-    assert not report.clean
-    assert report.samples_checked == len(report.violations) > 0
-
-
-def test_audit_vacuous_on_empty_preference():
-    g = load_fixture("selfmap")
-    report = audit_normal_direction(g, 0, [0.5, 0.5], [1.0], CFG)
-    assert report.clean
-    assert report.samples_checked == 0
-
-
-def test_audit_requires_unit_direction():
-    g = load_fixture("expand")
-    with pytest.raises(InputError):
-        audit_normal_direction(g, 0, [0.5, 0.5], [0.5], CFG)
 
 
 def test_normal_operator_rejects_far_point():

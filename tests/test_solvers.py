@@ -571,6 +571,50 @@ def test_cluster_matches_pairwise_single_linkage(cells):
     assert [(c.x, c.y, c.cluster_size) for c in out] == sorted(expected)
 
 
+def scipy_link_labels(pts, r2):
+    """Reference components: every pair under the exact predicate, linked
+    by scipy's ``connected_components``, each labelled by its first row."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    m = pts.shape[0]
+    a, b = np.triu_indices(m, 1)
+    keep = np.sum((pts[a] - pts[b]) ** 2, axis=1) <= r2
+    _, comp = connected_components(coo_matrix((np.ones(int(keep.sum())), (a[keep], b[keep])),
+                                              shape=(m, m)), directed=False)
+    first = {c: r for r, c in reversed(list(enumerate(comp)))}
+    return np.array([first[c] for c in comp])
+
+
+def _lexsorted(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 8)] * d), min_size=1, max_size=60)))
+def test_link_labels_match_scipy_components(cells):
+    # eighth-unit lattice with radius 1/4: many pairs lie exactly at the
+    # radius (dyadic, so exactly), and repeated cells are duplicate points
+    pts = _lexsorted(np.array(cells, dtype=np.float64) / 8.0)
+    r2 = 0.25 * 0.25 + 1e-15
+    assert np.array_equal(solvers._link_labels(pts, r2), scipy_link_labels(pts, r2))
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_link_labels_join_long_chains(block, monkeypatch):
+    # a zigzag chain of 500 points, each one radius from the next, plus its
+    # copy moved 3 radii away; small blocks split windows across blocks
+    if block is not None:
+        monkeypatch.setattr(solvers, "_LINK_BLOCK", block)
+    k = np.arange(500, dtype=np.float64)
+    chain = np.stack([0.25 * k, 0.5 * (k % 2)], axis=1)
+    pts = _lexsorted(np.vstack([chain, chain + [0.0, 1.25]]))
+    r2 = 0.25 * 0.25 + 0.25 + 1e-15                     # |(0.25, 0.5)|^2
+    labels = solvers._link_labels(pts, r2)
+    assert np.array_equal(labels, scipy_link_labels(pts, r2))
+    assert len(set(labels.tolist())) == 2
+    assert np.array_equal(solvers._link_labels(pts[:1], r2), [0])
+
+
 # -- equivalence scan ----------------------------------------------------------------
 
 def test_equivalence_scan_expand_exact():
