@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -596,19 +598,23 @@ def test_link_labels_match_scipy_components(cells):
     # radius (dyadic, so exactly), and repeated cells are duplicate points
     pts = _lexsorted(np.array(cells, dtype=np.float64) / 8.0)
     r2 = 0.25 * 0.25 + 1e-15
-    assert np.array_equal(solvers._link_labels(pts, r2), scipy_link_labels(pts, r2))
+    want = scipy_link_labels(pts, r2)
+    assert np.array_equal(solvers._link_labels(pts, r2), want)
+    with mock.patch.object(solvers, "_LINK_BLOCK", 3):      # windows split across blocks
+        assert np.array_equal(solvers._link_labels(pts, r2), want)
 
 
 @pytest.mark.parametrize("block", [None, 5])
 def test_link_labels_join_long_chains(block, monkeypatch):
-    # a zigzag chain of 500 points, each one radius from the next, plus its
-    # copy moved 3 radii away; small blocks split windows across blocks
+    # a straight chain of 500 points, each exactly one radius from the next
+    # and farther from all others, so every link is needed; plus its copy
+    # moved 5 radii away
     if block is not None:
         monkeypatch.setattr(solvers, "_LINK_BLOCK", block)
     k = np.arange(500, dtype=np.float64)
-    chain = np.stack([0.25 * k, 0.5 * (k % 2)], axis=1)
+    chain = np.stack([0.25 * k, np.zeros_like(k)], axis=1)
     pts = _lexsorted(np.vstack([chain, chain + [0.0, 1.25]]))
-    r2 = 0.25 * 0.25 + 0.25 + 1e-15                     # |(0.25, 0.5)|^2
+    r2 = 0.25 * 0.25 + 1e-15
     labels = solvers._link_labels(pts, r2)
     assert np.array_equal(labels, scipy_link_labels(pts, r2))
     assert len(set(labels.tolist())) == 2
