@@ -241,4 +241,3 @@ def test_samples_are_drawn_only_for_rows_with_no_grid_witness(name, monkeypatch)
         assert calls == want
         if name != "vacuous":
             assert sum(want.values()) < 2 * xs.shape[0]     # some rows skip their samples
-

@@ -495,4 +495,3 @@ def test_scan_cache_stays_within_its_bound(bound, monkeypatch):
         held = [entry[1].shape[0] for entry in game._caches["scan"].values()]
         assert sum(held) == game._caches["scan_points"] <= bound
         assert (len(held) > 0) == (bound == 250)
-
