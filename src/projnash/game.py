@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HypothesisError, InputError
 from .expressions import AffineMap, Polynomial, parse_polynomial_text
-from .geometry import Box, ConvexSet, HalfspacePolytope, grid_points, project
+from .geometry import Box, ConvexSet, HalfspacePolytope, grid_points, project, set_grid
 from . import preferences as prefs
 from .preferences import PreferenceMap, UtilityInduced, hull_preferred
 
@@ -562,22 +562,30 @@ def _scan_samples(k_set: ConvexSet, count: int, rng: np.random.Generator) -> np.
     return k_set.project_many(rng.uniform(lo, hi, size=(count, k_set.dim)))
 
 
-def _scan_entry(game: GameInstance, i: int, key: bytes, x: np.ndarray, cfg
-                ) -> tuple[ConvexSet, np.ndarray, float, int]:
-    """``(k_set, grid, resolution, count)``: player ``i``'s constraint value
-    at ``x``, whose ``value_key`` bytes are ``key``, and its ``scan_grid``
-    under ``cfg``, from the instance's scan cache; the grid is read-only."""
-    cache, slot = game._caches.setdefault("scan", {}), (i, key, cfg.h, cfg.random_budget)
+def _scan_entry(game: GameInstance, i: int, key: bytes, x: np.ndarray, h: float,
+                declared: bool = False) -> tuple[ConvexSet, np.ndarray, float]:
+    """``(k_set, grid, resolution)``: player ``i``'s constraint value at
+    ``x``, whose ``value_key`` bytes are ``key``, and its :func:`set_grid`
+    at step ``h`` (``declared``: the preference's ``declared_scan`` of it,
+    resolution 0), from the instance's scan cache, which the certifier and
+    the best responses share.  Grids are read-only.  The cache holds at most
+    ``SCAN_CACHE_POINTS`` grid points: a larger grid is returned uncached,
+    and older entries are evicted, oldest first, only as far as a new one
+    needs."""
+    cache, slot = game._caches.setdefault("scan", {}), (i, key, h, declared)
     entry = cache.get(slot)
     if entry is None:
         k_set = game.constraint_maps[i].materialize(x)
-        entry = cache[slot] = (k_set, *game.preference_maps[i].scan_grid(
-            k_set, cfg.h, cfg.random_budget))
-        entry[1].flags.writeable = False
-        held = game._caches.get("scan_points", 0) + entry[1].shape[0]
-        while held > SCAN_CACHE_POINTS:
-            held -= cache.pop(next(iter(cache)))[1].shape[0]
-        game._caches["scan_points"] = held
+        grid, resolution = ((game.preference_maps[i].declared_scan(k_set), 0.0) if declared
+                            else set_grid(k_set, h))
+        grid.flags.writeable = False
+        entry = (k_set, grid, resolution)
+        held = game._caches.setdefault("scan_points", 0) + grid.shape[0]
+        if grid.shape[0] <= SCAN_CACHE_POINTS:
+            while held > SCAN_CACHE_POINTS:
+                held -= cache.pop(next(iter(cache)))[1].shape[0]
+            cache[slot] = entry
+            game._caches["scan_points"] = held
     return entry
 
 
@@ -601,7 +609,7 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
 
     Per player, rows with bitwise-equal ``value_key`` share one ``K_i(x)``
     and scan grid from the instance's scan cache (:func:`_scan_entry`, at
-    most ``SCAN_CACHE_POINTS`` grid points, oldest evicted first).  The
+    most ``SCAN_CACHE_POINTS`` grid points).  The
     scan order is the grid, then the row's own samples (``seeded_rng(
     cfg.seed, 11, i, arrays=(x, y))``); the witness is the first hit.
     Gains run in slabs of at most ``CHECK_SLAB`` entries, the grid first;
@@ -614,12 +622,14 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
     columns = []
     for i in range(game.player_count):
         pref, sl = game.preference_maps[i], game.own_slice(i)
+        declared = pref.scans_declared
+        count = 0 if declared else cfg.random_budget
         groups: dict[bytes, list[int]] = {}
         for r, key in enumerate(game.constraint_maps[i].value_key(xs)):
             groups.setdefault(key.tobytes(), []).append(r)
         checks: list[Optional[PlayerCheck]] = [None] * xs.shape[0]
         for key, rows in groups.items():
-            k_set, grid, resolution, count = _scan_entry(game, i, key, xs[rows[0]], cfg)
+            k_set, grid, resolution = _scan_entry(game, i, key, xs[rows[0]], cfg.h, declared)
             total = grid.shape[0] + count
             witnesses: dict[int, tuple] = {}
             step = max(1, CHECK_SLAB // max(1, total))

@@ -9,11 +9,37 @@ the zero vector.
 
 Fast paths: both factorized kinds propose their negated unit
 ``normal_field`` (the own-block gradient of a utility, the field of a
-direction field), validated against sampled preferred points each call.
-Half-space kinds (``halfspace_valued``) skip that check, which holds for
-them by construction.  Degenerate preferences fall back to the
-sphere-scan separator.  Tables have no normal field: their gains reject
-the off-grid probe pool with :class:`InputError`.
+direction field), validated against sampled preferred points each call:
+no pool point ``z`` the computed gain calls preferred may have a computed
+``<z - x_i, d>`` above ``POLAR_TOL``.  Two kinds skip that polar check
+where it is proven to pass:
+
+* half-space kinds (``halfspace_valued``: direction fields, utilities
+  affine in the own block), on every row.  A preferred ``z`` has ``<L, z -
+  x_i> > margin >= 0`` with ``L`` the normal field up to rounding, so
+  ``<z - x_i, d> <= ~1e-16 |z|``, far below ``POLAR_TOL``.
+* exactly concave utilities (``concave``: a constant own quadratic form,
+  negative semidefinite in rational arithmetic), on the rows whose bound
+  below is at most ``POLAR_TOL``.  The computed gain rounds monotonically,
+  so a preferred ``z`` has computed ``A~(z) > B~``, hence ``u(z) - u(x_i) =
+  A(z) - B > -E`` with ``E`` the rounding bound of
+  ``UtilityInduced.tangent_errors``.  By the tangent inequality ``<g, z -
+  x_i> >= u(z) - u(x_i) > -E`` for the exact gradient ``g``, so
+  ``<z - x_i, -g/|g|> < E / |g|``.  The computed field is within ``E_f`` of
+  ``g`` (1-norm, same source); while ``4 E_f <= n~`` (``n~`` its computed
+  norm) ``|g| >= n~/2`` and the computed ``d`` is within ``2 E_f/|g| +
+  gamma_{k+2}`` of ``-g/|g|``; the dot product rounds by at most ``2 rho
+  gamma_{k+2}`` with ``rho = |reach| + |x_i| >= |z - x_i|``.  Together the
+  computed ``<z - x_i, d>`` is below ``B = 2 (E + 2 rho E_f) / n~ + 3 rho
+  gamma_{k+2}``, and a row skips when ``2 B <= POLAR_TOL`` (the factor 2
+  covers evaluating ``B``, and underflow, whose absolute errors are far
+  below the half of ``POLAR_TOL`` it leaves).  Near-stationary rows keep
+  the check, and so does a form with an eigenvalue in ``(0, 1e-12]``,
+  which ``hull_exact`` admits but ``concave`` does not.
+
+Degenerate preferences fall back to the sphere-scan separator.  Tables
+have no normal field: their gains reject the off-grid probe pool with
+:class:`InputError`.
 """
 
 from __future__ import annotations
@@ -54,6 +80,27 @@ class UnitNormalProduct:
 
 def _sampling_window(game: GameInstance, i: int):
     return game.hull_boxes[i].inflate(1.0)
+
+
+def _unproven(p, xs: np.ndarray, norms: np.ndarray, cand_ok: np.ndarray,
+              zpool: np.ndarray) -> np.ndarray:
+    """The ``cand_ok`` rows whose polar check must run: none for a
+    half-space kind, those not proven by the module docstring's bound for
+    an exactly concave one, all of them otherwise."""
+    if p.halfspace_valued:
+        return np.zeros_like(cand_ok)
+    if not p.concave:
+        return cand_ok
+    rows = np.flatnonzero(cand_ok)
+    own = xs[rows, p.own_start:p.own_start + p.own_dim]
+    reach = np.max(np.abs(zpool), axis=0)
+    gain_err, field_err = p.tangent_errors(xs[rows], reach)
+    rho = np.linalg.norm(reach) + np.linalg.norm(own, axis=1)
+    bound = 2.0 * (gain_err + 2.0 * rho * field_err) / norms[rows] \
+        + 3.0 * rho * prefs._gamma(p.own_dim + 2)
+    need = cand_ok.copy()
+    need[rows] = ~((4.0 * field_err <= norms[rows]) & (2.0 * bound <= POLAR_TOL))
+    return need
 
 
 def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
@@ -103,16 +150,13 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         d = np.zeros_like(field)
         d[cand_ok] = -field[cand_ok] / norms[cand_ok, None]
 
-        # validate the polar inequality on the sampled preferred points, in
-        # row slabs of at most POLAR_SLAB pool entries; <z - x_i, d> adds
-        # one coordinate at a time, in coordinate order.  A half-space kind
-        # passes by construction: a preferred z has <L, z - x_i> > margin >= 0
-        # with L the normal field up to rounding, so <z - x_i, d> <= ~1e-16 |z|,
-        # far below POLAR_TOL
-        for s in range(0, 0 if p.halfspace_valued else block.shape[0], slab):
-            r = slice(s, s + slab)
-            if not np.any(cand_ok[r]):
-                continue
+        # validate the polar inequality on the sampled preferred points of
+        # the rows not proven to pass (module docstring), in row slabs of at
+        # most POLAR_SLAB pool entries; <z - x_i, d> adds one coordinate at
+        # a time, in coordinate order
+        need = np.flatnonzero(_unproven(p, block, norms, cand_ok, zpool))
+        for s in range(0, need.size, slab):
+            r = need[s:s + slab]
             own, dr = block[r, sl], d[r]
             g, dot, t = gain[:own.shape[0]], inner[:own.shape[0]], term[:own.shape[0]]
             np.take(lifted, group[r], axis=0, out=g)

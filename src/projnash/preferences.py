@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
 from .geometry import (Box, ConvexSet, cell_count_text, grid_axis, grid_axis_size,
-                       probe_points, set_grid)
+                       probe_points)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -71,6 +71,14 @@ class PreferenceMap:
     halfspace_valued = False
     #: the normal field as an affine map, where it is one
     field_map = None
+    #: a certificate scans the declared points inside the constraint value
+    #: (``declared_scan``), exhaustively, instead of the solvers' grid over
+    #: it plus seeded samples
+    scans_declared = False
+    #: a utility exactly concave in the own block (no eigenvalue tolerance),
+    #: whose tangent inequality bounds every preferred point, up to the
+    #: rounding ``tangent_errors`` bounds
+    concave = False
 
     def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
         """The strict gain on ``xs`` × ``zs`` rows as ``(lead, base, margin,
@@ -92,14 +100,6 @@ class PreferenceMap:
             return a
         return lead, base, margin, lift
 
-    def scan_grid(self, k_set: ConvexSet, h: float, budget: int
-                  ) -> tuple[np.ndarray, float, int]:
-        """What a certificate scans in the constraint value ``k_set``: the
-        solvers' grid over it (:func:`set_grid`), the grid resolution
-        actually reached, and how many seeded samples each row adds to the
-        grid: the whole ``budget``."""
-        return (*set_grid(k_set, h), budget)
-
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The joint points at which self-exclusion is checked, given the
         probe grid over the hull product: that grid."""
@@ -117,6 +117,12 @@ class PreferenceMap:
         ``window``."""
         return preferred(self, x, z) or _in_convex_hull(
             self._sample(x, window, budget, rng), z)
+
+    @cached_property
+    def _distance_forms(self) -> tuple:
+        """:func:`_halfspace_form` and :func:`_rival_scalar_form`, once per
+        preference."""
+        return _halfspace_form(self), _rival_scalar_form(self)
 
 
 @dataclass(frozen=True)
@@ -149,35 +155,89 @@ class UtilityInduced(PreferenceMap):
         return [self.utility.partial(self.own_start + j) for j in range(self.own_dim)]
 
     @cached_property
+    def _own_quadratic(self) -> Optional[list[tuple[int, int, float]]]:
+        """The own-quadratic terms ``c z_a z_b`` as ``(a, b, c)``, or None
+        when a quadratic own term has a rival factor or an own term has
+        degree above 2."""
+        k, s = self.own_dim, self.own_start
+        out = []
+        for e, c in self.utility.terms:
+            deg = sum(e[s:s + k])
+            if deg > 2 or (deg == 2 and sum(e) != 2):
+                return None                 # rival-modulated or cubic own term
+            if deg == 2:
+                a, b = (j for j in range(k) for _ in range(e[s + j]))
+                out.append((a, b, c))
+        return out
+
+    @cached_property
     def hull_exact(self) -> bool:
         """Cheap structural test that the utility is concave in the own
         block, which makes strict upper level sets convex.
 
         Detects own-degree <= 1, and constant-coefficient own-quadratics
-        with a negative-semidefinite quadratic form.  Anything fancier
-        takes the sampled-hull path.
+        with a negative-semidefinite quadratic form (eigenvalues at most
+        1e-12).  Anything fancier takes the sampled-hull path.
         """
-        k, s = self.own_dim, self.own_start
-        own = range(s, s + k)
-        own_degree = 0
-        quad = np.zeros((k, k))
-        for e, c in self.utility.terms:
-            deg = sum(e[j] for j in own)
-            own_degree = max(own_degree, deg)
-            if deg == 2:
-                if sum(e) != 2:
-                    return False  # rival-modulated quadratic term
-                idx = [j - s for j in own for _ in range(e[j])]
-                if len(idx) == 1:
-                    quad[idx[0], idx[0]] += c
-                else:
-                    quad[idx[0], idx[1]] += c / 2.0
-                    quad[idx[1], idx[0]] += c / 2.0
-            elif deg > 2:
-                return False
-        if own_degree <= 1:
-            return True
+        terms = self._own_quadratic
+        if not terms:
+            return terms is not None
+        quad = np.zeros((self.own_dim, self.own_dim))
+        for a, b, c in terms:
+            quad[a, b] += c / 2.0
+            quad[b, a] += c / 2.0
         return bool(np.all(np.linalg.eigvalsh(quad) <= 1e-12))
+
+    @cached_property
+    def concave(self) -> bool:
+        """The own quadratic form is negative semidefinite in rational
+        arithmetic: symmetric elimination of its negation meets no negative
+        pivot and no zero pivot with a nonzero row.  Unlike ``hull_exact``
+        it allows no eigenvalue in ``(0, 1e-12]``."""
+        terms = self._own_quadratic
+        if terms is None:
+            return False
+        from fractions import Fraction      # imported on first use
+        k = self.own_dim
+        m = [[Fraction(0)] * k for _ in range(k)]
+        for a, b, c in terms:
+            m[a][b] -= Fraction(c) / 2
+            m[b][a] -= Fraction(c) / 2
+        for p in range(k):
+            if m[p][p] < 0 or (m[p][p] == 0 and any(m[p][p:])):
+                return False
+            for r in range(p + 1, k) if m[p][p] else ():
+                f = m[r][p] / m[p][p]
+                for c in range(p, k):
+                    m[r][c] -= f * m[p][c]
+        return True
+
+    def tangent_errors(self, xs: np.ndarray, reach: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Rowwise bounds on rounding at ``xs`` rows: on ``|A~(z) - A(z)| +
+        |B~ - B|`` of the computed strict gain (``A`` the lift, ``B`` the
+        base; every ``|z_j| <= reach_j``), and on the 1-norm error of the
+        computed ``normal_field``.
+
+        Each is ``2 gamma_K`` times its magnitude: ``sum_t A_t (reach^e_t +
+        |x_i|^e_t)`` and ``sum_j sum_t A_t e_tj |x_i|^(e_t - 1_j)``, with
+        ``A_t`` the rival factor ``L_t`` over absolute coefficients and
+        coordinates.  Every entry is a sum of products that rounds at most
+        ``K = 2 (n + P) + 8`` times (``P`` own-reading terms; :func:`_gamma`);
+        the factor 2 covers the rounding of the magnitudes."""
+        rival, coeffs, starts, exps = self._own_groups
+        err = 2.0 * _gamma(2 * (self.n_vars + coeffs.shape[0]) + 8)
+        absx = np.abs(xs)
+        lead = np.add.reduceat(np.prod(absx[:, None, :] ** rival, axis=2) * np.abs(coeffs),
+                               starts, axis=1)                          # (m, T)
+        e = np.array(exps, dtype=np.int64)                              # (T, k)
+        own = _own_of(self, absx)
+        mono = lambda v, powers: np.prod(v[:, None, :] ** powers, axis=2)
+        gain = np.sum(lead * (np.prod(reach ** e, axis=1) + mono(own, e)), axis=1)
+        unit = np.eye(self.own_dim, dtype=np.int64)
+        field = sum(np.sum(lead * e[:, j] * mono(own, np.maximum(e - unit[j], 0)), axis=1)
+                    for j in range(self.own_dim))
+        return err * gain, err * field
 
     @cached_property
     def halfspace_valued(self) -> bool:
@@ -282,6 +342,8 @@ class Sampled(PreferenceMap):
     zpoints: tuple[tuple[float, ...], ...]
     prefers: tuple[tuple[bool, ...], ...]
 
+    scans_declared = True
+
     def __post_init__(self):
         if not self.at_points or not self.zpoints:
             raise InputError("sampled preference needs at least one grid point")
@@ -336,11 +398,10 @@ class Sampled(PreferenceMap):
         lift = lambda rows: np.where(self._table[pick(rows)], 1.0, -1.0)
         return at[:, None].astype(np.float64), np.zeros(at.shape[0]), 0.0, lift
 
-    def scan_grid(self, k_set: ConvexSet, h: float, budget: int
-                  ) -> tuple[np.ndarray, float, int]:
-        """The declared points inside ``k_set`` and no samples: the table is
-        the whole scan, exhaustive, so its stamped resolution is 0."""
-        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])], 0.0, 0
+    def declared_scan(self, k_set: ConvexSet) -> np.ndarray:
+        """The declared points inside ``k_set``: the table is the whole scan,
+        exhaustive, so its stamped resolution is 0 and it adds no samples."""
+        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])]
 
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The declared at-points."""
@@ -355,6 +416,13 @@ class Sampled(PreferenceMap):
         """Exact: the hull of the declared preferred points, which ``z`` may
         lie between."""
         return _in_convex_hull(self._preferred_at(x), z)
+
+
+def _gamma(ops: int) -> float:
+    """``K eps / (1 - K eps)`` for ``K = ops`` roundings of relative error at
+    most ``eps = 2^-52`` each (a power rounds within 1 ulp)."""
+    eps = float(np.finfo(np.float64).eps)
+    return ops * eps / (1.0 - ops * eps)
 
 
 def _own_of(p: PreferenceMap, x: np.ndarray) -> np.ndarray:
@@ -655,11 +723,12 @@ class _ComplementCloud:
                 hi = (slice(None),) * axis + (slice(1, None),)
                 near[hi] |= pref[lo]
                 near[lo] |= pref[hi]
-            idx = np.argwhere((block & near)[start - first:stop - first])
-            coords = np.empty((idx.shape[0], d))
-            coords[:, 0] = axes[0][start + idx[:, 0]]
+            hit = (block & near)[start - first:stop - first]
+            idx = np.unravel_index(np.flatnonzero(hit), hit.shape)   # C order, as argwhere
+            coords = np.empty((idx[0].shape[0], d))
+            coords[:, 0] = axes[0][start + idx[0]]
             for col in range(1, d):
-                coords[:, col] = axes[col][idx[:, col]]
+                coords[:, col] = axes[col][idx[col]]
             boundary.append(coords)
             if stop < shape[0]:
                 block = np.concatenate([block[stop - 1 - first:],
@@ -703,14 +772,18 @@ def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
     zs = zs.reshape(ys.shape[0], -1, p.own_dim)
     lo, hi = ctx.region._np
     n = ys.shape[1]
-    if any(np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)
-           for v, a, b in ((ys, lo[:n], hi[:n]), (zs, lo[n:], hi[n:]))):
-        raise InputError("graph-distance query lies outside the context region")
+    for v, a, b in ((ys, lo[:n], hi[:n]), (zs, lo[n:], hi[n:])):
+        # one min and one max settle the usual case, every value inside the
+        # bounds all columns share; otherwise (NaN too) compare per column
+        if v.size and not (v.min() >= a.max() - GRID_MATCH_TOL
+                           and v.max() <= b.min() + GRID_MATCH_TOL) \
+                and (np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)):
+            raise InputError("graph-distance query lies outside the context region")
     pref = strict_gain_paired(p, ys, zs) > 0.0
     if not np.any(pref):
         return np.zeros(pref.shape) if paired else np.zeros(pref.shape[1])
     own = _own_of(p, ys)[:, None, :]
-    half, scalar = _halfspace_form(p), _rival_scalar_form(p)
+    half, scalar = p._distance_forms
     if half is not None:
         c, off = half
         gainvals = ((zs - own).reshape(-1, p.own_dim) @ c).reshape(pref.shape) - off

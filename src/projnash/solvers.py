@@ -24,10 +24,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InputError
-from .game import (Certificate, GameInstance, WITNESS_GUARD,
+from .game import (Certificate, GameInstance, WITNESS_GUARD, _scan_entry,
                    check_projected_solution_many, seeded_rng)
 from .geometry import (Box, check_grid_size, grid_axis, grid_axis_size, grid_points,
-                       lattice_axis, lattice_span, mesh_points, project, set_grid)
+                       lattice_axis, lattice_span, mesh_points, project)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
@@ -217,36 +217,43 @@ def best_response_distance(game: GameInstance, i: int, x, y, cfg: SolverConfig
     resolution) and the selection is the projection of ``y_i`` onto the
     constraint: the iteration is stationary at true solutions.  Otherwise
     the selection is the centroid of the maximizer list, a point of the
-    hull of best responses.  The one-row call of :func:`_best_responses`.
+    hull of best responses.  The one-row call of :func:`_best_responses`;
+    the maximizers are a writable copy.
     """
     xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
     ys = np.asarray(y, dtype=np.float64).reshape(1, -1)
     maximizers, selected = _best_responses(game, i, xs, ys, cfg)
-    return maximizers[0], selected[0]
+    return maximizers[0].copy(), selected[0]
 
 
 def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
                     cfg: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """:func:`best_response_distance` at every ``(x, y)`` row.
 
-    Each row's grid is its own :func:`set_grid`, built when its chunk is
-    due: consecutive rows are padded to a common grid size of at most
-    ``_RESPONSE_ENTRIES`` entries (a larger grid runs alone) and take one
-    graph-distance call; the selection runs row by row.  Each row's
-    maximizers and selection are bitwise its one-row call's.
+    Each row's grid is the ``set_grid`` of its constraint value from
+    the instance's scan cache (``game._scan_entry``), so rows with one value
+    share one grid, fetched when the row's chunk is due: consecutive rows
+    are padded to a common grid size of at most ``_RESPONSE_ENTRIES``
+    entries (a larger grid runs alone) and take one graph-distance call;
+    the selection runs row by row.  Each row's maximizers and selection are
+    bitwise its one-row call's; maximizers that are the whole grid are the
+    cached, read-only array.
     """
     if xs.shape[1] != game.n:
         raise InputError(f"joint strategy has dimension {xs.shape[1]}, expected {game.n}")
     if not np.all(game.in_choice_many(xs, tol=1e-9)):
         raise InputError("joint strategy lies outside the choice-set product")
-    cmap, sl = game.constraint_maps[i], game.own_slice(i)
+    sl = game.own_slice(i)
     ctx = game.distance_context(i, cfg.distance_step)
     maximizers: list = []
     selected = np.empty((xs.shape[0], game.dims[i]))
 
     def respond(chunk: list, width: int) -> None:
-        # a padded entry repeats the row's last grid point, so it moves no maximum
-        pts = np.stack([grid[np.minimum(np.arange(width), grid.shape[0] - 1)] for _, grid in chunk])
+        # a padded entry repeats the row's last grid point, so it moves no
+        # maximum; a one-row chunk passes its grid as it is
+        pts = [grid if grid.shape[0] == width else
+               grid[np.minimum(np.arange(width), grid.shape[0] - 1)] for _, grid in chunk]
+        pts = pts[0][None] if len(pts) == 1 else np.stack(pts)
         rows = np.arange(len(maximizers), len(maximizers) + len(chunk))
         vals = prefs.graph_distance_many(game.preference_maps[i], ctx, ys[rows], pts)
         gmax = vals.max(axis=1)
@@ -262,9 +269,8 @@ def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
                 selected[r] = np.add.reduce(maximizers[r], axis=0) / maximizers[r].shape[0]
 
     chunk, width = [], 0
-    for x in xs:
-        k_set = cmap.materialize(x)
-        grid = set_grid(k_set, cfg.h)[0]
+    for x, key in zip(xs, game.constraint_maps[i].value_key(xs)):
+        k_set, grid, _ = _scan_entry(game, i, key.tobytes(), x, cfg.h)
         if chunk and (len(chunk) + 1) * max(width, grid.shape[0]) > _RESPONSE_ENTRIES:
             respond(chunk, width)
             chunk, width = [], 0

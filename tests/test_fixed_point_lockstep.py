@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from projnash import preferences as prefs, solvers
+from projnash import game as game_mod, preferences as prefs, solvers
 from projnash.cli import Report, _emit_result
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
@@ -100,8 +100,37 @@ def _outcome(route, game, cfg):
         return f"InputError: {exc}"
 
 
+def _grid_slots(game) -> set:
+    return {slot for slot in game._caches.get("scan", {}) if not slot[3]}
+
+
+def _counted_run(game, cfg):
+    """The lock-step run, the number of grids the scan cache built, the
+    number of grid slots it gained, and the number of best-response rows."""
+    builds, rows, before = [0], [0], _grid_slots(game)
+    real_grid, real_responses = game_mod.set_grid, solvers._best_responses
+
+    def grid(k_set, h):
+        builds[0] += 1
+        return real_grid(k_set, h)
+
+    def responses(game, i, xs, ys, cfg):
+        rows[0] += xs.shape[0]
+        return real_responses(game, i, xs, ys, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_mod, "set_grid", grid)
+        mp.setattr(solvers, "_best_responses", responses)
+        got = _outcome(solve_fixed_point, game, cfg)
+    return got, builds[0], len(_grid_slots(game) - before), rows[0]
+
+
 def assert_same_run(game, cfg):
-    got, want = _outcome(solve_fixed_point, game, cfg), _outcome(sequential_fixed_point, game, cfg)
+    # each constraint value's grid is built once, for the best responses
+    # and the certificates alike
+    got, builds, slots, _ = _counted_run(game, cfg)
+    assert builds == slots
+    want = _outcome(sequential_fixed_point, game, cfg)
     if isinstance(want, str):
         assert got == want
         return
@@ -129,6 +158,16 @@ def test_lockstep_matches_sequential_on_fixtures(name):
 def test_lockstep_matches_sequential_at_the_benchmark_resolution():
     for name in ("expand", "spin", "chase", "corner", "offside"):
         assert_same_run(load_fixture(name), SolverConfig(h=0.02, multistart=5))
+
+
+def test_rows_sharing_a_value_build_its_grid_once():
+    # the benchmark's solve-fp routes: far fewer grids than best-response
+    # rows, each report bitwise the sequential one (fresh grid every call)
+    for name, h in (("expand", 0.02), ("chase", 0.02), ("disk", 0.01)):
+        game, cfg = load_fixture(name), SolverConfig(h=h, multistart=5)
+        _, builds, slots, rows = _counted_run(game, cfg)
+        assert 0 < builds == slots and 2 * builds < rows
+        assert_same_run(load_fixture(name), cfg)
 
 
 def test_lockstep_leaves_unconverged_starts_in_the_batch():
@@ -160,6 +199,7 @@ def test_one_row_best_response_is_the_sequential_one():
                 got = best_response_distance(game, i, start, start, cfg)
                 want = _best_response(game, i, start, start, cfg)
                 assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+                assert got[0].flags.writeable      # never the cached, read-only grid
 
 
 def test_lockstep_matches_sequential_in_small_chunks(monkeypatch):
@@ -171,39 +211,42 @@ def test_lockstep_matches_sequential_in_small_chunks(monkeypatch):
 
 def test_best_response_grids_are_built_one_chunk_at_a_time(monkeypatch):
     # fine 1-D grids (thousands of points a row) split the rows over several
-    # calls; a row's grid is built only once the chunk before it is scanned
+    # calls; every value comes twice, and its grid is built once, from the
+    # scan cache, when the first row holding it is due: builds run at most
+    # the next chunk's first row ahead of the scan
     game = load_fixture("expand")
     cfg = SolverConfig(h=5e-4)
     xs = _multistart_points(game, cfg)
+    xs = np.vstack([xs, xs[::-1]])
+    sizes = [set_grid(constraint_set(game, 0, x), cfg.h)[0].shape[0] for x in xs]
+    keys = [game.constraint_maps[0].value_key(x[None]).tobytes() for x in xs]
     events = []
-    real_grid, real_distance = solvers.set_grid, prefs.graph_distance_many
+    real_grid, real_distance = game_mod.set_grid, prefs.graph_distance_many
 
     def grid(k_set, h):
-        pts, resolution = real_grid(k_set, h)
-        events.append(pts.shape[0])
-        return pts, resolution
+        events.append("grid")
+        return real_grid(k_set, h)
 
     def distance(p, ctx, ys, pts):
         events.append(pts.shape[:2])
         return real_distance(p, ctx, ys, pts)
 
-    monkeypatch.setattr(solvers, "set_grid", grid)
+    monkeypatch.setattr(game_mod, "set_grid", grid)
     monkeypatch.setattr(prefs, "graph_distance_many", distance)
     maximizers, selected = solvers._best_responses(game, 0, xs, xs, cfg)
-    sizes = [e for e in events if isinstance(e, int)]
-    calls = [e for e in events if isinstance(e, tuple)]
-    assert len(sizes) == xs.shape[0] and max(sizes) > 1000
+    calls = [e for e in events if e != "grid"]
+    assert events.count("grid") == len(set(keys)) < xs.shape[0] and max(sizes) > 1000
     assert len(calls) > 1 and max(rows for rows, _ in calls) > 1
     built = scanned = 0
     for event in events:
-        if isinstance(event, int):
+        if event == "grid":
             built += 1
             continue
         rows, width = event
         assert width == max(sizes[scanned:scanned + rows])
         assert rows == 1 or rows * width <= solvers._RESPONSE_ENTRIES
         scanned += rows
-        assert built <= scanned + 1      # at most the next chunk's first row
+        assert built <= len(set(keys[:scanned + 1]))
     monkeypatch.undo()
     for r, x in enumerate(xs):
         want = _best_response(game, 0, x, x, cfg)

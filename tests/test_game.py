@@ -12,7 +12,7 @@ from projnash.game import (DEFAULT_PROBE_AXIS, MovingBox, MovingPolytope,
                            check_nep_many, check_projected_solution,
                            check_projected_solution_many, constraint_set,
                            from_utilities, seeded_rng)
-from projnash.geometry import Ball, Box, HalfspacePolytope
+from projnash.geometry import Ball, Box, HalfspacePolytope, set_grid
 from projnash.preferences import preferred, sample_preferred
 from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
@@ -452,7 +452,8 @@ def test_warm_instance_certifies_the_verify_batch_as_fresh_ones():
 def test_scan_cache_never_shares_an_entry():
     # table: both players' constraint values are [0, 1], so their value keys
     # are equal bytes, but a table scans its declared points and a utility
-    # a grid plus samples
+    # a grid plus samples; the budget is not part of the key, since it only
+    # sets how many samples a row draws
     game = load_fixture("table")
     at = np.array(game.preference_maps[0].at_points)
     cfgs = [SolverConfig(h=h, random_budget=b) for h in (0.1, 0.05) for b in (0, 64)]
@@ -461,14 +462,14 @@ def test_scan_cache_never_shares_an_entry():
             got = check_nep(game, point, point, cfg)
             assert _bits(got) == _bits(check_nep(_fresh(game), point, point, cfg))
     cache = game._caches["scan"]
-    assert len(cache) == game.player_count * len(cfgs)
-    for (i, key, h, budget), (k_set, grid, resolution, count) in cache.items():
-        cmap = game.constraint_maps[i]
+    assert len(cache) == game.player_count * 2
+    for (i, key, h, declared), (k_set, grid, resolution) in cache.items():
+        cmap, pref = game.constraint_maps[i], game.preference_maps[i]
         assert key == cmap.value_key(at[:1]).tobytes()
-        want_grid, want_resolution, want_count = game.preference_maps[i].scan_grid(
-            cmap.materialize(at[0]), h, budget)
-        assert np.array_equal(grid, want_grid)
-        assert (resolution, count) == (want_resolution, want_count)
+        assert declared == pref.scans_declared == (i == 0)
+        value = cmap.materialize(at[0])
+        want = (pref.declared_scan(value), 0.0) if declared else set_grid(value, h)
+        assert np.array_equal(grid, want[0]) and resolution == want[1]
 
 
 def test_cached_scan_grids_are_read_only():
@@ -480,6 +481,32 @@ def test_cached_scan_grids_are_read_only():
     for grid in grids:
         with pytest.raises(ValueError):
             grid[0, 0] = 7.0
+
+
+def test_scan_cache_evicts_only_as_needed_and_keeps_no_oversize_grid(monkeypatch):
+    # expand at x = y = 0: both players' values are [0, 1], 51 grid points
+    # at h = 0.02 and 501 at h = 0.002; at x = y = 0.05 they are [0, 1.05],
+    # 106 points at h = 0.02
+    monkeypatch.setattr(game_mod, "SCAN_CACHE_POINTS", 300)
+    game = load_fixture("expand")
+    coarse, fine = SolverConfig(h=0.02), SolverConfig(h=0.002)
+    a, b = np.zeros(2), np.full(2, 0.05)
+
+    def held():
+        cache = game._caches["scan"]
+        assert sum(e[1].shape[0] for e in cache.values()) == game._caches["scan_points"] <= 300
+        return [(slot, id(entry[1])) for slot, entry in cache.items()]
+
+    check_nep(game, a, a, coarse)
+    first = held()
+    assert len(first) == 2
+    # a grid past the bound is returned uncached and evicts nothing
+    assert _bits(check_nep(game, a, a, fine)) == _bits(check_nep(_fresh(game), a, a, fine))
+    assert held() == first
+    # 102 + 2 x 106 points: the second new grid evicts the oldest entry only
+    assert _bits(check_nep(game, b, b, coarse)) == _bits(check_nep(_fresh(game), b, b, coarse))
+    now = held()
+    assert len(now) == 3 and now[0] == first[1]
 
 
 @pytest.mark.parametrize("bound", [250, 50])

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from projnash import normal_op
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
@@ -17,6 +18,7 @@ from projnash.preferences import (DirectionField, UtilityInduced, sample_preferr
                                   strict_gain_outer)
 from projnash.solvers import SolverConfig, _scan
 
+from test_check_nep_many import _polytope_game
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
 
@@ -302,3 +304,99 @@ def test_directions_match_the_reference_with_offset_fields(offset):
     assert all(p.halfspace_valued for p in game.preference_maps)
     assert assert_directions_match_the_reference(game, _lattice_rows(game, 0.05),
                                                  SolverConfig(h=0.05)) > 0
+
+
+# -- the polar check proven by concavity ----------------------------------------------
+
+def _checked_rows(monkeypatch) -> list:
+    """``[candidate rows, checked rows]`` summed over the kernel calls that
+    follow: rows with a nonzero field on a nonempty preference, and those
+    of them whose polar check runs."""
+    seen = [0, 0]
+    real = normal_op._unproven
+
+    def unproven(p, xs, norms, cand_ok, zpool):
+        need = real(p, xs, norms, cand_ok, zpool)
+        seen[0] += int(cand_ok.sum())
+        seen[1] += int(need.sum())
+        return need
+
+    monkeypatch.setattr(normal_op, "_unproven", unproven)
+    return seen
+
+
+def _one_d_game(utility: str):
+    sets = [Box((0.0,), (1.0,)), Box((0.0,), (1.0,))]
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant([0.0], 2),
+                      upper=AffineMap.constant([1.0], 2)) for i in range(2)]
+    return from_utilities([1, 1], sets, maps, [utility, "x2"])
+
+
+def _two_d_game(utility: str):
+    """A player on the unit square against a player on [0, 1]."""
+    sets = [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))]
+    maps = [MovingBox(player_index=i, lower=AffineMap.constant(list(s.lower), 3),
+                      upper=AffineMap.constant(list(s.upper), 3)) for i, s in enumerate(sets)]
+    return from_utilities([2, 1], sets, maps, [utility, "-(x3 - 0.5)^2"])
+
+
+#: the exactly concave, not half-space players of the fixtures and the
+#: benchmark's polytope game
+CONCAVE = {"selfmap": [0, 1], "chase": [0, 1], "disk": [1], "polytope": [1]}
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(CONCAVE))
+def test_concave_players_skip_the_check_only_where_proven(name, factor, monkeypatch):
+    game = _polytope_game() if name == "polytope" else load_fixture(name)
+    assert [i for i, p in enumerate(game.preference_maps)
+            if p.concave and not p.halfspace_valued] == CONCAVE[name]
+    game, ys = _scaled(game, _lattice_rows(game, 0.05), factor)
+    seen = _checked_rows(monkeypatch)
+    assert_directions_match_the_reference(game, ys, SolverConfig(h=0.1, random_budget=256),
+                                          CONCAVE[name])
+    # at the fixtures' scale every candidate row is proven; scaled by 1e3
+    # the quadratic terms' rounding grows a million-fold, and on chase,
+    # whose gradient scales less, some rows keep the check
+    assert seen[0] > 0 and (seen[1] > 0) == (name == "chase" and factor > 1.0)
+
+
+def test_near_stationary_rows_keep_the_check():
+    # -(x1 - t)^2 with x1 = z - 1e-8 and t = x1 - 1e-9, z a probe point:
+    # the gradient is 2e-9, and the rounding of the gain can call z
+    # preferred although it is not, with <z - x1, d> = 1e-8 > POLAR_TOL
+    cfg = SolverConfig(h=0.1, random_budget=256)
+    pool = probe_points(Box((-1.0,), (2.0,)), 256, seeded_rng(cfg.seed, 29, 0))[:, 0]
+    rejected = 0
+    for z in pool[100:]:
+        x = float(z) - 1e-8
+        game = _one_d_game(f"-(x1 - {x - 1e-9!r})^2")
+        assert game.preference_maps[0].concave
+        ys = np.array([[x, 0.3]])
+        assert_directions_match_the_reference(game, ys, cfg, [0])
+        full, ok = normal_directions_batch(game, 0, ys, cfg)[1:]
+        rejected += int(not full[0] and not ok[0])
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("tilt, checked", [("1e-2", False), ("1e-5", True)])
+def test_a_flat_ridge_keeps_the_check(tilt, checked, monkeypatch):
+    # -(x1 - x2)^2 + tilt x1: on the diagonal the gradient is (tilt, 0)
+    # while the terms stay of order 1, so a small tilt proves nothing
+    game = _two_d_game(f"-(x1 - x2)^2 + {tilt}*x1")
+    assert game.preference_maps[0].concave
+    ys = np.array([[v, v, 0.3] for v in np.linspace(0.05, 0.95, 19)])
+    seen = _checked_rows(monkeypatch)
+    assert_directions_match_the_reference(game, ys, SolverConfig(h=0.1), [0])
+    assert seen[0] == ys.shape[0] and seen[1] == (seen[0] if checked else 0)
+
+
+def test_a_tiny_positive_eigenvalue_keeps_the_check(monkeypatch):
+    # hull_exact allows eigenvalues up to 1e-12; the exact test does not
+    game = _two_d_game("-x1^2 + 1e-13*x2^2 + x2")
+    p = game.preference_maps[0]
+    assert p.hull_exact and not p.concave and not p.halfspace_valued
+    seen = _checked_rows(monkeypatch)
+    assert_directions_match_the_reference(game, _lattice_rows(game, 0.1), SolverConfig(h=0.1),
+                                          [0])
+    assert seen[1] == seen[0] > 0

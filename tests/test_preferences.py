@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -115,6 +116,87 @@ def test_hull_equals_raw_for_concave_quadratic():
         x = rng.uniform(0, 1, 2)
         z = rng.uniform(-0.5, 1.5, 1)
         assert hull_preferred(p, x, z) == preferred(p, x, z)
+
+
+@pytest.mark.parametrize("text, hull_exact, concave", [
+    ("-(x1 - 0.5)^2 - x2^2", True, True),
+    ("-(x1 - x2)^2", True, True),                        # singular form
+    ("-x2^2 + x1*x3", True, True),                       # zero first pivot
+    ("x1*x3 + x2", True, True),                          # own degree 1
+    ("-x1^2 + 1e-13*x2^2", True, False),                 # eigenvalue in (0, 1e-12]
+    ("-x1^2 - x2^2 + 2.0000000000000004*x1*x2", True, False),
+    ("1e-13*x1*x2 - x2^2", True, False),                 # zero pivot, nonzero row
+    ("x1*x2 - x2^2", False, False),
+    ("-x1^2 - x2^2 + 3*x1*x2", False, False),            # indefinite
+    ("x1^2 - x2^2", False, False),
+    ("-x1^2*x3", False, False),                          # rival-modulated
+    ("-x1^4", False, False),
+])
+def test_concave_is_exact_negative_semidefiniteness(text, hull_exact, concave):
+    p = UtilityInduced(player_index=0, n_vars=3, own_start=0, own_dim=2,
+                       utility=parse_polynomial_text(text, 3))
+    assert (p.hull_exact, p.concave) == (hull_exact, concave)
+
+
+def _exact_value(poly, point):
+    """``poly`` at the float coordinates ``point`` in rational arithmetic."""
+    total = Fraction(0)
+    for e, c in poly.terms:
+        term = Fraction(c)
+        for v, k in zip(point, e):
+            term *= Fraction(float(v)) ** k
+        total += term
+    return total
+
+
+@st.composite
+def quadratic_utilities(draw):
+    """Utilities of own degree <= 2 with constant quadratic coefficients,
+    rival-dependent linear and free terms, generic coefficients, own
+    dimension 1-2 and two rival coordinates."""
+    own_dim = draw(st.integers(1, 2))
+    n, own_start = own_dim + 2, draw(st.integers(0, 2))
+    own = list(range(own_start, own_start + own_dim))
+    rivals = [j for j in range(n) if j not in own]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    var = lambda j: Polynomial.variable(j, n)
+    utility = Polynomial.constant(0.0, n)
+    for a in own:
+        for b in own:
+            if a <= b and draw(st.booleans()):
+                utility = utility + (var(a) * var(b)).scale(float(rng.uniform(-3, 3)))
+        for _ in range(draw(st.integers(1, 3))):
+            term = var(a).scale(float(rng.uniform(-3, 3)))
+            for j in draw(st.lists(st.sampled_from(rivals), max_size=2)):
+                term = term * var(j)
+            utility = utility + term
+    utility = utility + (var(rivals[0]) * var(rivals[1])).scale(float(rng.uniform(-3, 3)))
+    scale = 10.0 ** draw(st.integers(0, 3))
+    return UtilityInduced(player_index=0, n_vars=n, own_start=own_start, own_dim=own_dim,
+                          utility=utility), scale, rng
+
+
+@given(quadratic_utilities())
+def test_tangent_errors_bound_the_rounding(case):
+    # the computed A~(z) - B~ and normal field against rational arithmetic
+    p, scale, rng = case
+    sl = slice(p.own_start, p.own_start + p.own_dim)
+    xs = rng.uniform(-scale, scale, (6, p.n_vars))
+    zs = rng.uniform(-scale, scale, (40, p.own_dim))
+    reach = np.max(np.abs(zs), axis=0)
+    gain_err, field_err = p.tangent_errors(xs, reach)
+    _, base, _, lift = p._gain_factors(xs, zs)
+    lifted = lift(slice(None))
+    field = p.normal_field(xs)
+    for r, x in enumerate(xs):
+        at_x = _exact_value(p.utility, x)
+        for s, z in enumerate(zs):
+            xz = x.copy()
+            xz[sl] = z
+            exact = _exact_value(p.utility, xz) - at_x
+            assert abs(Fraction(lifted[r, s]) - Fraction(base[r]) - exact) <= gain_err[r]
+        slack = sum(abs(field[r, j] - _exact_value(g, x)) for j, g in enumerate(p.own_gradient))
+        assert slack <= field_err[r]
 
 
 def test_convexity_of_half_space_preferences():
@@ -313,6 +395,35 @@ def test_rival_scalar_form_only_for_rival_affine_fields_on_one_coordinate():
               _direction(["x1 + x2"], 2),                 # reads the own coordinate
               make_sampled()):
         assert _rival_scalar_form(p) is None
+
+
+def test_graph_distance_takes_its_forms_once_and_checks_each_column(monkeypatch):
+    calls = []
+    for name in ("_halfspace_form", "_rival_scalar_form"):
+        real = getattr(prefs_mod, name)
+        monkeypatch.setattr(prefs_mod, name, lambda p, real=real: calls.append(p) or real(p))
+    g = load_fixture("chase")           # region: y in [-1, 3] x [-1, 2], z in [-1, 3]
+    p, ctx = g.preference_maps[0], g.distance_context(0, 0.05)
+    zs = np.array([[0.25], [2.5]])
+    first = graph_distance_many(p, ctx, [2.5, 0.5], zs)
+    for _ in range(3):
+        assert graph_distance_many(p, ctx, [2.5, 0.5], zs).tobytes() == first.tobytes()
+    assert calls == [p, p]
+    # a value inside one column's bounds but past its own column's
+    for y, z in (([0.5, 2.5], zs), ([0.5, -1.5], zs), ([0.5, 0.5], [[3.5]]),
+                 ([0.5, 0.5], [[np.nan], [-1.5]])):
+        with pytest.raises(InputError, match="outside the context region"):
+            graph_distance_many(p, ctx, y, z)
+    # NaN is no region violation by itself, as for the per-entry comparisons
+    graph_distance_many(p, ctx, [0.5, 0.5], [[np.nan], [0.5]])
+    # disk: y in [-2, 2]^2 x [-1, 2] and z in [-2, 2] x [-1.5, 1.5], so the
+    # columns' lower bounds differ too
+    g = load_fixture("disk")
+    p, ctx = g.preference_maps[0], g.distance_context(0, 0.05)
+    graph_distance_many(p, ctx, [0.0, 0.0, -0.5], [[-1.8, -1.2]])
+    for y, z in (([0.0, 0.0, -1.5], [[0.0, 0.0]]), ([0.0, 0.0, 0.5], [[0.0, -1.8]])):
+        with pytest.raises(InputError, match="outside the context region"):
+            graph_distance_many(p, ctx, y, z)
 
 
 def test_graph_distance_many_matches_scalar():
@@ -570,6 +681,68 @@ def test_block_wise_cloud_matches_the_slab_scan(monkeypatch, block, steps, cloud
     one_axis = SimpleNamespace(n_vars=1, own_dim=1, gain=parse_polynomial_text("x2^2 - 0.25", 2))
     ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
     assert _check_cloud_against_slabs(one_axis, ctx) == 2
+
+
+def _boundary_points_argwhere(gain, active, axes, shape):
+    """The block-wise complement boundary with its indices from N-D
+    ``np.argwhere``: the cloud's scan before it took flat indices."""
+    d = len(axes)
+    slab_shape = shape[1:] if d > 1 else (1,)
+    per = max(1, prefs_mod._CLOUD_BLOCK // math.prod(slab_shape))
+    cols = [None] * gain.n_vars
+    for c in range(1, d):
+        cols[active[c]] = axes[c].reshape([-1 if a == c else 1 for a in range(d)])
+
+    def masks(start, stop):
+        cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
+        return gain.eval_columns(cols, (stop - start,) + slab_shape) <= 0.0
+
+    boundary = []
+    first, block = 0, masks(0, min(shape[0], per + 1))
+    for start in range(0, shape[0], per):
+        stop = min(shape[0], start + per)
+        pref, near = ~block, np.zeros_like(block)
+        for axis in range(block.ndim):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            near[hi] |= pref[lo]
+            near[lo] |= pref[hi]
+        idx = np.argwhere((block & near)[start - first:stop - first])
+        coords = np.empty((idx.shape[0], d))
+        coords[:, 0] = axes[0][start + idx[:, 0]]
+        for col in range(1, d):
+            coords[:, col] = axes[col][idx[:, col]]
+        boundary.append(coords)
+        if stop < shape[0]:
+            block = np.concatenate([block[stop - 1 - first:],
+                                    masks(stop + 1, min(shape[0], stop + per + 1))])
+            first = stop - 1
+    return np.vstack(boundary)
+
+
+@pytest.mark.parametrize("block", [prefs_mod._CLOUD_BLOCK, 997])
+def test_cloud_points_match_the_argwhere_scan(monkeypatch, block):
+    # every fixture's clouds, chase's full grid at the benchmark's step among them
+    monkeypatch.setattr(prefs_mod, "_CLOUD_BLOCK", block)
+    built = 0
+    for name in FIXTURE_NAMES:
+        game = load_fixture(name)
+        for h_g in (0.05, 0.02):
+            for i, p in enumerate(game.preference_maps):
+                if isinstance(p, Sampled):
+                    continue
+                ctx = game.distance_context(i, h_g)
+                try:
+                    cloud = _ComplementCloud(p, ctx)
+                except InputError:
+                    continue
+                lo, hi = ctx.region._np
+                axes = [grid_axis(lo[j], hi[j], h_g) for j in cloud.active]
+                want = _boundary_points_argwhere(p.gain, cloud.active.tolist(), axes,
+                                                 tuple(ax.shape[0] for ax in axes))
+                assert cloud.points.tobytes() == want.tobytes()
+                built += 1
+    assert built >= 25
 
 
 # -- self-exclusion of the gain kernel ------------------------------------------
