@@ -6,8 +6,7 @@ from .errors import (HypothesisError, InputError, NonConvergenceError,
                      ParseError, ProjnashError)
 from .expressions import AffineMap, Polynomial, parse_polynomial_text
 from .geometry import (Ball, Box, ConeSample, ConvexSet, HalfspacePolytope,
-                       normal_cone_membership, polar_membership, project,
-                       projection_vi_residual, separate)
+                       project, projection_vi_residual, separate)
 from .preferences import (DirectionField, GraphDistanceContext, PreferenceMap,
                           Sampled, UtilityInduced, graph_distance,
                           hull_preferred, preferred, sample_preferred)

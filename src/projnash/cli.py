@@ -75,8 +75,17 @@ class _Cursor:
     def parse_int(self) -> int:
         tok = self.next()
         if tok.kind != "num" or "." in tok.text or "e" in tok.text.lower():
-            raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected an integer, found {tok.text or tok.kind!r}",
+                             tok.line, tok.col)
         return int(tok.text)
+
+    def parse_count(self, message: str) -> int:
+        """A positive integer; ``message`` names the error at its token."""
+        tok = self.peek()
+        value = self.parse_int()
+        if value < 1:
+            raise ParseError(message, tok.line, tok.col)
+        return value
 
     def parse_real(self) -> float:
         tok = self.next()
@@ -85,7 +94,7 @@ class _Cursor:
             sign = -1.0 if tok.text == "-" else 1.0
             tok = self.next(skip_newlines=False)
         if tok.kind != "num":
-            raise ParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected a number, found {tok.text or tok.kind!r}", tok.line, tok.col)
         return sign * float(tok.text)
 
     def parse_expr_vector(self, n_vars: int) -> list:
@@ -108,14 +117,12 @@ class _Cursor:
                              tok.line, tok.col)
 
     def parse_const_vector(self, n_vars: int) -> list[float]:
+        """A vector of constants; a variable entry is an error at its '['."""
+        opening = self.peek()
         polys = self.parse_expr_vector(n_vars)
-        vals = []
-        for p in polys:
-            if p.degree() > 0:
-                tok = self.peek()
-                raise ParseError("expected a constant vector entry", tok.line, tok.col)
-            vals.append(p.constant_value())
-        return vals
+        if any(p.degree() > 0 for p in polys):
+            raise ParseError("expected a constant vector entry", opening.line, opening.col)
+        return [p.constant_value() for p in polys]
 
 
 def parse_problem(text: str) -> GameInstance:
@@ -126,13 +133,9 @@ def parse_problem(text: str) -> GameInstance:
     """
     cur = _Cursor(tokenize(text))
     cur.expect_keyword("players")
-    n_players = cur.parse_int()
-    if n_players < 1:
-        raise ParseError("need at least one player")
+    n_players = cur.parse_count("need at least one player")
     cur.expect_keyword("dims")
-    dims = [cur.parse_int() for _ in range(n_players)]
-    if any(d < 1 for d in dims):
-        raise ParseError("player dimensions must be positive")
+    dims = [cur.parse_count("player dimensions must be positive") for _ in range(n_players)]
     n = sum(dims)
 
     choice_sets: dict[int, object] = {}

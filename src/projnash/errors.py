@@ -16,7 +16,7 @@ class ParseError(InputError):
     """Problem-file text could not be parsed.
 
     Carries the 1-based ``line`` and ``col`` of the offending token when
-    they are known.
+    there is one (a missing player declaration has none).
     """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -24,8 +24,6 @@ class ParseError(InputError):
         self.col = col
         if line is not None and col is not None:
             message = f"line {line} col {col}: {message}"
-        elif line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
 
 

@@ -3,9 +3,10 @@
 Three set variants (axis-aligned boxes, Euclidean balls, half-space
 polytopes) share a small oracle interface: exact or iterative nearest-point
 projection, membership, bounding boxes for probe generation.  On top of the
-sets live the cone-side primitives: polar- and normal-cone membership tests
-against finite probe families, and a sphere-scan separation routine for
-dimensions 1-3.
+sets live scan grids, probe points, the projection VI residual, the cone
+samples of the normal operator and :func:`separate`, which finds a direction
+polar to a finite point family in any dimension with at most ``2 k`` HiGHS
+LPs (scipy, imported on first use).
 
 All functions are pure; set values are immutable after construction and safe
 to share across workers.  Randomized probing always takes an explicit
@@ -30,9 +31,6 @@ TOL_PROJ = 1e-10
 ITER_CAP = 10000
 #: shared tolerance for polar / normal-cone inequalities
 CONE_TOL = 1e-9
-#: default angular resolution of the separation scan, in points per angle
-#: (2 pi / 1e-3 radians, rounded)
-ANGULAR_RESOLUTION = 6283
 #: most points per axis of a non-box constraint grid (:func:`set_grid`)
 GRID_AXIS_CAP = 201
 #: most points of a scan grid (or of one axis of the fixed-point start
@@ -365,7 +363,7 @@ def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Projection and cone operations
+# Projection, grids and probes
 # ---------------------------------------------------------------------------
 
 def project(s: ConvexSet, y) -> np.ndarray:
@@ -534,86 +532,21 @@ def projection_vi_residual(s: ConvexSet, y, x, probe_budget: int,
     return float(np.min(vals))
 
 
-def polar_membership(points, x_star, tol: float) -> bool:
-    """True iff ``<x_star, p> <= tol`` for every probe point ``p``.
-
-    An empty family accepts everything: the polar of the empty set is the
-    whole space.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        return True
-    pts = pts.reshape(pts.shape[0], -1)
-    xs = _as_vector(x_star, pts.shape[1], "x_star")
-    return bool(np.all(pts @ xs <= tol))
-
-
-def normal_cone_membership(s, x, x_star, tol: float, probe_budget: int,
-                           rng: Optional[np.random.Generator] = None) -> bool:
-    """True iff ``<x_star, y - x> <= tol`` for all probed ``y`` in ``s``.
-
-    ``s`` may be a finite point family (checked exhaustively) or a
-    :class:`ConvexSet` (checked on grid plus seeded random probes).  An empty
-    family means the normal cone is the whole space, so the answer is True.
-    """
-    x = _as_vector(x)
-    xs = _as_vector(x_star, x.shape[0], "x_star")
-    if isinstance(s, (Box, Ball, HalfspacePolytope)):
-        if s.dim != x.shape[0]:
-            raise InputError("set and point dimensions differ")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        pts = probe_points(s, probe_budget, rng)
-    else:
-        pts = np.asarray(s, dtype=np.float64)
-        if pts.size == 0:
-            return True
-        pts = pts.reshape(pts.shape[0], -1)
-        if pts.shape[1] != x.shape[0]:
-            raise InputError("point family and x dimensions differ")
-    return bool(np.all((pts - x) @ xs <= tol))
-
-
 # ---------------------------------------------------------------------------
-# Sphere discretization and separation
+# Separation
 # ---------------------------------------------------------------------------
 
-def unit_directions(dim: int, angular_resolution: int = ANGULAR_RESOLUTION) -> np.ndarray:
-    """Deterministic unit-vector scan family for dimensions 1-3.
+def separate(points, x) -> Optional[np.ndarray]:
+    """Unit vector ``d`` with ``<d, z - x> <= CONE_TOL`` for every row ``z``
+    of ``points`` (so for their hull), or ``None`` when there is none.
 
-    1D ignores the resolution (both signs are exhaustive); 2D sweeps the
-    circle; 3D sweeps azimuth at full resolution and inclination at half.
-    """
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, max(4, angular_resolution), endpoint=False)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if dim == 3:
-        n_azimuth = max(4, angular_resolution)
-        n_incl = max(3, angular_resolution // 2)
-        phis = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-        thetas = np.linspace(0.0, math.pi, n_incl)
-        sin_t = np.sin(thetas)[:, None]
-        cos_t = np.cos(thetas)[:, None]
-        dirs = np.stack([
-            (sin_t * np.cos(phis)[None, :]).reshape(-1),
-            (sin_t * np.sin(phis)[None, :]).reshape(-1),
-            np.broadcast_to(cos_t, (n_incl, n_azimuth)).reshape(-1),
-        ], axis=1)
-        # collapse the duplicated pole rings, keep first occurrences
-        _, keep = np.unique(np.round(dirs, 12), axis=0, return_index=True)
-        return dirs[np.sort(keep)]
-    raise InputError(f"unit directions are only generated for dimensions 1-3, got {dim}")
-
-
-def separate(points, x, angular_resolution: int = ANGULAR_RESOLUTION) -> Optional[np.ndarray]:
-    """Unit vector ``d`` with ``<d, z - x> <= 1e-9`` for all hull points ``z``.
-
-    Scans a fixed sphere discretization and returns the direction with the
-    smallest worst-case inner product (first scanned on ties), or ``None``
-    when no scanned direction qualifies.  When ``x`` lies on the hull of
-    ``points`` the best margin is 0 and a zero-margin supporting direction is
+    Exact in any dimension: a nonzero ``d`` scaled to ``|d|_inf = 1`` has
+    some coordinate at +1 or -1, so at most ``2 k`` LPs decide it, each
+    fixing one coordinate's sign and minimizing ``t`` subject to ``<d, z -
+    x> <= t`` and ``|d|_inf <= 1``.  Every solution is normalized and
+    checked in floats; the first with the smallest computed worst-case
+    ``<d, z - x>`` is returned if that is at most ``CONE_TOL``.  When ``x``
+    lies on the hull the best margin is 0 and a supporting direction is
     returned; callers treat those as valid normal-cone elements.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -621,41 +554,37 @@ def separate(points, x, angular_resolution: int = ANGULAR_RESOLUTION) -> Optiona
         raise InputError("separation needs a nonempty point family")
     pts = pts.reshape(pts.shape[0], -1)
     dim = pts.shape[1]
-    if dim not in (1, 2, 3):
-        raise InputError(f"separation scan supports dimensions 1-3, got {dim}")
-    x = _as_vector(x, dim, "x")
-    shifted = pts - x
-    dirs = unit_directions(dim, angular_resolution)
-    best_dir = None
-    best_margin = math.inf
-    chunk = max(1, int(2_000_000 // max(1, pts.shape[0])))
-    for start in range(0, dirs.shape[0], chunk):
-        block = dirs[start:start + chunk]
-        margins = np.max(block @ shifted.T, axis=1)
-        idx = int(np.argmin(margins))
-        if margins[idx] < best_margin:
-            best_margin = float(margins[idx])
-            best_dir = block[idx]
-    if best_margin <= CONE_TOL:
-        return np.array(best_dir)
-    return None
+    shifted = pts - _as_vector(x, dim, "x")
+    from scipy.optimize import linprog  # imported on first use: a slow import
+    a_ub, b_ub = np.hstack([shifted, -np.ones((pts.shape[0], 1))]), np.zeros(pts.shape[0])
+    cost = np.zeros(dim + 1)
+    cost[-1] = 1.0
+    best_dir, best_margin = None, math.inf
+    for j in range(dim):
+        for sign in (1.0, -1.0):
+            bounds = [(-1.0, 1.0)] * dim + [(None, None)]
+            bounds[j] = (sign, sign)
+            res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+            if res.status != 0:
+                continue
+            d = res.x[:dim] / np.linalg.norm(res.x[:dim])
+            margin = float(np.max(shifted @ d))
+            if margin < best_margin:
+                best_dir, best_margin = d, margin
+    return best_dir if best_margin <= CONE_TOL else None
 
 
 # ---------------------------------------------------------------------------
 # Cone samples
 # ---------------------------------------------------------------------------
 
-#: resolution of the fixed discretization stored for full-space cone samples
-_FULL_SPACE_RESOLUTION = 16
-
-
 @dataclass(frozen=True)
 class ConeSample:
     """Finite family of unit directions sampling a cone section.
 
     ``is_full_space`` marks the degenerate case where the cone is the whole
-    space; the stored directions are then a fixed sphere discretization and
-    the convex hull they stand for is the closed unit ball.
+    space; such a sample stores no directions and stands for the closed
+    unit ball.
     """
 
     directions: tuple[tuple[float, ...], ...]
@@ -677,8 +606,7 @@ class ConeSample:
 
     @staticmethod
     def full_space(ambient_dim: int) -> "ConeSample":
-        dirs = unit_directions(ambient_dim, _FULL_SPACE_RESOLUTION)
-        return ConeSample(tuple(tuple(row) for row in dirs), ambient_dim, True)
+        return ConeSample((), ambient_dim, True)
 
     @staticmethod
     def empty(ambient_dim: int) -> "ConeSample":

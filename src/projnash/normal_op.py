@@ -37,9 +37,12 @@ where it is proven to pass:
   the check, and so does a form with an eigenvalue in ``(0, 1e-12]``,
   which ``hull_exact`` admits but ``concave`` does not.
 
-Degenerate preferences fall back to the sphere-scan separator.  Tables
-have no normal field: their gains reject the off-grid probe pool with
-:class:`InputError`.
+Where no field direction validates (a vanishing field, as at the inflection
+of ``(x1 - 0.5)^3``), :func:`normal_operator` samples preferred points and
+asks :func:`geometry.separate` for a polar direction: exact for the samples,
+in any own dimension.  No shipped fixture route reaches this fallback.
+Tables have no normal field: their gains reject the off-grid probe pool
+with :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -179,8 +182,9 @@ def normal_operator(game: GameInstance, i: int, x, cfg) -> ConeSample:
     set of player ``i`` at ``x``.
 
     Empty preference at the sampling resolution yields a full-space sample.
-    If no validated direction exists and the sphere scan also fails, the
-    result is an empty sample (flagged by :func:`unit_normal_product`).
+    If no validated direction exists and no direction separates ``x_i`` from
+    the sampled preferred points, the result is an empty sample (flagged by
+    :func:`unit_normal_product`).
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != game.n:
@@ -194,14 +198,13 @@ def normal_operator(game: GameInstance, i: int, x, cfg) -> ConeSample:
         return ConeSample.full_space(k)
     if ok_mask[0]:
         return ConeSample.from_directions(dirs[0:1], k)
-    # degenerate: scan the sphere against sampled hull points
+    # degenerate: separate x_i from sampled preferred points
     samples = prefs.sample_preferred(game.preference_maps[i], x, _sampling_window(game, i),
                                      max(1, cfg.random_budget),
                                      rng=seeded_rng(cfg.seed, 23, i, arrays=(x,)))
     if samples.shape[0] == 0:
         return ConeSample.full_space(k)
-    found = separate(samples, x[game.own_slice(i)],
-                     angular_resolution=cfg.angular_resolution)
+    found = separate(samples, x[game.own_slice(i)])
     if found is None:
         return ConeSample.empty(k)
     return ConeSample.from_directions(found[None, :], k)

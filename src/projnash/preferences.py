@@ -109,7 +109,7 @@ class PreferenceMap:
                 rng: Optional[np.random.Generator]) -> np.ndarray:
         """The preferred points among ``budget`` seeded probes of ``region``."""
         candidates = probe_points(region, budget, np.random.default_rng(0) if rng is None else rng)
-        return candidates[preferred_many(self, x, candidates)]
+        return candidates[strict_gain_outer(self, x[None, :], candidates)[0] > 0.0]
 
     def _hull_contains(self, x: np.ndarray, z: np.ndarray, window: ConvexSet,
                        budget: int, rng: Optional[np.random.Generator]) -> bool:
@@ -533,12 +533,6 @@ def preferred(p: PreferenceMap, x, z) -> bool:
     if z.shape[0] != p.own_dim:
         raise InputError(f"own strategy has dimension {z.shape[0]}, expected {p.own_dim}")
     return bool(strict_gain_outer(p, x[None, :], z[None, :])[0, 0] > 0.0)
-
-
-def preferred_many(p: PreferenceMap, x, zs: np.ndarray) -> np.ndarray:
-    """Vector of membership flags for many candidate ``z`` at one ``x``."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return strict_gain_outer(p, x, zs)[0] > 0.0
 
 
 # ---------------------------------------------------------------------------

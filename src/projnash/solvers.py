@@ -59,7 +59,6 @@ class SolverConfig:
     seed: int = 0
     strictness: float = 0.0
     h_g: Optional[float] = None
-    angular_resolution: int = 6283
 
     def __post_init__(self):
         # the chained comparisons also refuse NaN, which ``x <= 0`` lets through

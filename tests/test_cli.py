@@ -35,6 +35,54 @@ def test_parse_error_reports_location():
     assert err.value.line == 5
 
 
+_ONE = "players 1 dims 1\nplayer 1\n"
+_BODY = "box [0] [1]\nkbox [0] [1]\n"
+
+#: (malformed text, message, line, col): one row per parser error site
+MALFORMED = [
+    ("plyers 1 dims 1\n", "expected 'players', found 'plyers'", 1, 1),
+    ("players 1.5 dims 1\n", "expected an integer, found '1.5'", 1, 9),
+    ("players\n", "expected an integer, found 'eof'", 2, 1),
+    ("players 0 dims\n", "need at least one player", 1, 9),
+    ("players 2 dims 1 0\n", "player dimensions must be positive", 1, 18),
+    ("players 1 dims 1\nset h abc\n", "expected a number, found 'abc'", 2, 7),
+    ("players 1 dims 1\nset speed 1\n", "unknown option 'speed'", 2, 5),
+    ("players 1 dims 1\nplayer 3\n", "player index out of range", 2, 8),
+    (_ONE + _BODY + "utility x1\nplayer 1\n", "player 1 declared twice", 6, 8),
+    (_ONE + "cube [0] [1]\n", "expected 'box' or 'ball'", 3, 1),
+    (_ONE + "box 0 [1]\n", "expected '[', found '0'", 3, 5),
+    (_ONE + "box [0\n] [1]\n", "expected ',' or ']', found '\\n'", 3, 7),
+    (_ONE + "box [x1] [1]\n", "expected a constant vector entry", 3, 5),
+    (_ONE + "box [0, 1] [1]\n", "choice box must have 1 entries", 3, 1),
+    (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 1),
+    (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 3, 1),
+    (_ONE + _BODY + "5\n", "expected a preference declaration", 5, 1),
+    (_ONE + _BODY + "wants x1\n", "unknown preference kind 'wants'", 5, 1),
+    (_ONE + _BODY + "utility x1 x1\n", "unexpected token 'x1' in expression", 5, 12),
+    (_ONE + _BODY + "direction [1, 1] offset 0\n", "direction field must have 1 entries", 5, 1),
+    (_ONE + _BODY + "direction [1] offset\n", "expected a number, found 'eof'", 6, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0, 1]\n", "zpoint must have 1 entries", 5, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0, 0] prefers [1]\nend\n",
+     "at-point must have 1 entries", 5, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0] prefers [0.5]\nend\n",
+     "preferred point [0.5] is not a declared zpoint", 5, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1]\nend\n",
+     "sampled preference needs at least one 'at' row", 5, 1),
+    ("players 2 dims 1 1\nplayer 1\n" + _BODY + "utility x1\n",
+     "missing declarations for players [2]", None, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", MALFORMED,
+                         ids=[row[1] for row in MALFORMED])
+def test_parse_errors_name_their_token(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    prefix = "" if line is None else f"line {line} col {col}: "
+    assert str(err.value) == prefix + message
+
+
 def test_parse_rejects_unknown_preference():
     with pytest.raises(ParseError):
         parse_problem("players 1 dims 1\nplayer 1\nbox [0] [1]\nkbox [0] [1]\nwants x1\n")
@@ -68,6 +116,24 @@ def test_parse_empty_constraint_names_witness():
     with pytest.raises(HypothesisError) as err:
         parse_problem(text)
     assert err.value.witness is not None
+
+
+def _disk_window_game(c):
+    return ("players 2 dims 2 1\n"
+            "player 1\nball [0, 0] 1\nkbox [-1, -1] [1, 1]\nutility x1 + x2\n"
+            f"player 2\nbox [-1] [1]\nkbox [x1 + x2 - {c}] [0]\nutility x3\n")
+
+
+def test_empty_constraint_on_a_ball_is_found_on_the_probe_grid():
+    # over the ball's bounding box x1 + x2 reaches 2, at a corner outside the
+    # ball, so the interval bound is inconclusive and the probe grid decides:
+    # x1 + x2 - c > 0 somewhere on the ball for c = 1, nowhere for c = 1.5
+    with pytest.raises(HypothesisError) as err:
+        parse_problem(_disk_window_game(1.0))
+    assert "empty on a probe" in str(err.value)
+    assert np.allclose(err.value.witness, [2 / 3, 2 / 3, -1.0])
+    g = parse_problem(_disk_window_game(1.5))
+    assert g.hypotheses.constraint_probes > 0
 
 
 def test_parse_options_and_flag_to_utility_flag():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projnash import geometry
 from projnash.errors import InputError, NonConvergenceError
 from projnash.geometry import (Ball, Box, ConeSample, HalfspacePolytope,
-                               normal_cone_membership, polar_membership,
                                probe_points, project, projection_vi_residual,
-                               separate, set_grid, unit_directions)
+                               separate, set_grid)
 
 
 def random_set(rng, kind, d):
@@ -129,41 +129,6 @@ def test_vi_residual_requires_membership():
         projection_vi_residual(Box((0.0,), (1.0,)), [2.0], [1.5], 10)
 
 
-# -- polar and normal cones --------------------------------------------------
-
-def test_polar_membership_empty_family():
-    assert polar_membership([], [1.0, 1.0], 0.0) is True
-
-
-def test_polar_membership_examples():
-    assert polar_membership([(1.0, 0.0)], (-1.0, 0.0), 0.0) is True
-    assert polar_membership([(1.0, 0.0)], (1.0, 0.0), 1e-12) is False
-
-
-def test_polar_membership_positively_homogeneous():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        pts = rng.normal(size=(int(rng.integers(1, 6)), 2))
-        x_star = rng.normal(size=2)
-        base = polar_membership(pts, x_star, 0.0)
-        for lam in (0.5, 2.0):
-            assert polar_membership(pts, lam * x_star, 0.0) == base
-
-
-def test_normal_cone_membership_box_corner():
-    s = Box((0.0, 0.0), (1.0, 1.0))
-    assert normal_cone_membership(s, [1.0, 1.0], [1.0, 1.0], 1e-9, 400) is True
-
-
-def test_normal_cone_membership_interior_fails():
-    s = Box((0.0, 0.0), (1.0, 1.0))
-    assert normal_cone_membership(s, [0.5, 0.5], [1.0, 0.0], 1e-9, 400) is False
-
-
-def test_normal_cone_membership_empty_family():
-    assert normal_cone_membership([], [0.0], [5.0], 1e-9, 10) is True
-
-
 # -- separation ---------------------------------------------------------------
 
 def test_separate_1d_example():
@@ -174,7 +139,7 @@ def test_separate_1d_example():
 
 def test_separate_2d_example():
     pts = [(1.0, 0.0), (0.0, 1.0)]
-    d = separate(pts, [0.0, 0.0], angular_resolution=6283)
+    d = separate(pts, [0.0, 0.0])
     assert d is not None
     assert abs(np.linalg.norm(d) - 1.0) < 1e-12
     for p in pts:
@@ -183,7 +148,7 @@ def test_separate_2d_example():
 
 def test_separate_degenerate_point_on_hull():
     # x is its own hull: the zero-margin supporting direction is returned
-    d = separate([(0.3, 0.7)], [0.3, 0.7], angular_resolution=64)
+    d = separate([(0.3, 0.7)], [0.3, 0.7])
     assert d is not None
     assert abs(float(np.dot(d, [0.0, 0.0]))) <= 1e-9
 
@@ -199,23 +164,46 @@ def test_separate_consistent_with_polar_membership():
         dim = int(rng.integers(1, 3))
         pts = rng.normal(size=(int(rng.integers(1, 5)), dim)) + 1.5
         x = rng.normal(size=dim)
-        d = separate(pts, x, angular_resolution=720)
+        d = separate(pts, x)
         if d is not None:
-            assert polar_membership(pts - x, d, 1e-9)
+            assert np.all((pts - x) @ d <= 1e-9)
 
 
 def test_separate_3d():
     pts = [(1.0, 0.2, 0.1), (0.8, -0.1, 0.3), (1.2, 0.0, -0.2)]
-    d = separate(pts, [0.0, 0.0, 0.0], angular_resolution=360)
+    d = separate(pts, [0.0, 0.0, 0.0])
     assert d is not None
     assert abs(np.linalg.norm(d) - 1.0) < 1e-12
     for p in pts:
         assert float(np.dot(d, p)) <= 1e-9
 
 
-def test_separate_rejects_high_dimension():
-    with pytest.raises(InputError):
-        separate(np.ones((2, 4)), np.zeros(4))
+def test_separate_in_four_dimensions():
+    d = separate(np.ones((2, 4)), np.zeros(4))
+    assert d is not None
+    assert abs(np.linalg.norm(d) - 1.0) < 1e-12
+    assert float(np.max(np.ones((2, 4)) @ d)) <= 1e-9
+    # the family spans a neighbourhood of x: no direction
+    assert separate(np.vstack([np.eye(4), -np.eye(4)]), np.zeros(4)) is None
+
+
+@given(dim=st.integers(1, 4), count=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       radius=st.floats(1e-3, 1e3))
+def test_separate_directions_are_unit_and_polar(dim, count, seed, radius):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0, dim)
+    # strictly off x: every point has a positive first coordinate relative to x
+    pts = x + rng.normal(size=(count, dim)) * radius
+    pts[:, 0] = x[0] + np.abs(pts[:, 0] - x[0]) + radius
+    for family in (pts, np.vstack([pts, x])):
+        d = separate(family, x)
+        assert d is not None
+        assert abs(np.linalg.norm(d) - 1.0) < 1e-12
+        assert float(np.max((family - x) @ d)) <= 1e-9
+    # +-r e_j around x: x is interior to the hull, so no direction exists
+    star = x + radius * np.vstack([np.eye(dim), -np.eye(dim)])
+    assert separate(star, x) is None
+    assert separate(np.vstack([star, pts]), x) is None
 
 
 def test_separate_rejects_empty():
@@ -223,25 +211,15 @@ def test_separate_rejects_empty():
         separate(np.zeros((0, 2)), np.zeros(2))
 
 
-# -- sphere discretization and cone samples ----------------------------------
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_unit_directions_are_unit(dim):
-    dirs = unit_directions(dim, 48)
-    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-
-
-def test_unit_directions_dim_guard():
-    with pytest.raises(InputError):
-        unit_directions(4)
-
+# -- cone samples ---------------------------------------------------------------
 
 def test_cone_sample_validates_norms():
     with pytest.raises(InputError):
         ConeSample(((0.5, 0.5),), 2)
-    full = ConeSample.full_space(2)
-    assert full.is_full_space
-    assert np.allclose(np.linalg.norm(full.as_array, axis=1), 1.0, atol=1e-12)
+    for dim in (1, 2, 5):
+        full = ConeSample.full_space(dim)
+        assert full.is_full_space and not full.is_empty
+        assert full.directions == () and full.as_array.shape == (0, dim)
 
 
 # -- randomized invariants -----------------------------------------------------

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.game import MovingBox, build_instance, from_utilities
 from projnash.game import seeded_rng
 from projnash.geometry import (Box, ConeSample, grid_points, lattice_axis, mesh_points,
-                               polar_membership, probe_points)
+                               probe_points)
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
                                 normal_directions_batch,
                                 normal_operator, unit_normal_product)
@@ -23,6 +24,17 @@ from test_cross_validation import (boundary_pinned_instance, interior_target_ins
                                    random_direction_instance)
 
 CFG = SolverConfig(h=0.05, random_budget=128)
+
+
+@lru_cache(maxsize=None)
+def cubic_player_4d():
+    """One player on ``[0, 1]^4`` with utility ``x1^3``, whose own gradient
+    vanishes on the face ``x1 = 0`` (built once: its load-time self-exclusion
+    check solves 2401 hull LPs)."""
+    box = Box((0.0,) * 4, (1.0,) * 4)
+    cmap = MovingBox(player_index=0, lower=AffineMap.constant([0.0] * 4, 4),
+                     upper=AffineMap.constant([1.0] * 4, 4))
+    return from_utilities([4], [box], [cmap], ["x1^3"])
 
 
 def test_linear_utility_direction_is_minus_one():
@@ -52,15 +64,50 @@ def test_direction_field_negated_unit():
 
 
 def test_zero_gradient_falls_back_to_sphere_scan():
-    # cubic utility: zero own-gradient at the inflection, nonempty preference
+    # cubic utility: zero own-gradient at the inflection, nonempty preference;
+    # the direction comes from geometry.separate
     sets = [Box((0.0,), (1.0,))]
     maps = [MovingBox(player_index=0, lower=AffineMap.constant([0.0], 1),
                       upper=AffineMap.constant([1.0], 1))]
     g = from_utilities([1], sets, maps, ["(x1 - 0.5)^3"])
-    sample = normal_operator(g, 0, [0.5], SolverConfig(h=0.05, random_budget=128,
-                                                       angular_resolution=64))
+    sample = normal_operator(g, 0, [0.5], SolverConfig(h=0.05, random_budget=128))
     assert not sample.is_full_space
     assert np.allclose(sample.as_array, [[-1.0]])
+
+
+def test_empty_preference_in_four_dimensions_gives_full_space():
+    # an all-zero direction field prefers nothing; the full-space sample
+    # stores no directions, so the own dimension is not limited
+    box = Box((0.0,) * 4, (1.0,) * 4)
+    pref = DirectionField(player_index=0, n_vars=4, own_start=0, own_dim=4,
+                          c=AffineMap.constant([0.0] * 4, 4))
+    cmap = MovingBox(player_index=0, lower=AffineMap.constant([0.0] * 4, 4),
+                     upper=AffineMap.constant([1.0] * 4, 4))
+    g = build_instance([4], [box], [cmap], [pref])
+    x = [0.5, 0.25, 0.0, 1.0]
+    sample = normal_operator(g, 0, x, CFG)
+    assert sample.is_full_space and not sample.is_empty
+    product = unit_normal_product(g, x, CFG)
+    assert product.flagged == (False,)
+    assert product.contains_factor(0, np.zeros(4))
+    assert product.contains_factor(0, [0.0, 0.6, 0.0, -0.8])
+    assert not product.contains_factor(0, [1.0, 1.0, 0.0, 0.0])
+
+
+def test_zero_gradient_in_four_dimensions_separates_exactly():
+    # on the face x1 = 0 the preferred set is the open half-space x1 > 0: the
+    # separator answers in four dimensions, polar to the preferred points the
+    # operator sampled
+    g = cubic_player_4d()
+    x = np.array([0.0, 0.5, 0.25, 1.0])
+    sample = normal_operator(g, 0, x, CFG)
+    assert not sample.is_full_space and not sample.is_empty
+    (d,) = sample.as_array
+    zs = sample_preferred(g.preference_maps[0], x, g.hull_boxes[0].inflate(1.0), 128,
+                          rng=seeded_rng(CFG.seed, 23, 0, arrays=(x,)))
+    assert zs.shape[0] > 0
+    assert np.all((zs - x) @ d <= 1e-9)
+    assert d[0] < 0.0
 
 
 def test_polar_validity_on_fixture_grids():
@@ -77,7 +124,7 @@ def test_polar_validity_on_fixture_grids():
                 zs = sample_preferred(g.preference_maps[i], x, window, 128,
                                       rng=np.random.default_rng(5))
                 for d in sample.as_array:
-                    assert polar_membership(zs - x[sl], d, 1e-9)
+                    assert np.all((zs - x[sl]) @ d <= 1e-9)
 
 
 def test_strictness_for_open_half_space_variants():

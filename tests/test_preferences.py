@@ -15,14 +15,14 @@ from projnash import preferences as prefs_mod
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
-from projnash.geometry import Box, grid_axis, lattice_axis, mesh_points
+from projnash.geometry import Box, grid_axis, lattice_axis, mesh_points, probe_points
 from projnash.normal_op import normal_directions_batch
 from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
                                   _ComplementCloud, _cloud_for, _gain_factors,
                                   _halfspace_form, _in_convex_hull,
                                   _rival_scalar_form, context_for, graph_distance,
                                   graph_distance_many, hull_preferred,
-                                  gain_groups, preferred, preferred_many,
+                                  gain_groups, preferred,
                                   sample_preferred, strict_gain_max,
                                   strict_gain_outer, strict_gain_paired)
 from projnash.solvers import SolverConfig
@@ -32,7 +32,7 @@ SQRT2 = math.sqrt(2.0)
 
 def grid_distance(p, ctx, y, z):
     """Graph distance through the complement cloud, skipping closed forms."""
-    if not preferred_many(p, y, np.reshape(z, (1, -1)))[0]:
+    if not preferred(p, y, z):
         return 0.0
     query = np.concatenate([np.ravel(y), np.ravel(z)])[None, :]
     return float(_cloud_for(p, ctx).min_distance(query)[0])
@@ -473,14 +473,15 @@ def test_self_exclusion_on_fixture_probes():
                 assert hull_preferred(p, x, x[sl]) is False
 
 
-def test_preferred_many_matches_scalar():
+def test_sample_preferred_matches_scalar():
     g = load_fixture("chase")
     p = g.preference_maps[0]
     x = np.array([0.3, 0.8])
-    zs = np.linspace(-0.5, 1.5, 21).reshape(-1, 1)
-    mask = preferred_many(p, x, zs)
-    for z, flag in zip(zs, mask):
-        assert preferred(p, x, z) == bool(flag)
+    region = Box((-0.5,), (1.5,))
+    zs = probe_points(region, 21, np.random.default_rng(4))
+    kept = sample_preferred(p, x, region, 21, rng=np.random.default_rng(4))
+    assert np.array_equal(kept, [z for z in zs if preferred(p, x, z)])
+    assert 0 < kept.shape[0] < zs.shape[0]
 
 
 class _CollidingUtility(UtilityInduced):

@@ -16,7 +16,7 @@ from projnash.geometry import grid_axis
 from projnash.preferences import strict_gain_outer
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
-from test_normal_op import normal_directions_reference
+from test_normal_op import cubic_player_4d, normal_directions_reference
 from projnash import solvers
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
                               _projection_term_many, _scan, _witness_prefilter,
@@ -267,11 +267,11 @@ def test_projection_factor_consistency_at_survivors():
 
 def test_candidate_residual_falls_back_to_per_row_operator():
     # cubic utility: the own gradient vanishes at 0.5, where the batch kernel
-    # offers no candidate and the per-row sphere scan must supply one
+    # offers no candidate and the per-row separator must supply one
     maps = [MovingBox(player_index=0, lower=AffineMap.constant([0.0], 1),
                       upper=AffineMap.constant([1.0], 1))]
     g = from_utilities([1], [Box((0.0,), (1.0,))], maps, ["(x1 - 0.5)^3"])
-    cfg = SolverConfig(h=0.05, random_budget=128, angular_resolution=64)
+    cfg = SolverConfig(h=0.05, random_budget=128)
     ys = np.array([[0.25], [0.5], [1.0]])
     _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
     assert list(full_mask | dir_ok) == [True, False, True]
@@ -279,6 +279,34 @@ def test_candidate_residual_falls_back_to_per_row_operator():
     assert ok.all()
     assert np.array_equal(y_star, [[-1.0], [-1.0], [-1.0]])
     assert np.allclose(residual, [0.75, 0.5, 0.0], atol=1e-12)
+
+
+def test_candidate_residual_separates_in_four_dimensions():
+    g = cubic_player_4d()
+    cfg = SolverConfig(h=0.5, random_budget=64)
+    ys = np.array([[0.0, 0.5, 0.5, 0.5], [1.0, 0.5, 0.5, 0.5]])
+    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    assert list(full_mask | dir_ok) == [False, True]
+    residual, y_star, ok = _candidate_residual(g, ys.copy(), ys, cfg)
+    assert ok.all()
+    assert np.allclose(np.linalg.norm(y_star, axis=1), 1.0, atol=1e-12)
+    assert y_star[0, 0] < 0.0 and np.array_equal(y_star[1], [-1.0, 0.0, 0.0, 0.0])
+    assert residual[0] > cfg.eps_grid and residual[1] == 0.0
+
+
+def test_solve_qvi_on_a_four_dimensional_cubic_player():
+    # the projected solutions are the face x1 = 1; rows on x1 = 0 take the
+    # separator's directions, and those within the coarse tolerance fail
+    # their certificate
+    result = solve_qvi(cubic_player_4d(), SolverConfig(h=0.5, random_budget=64))
+    assert result.cells_scanned == 81
+    separated = [pt for pt in result.qvi_points if pt.x[0] == 0.0]
+    assert separated
+    for pt in separated:
+        assert abs(np.linalg.norm(pt.y_star) - 1.0) < 1e-12 and pt.y_star[0] < 0.0
+    (cert,) = result.certificates
+    assert cert.passed and cert.cluster_size == 27
+    assert cert.x_range == ((1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0))
 
 
 # -- grouped gain kernels against pairwise references ------------------------------
