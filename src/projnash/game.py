@@ -97,9 +97,33 @@ class MovingBox:
         return np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
                       & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
 
-    def value_range(self, x_lower, x_upper) -> Box:
-        lo, _ = self.lower.range_over_box(x_lower, x_upper)
-        _, hi = self.upper.range_over_box(x_lower, x_upper)
+    def value_range(self, x_box: Box, probes: np.ndarray, in_choice) -> Box:
+        """A box holding every value over the choice set, by interval
+        arithmetic on the bounds over its bounding box ``x_box``; the loader
+        calls it once.  Raises :class:`HypothesisError` where a value is
+        empty: at the gap's interval minimizer when the choice-product
+        membership ``in_choice`` admits it, else at the first of the
+        ``probes`` (choice points) with lower > upper."""
+        x_lo, x_hi = x_box._np
+        gap_lo, _ = self.gap.range_over_box(x_lo, x_hi)
+        if np.any(gap_lo < -1e-12):
+            row = int(np.argmin(gap_lo))
+            witness = self.gap.argmin_over_box(row, x_lo, x_hi)
+            if in_choice(witness[None, :])[0]:
+                raise HypothesisError(
+                    f"constraint map for player {self.player_index + 1} is empty on a probe "
+                    f"(component {row + 1} has lower > upper)",
+                    witness=witness.tolist())
+            # interval bound inconclusive on a non-box choice set: fall back
+            # to the probe grid
+            lo_p, hi_p = self.bounds_many(probes)
+            bad = np.where(np.any(lo_p > hi_p + 1e-12, axis=1))[0]
+            if bad.size:
+                raise HypothesisError(
+                    f"constraint map for player {self.player_index + 1} is empty on a probe",
+                    witness=probes[bad[0]].tolist())
+        lo, _ = self.lower.range_over_box(x_lo, x_hi)
+        _, hi = self.upper.range_over_box(x_lo, x_hi)
         return Box(tuple(lo), tuple(hi))
 
     @cached_property
@@ -146,7 +170,24 @@ class MovingPolytope:
         rows = tuple((n, float(o)) for n, o in zip(self.normals, offs))
         return HalfspacePolytope(rows, self.own_dim)
 
-    def value_range(self, x_lower, x_upper) -> Box:
+    def value_range(self, x_box: Box, probes: np.ndarray, in_choice) -> Box:
+        """The bounds hint, once checked at the ``probes`` (choice points)
+        by exact maxima of ``+-z_j`` over the value inside the hint widened
+        by 1: ``-inf`` where that is empty, past the hint where the hint is
+        loose.  The loader calls it once."""
+        k = self.own_dim
+        wide = replace(self, bounds_hint=self.bounds_hint.inflate(1.0))
+        maxima, _ = wide.linear_max_many(
+            np.repeat(probes, 2 * k, axis=0),
+            np.tile(np.vstack([np.eye(k), -np.eye(k)]), (probes.shape[0], 1)))
+        maxima = maxima.reshape(-1, 2 * k)
+        lo, hi = self.bounds_hint._np
+        bad = np.nonzero(np.any(np.isneginf(maxima)
+                                | (maxima > np.concatenate([hi, -lo]) + 1e-6), axis=1))[0]
+        if bad.size:
+            raise HypothesisError(
+                f"constraint map for player {self.player_index + 1} is empty or leaves its "
+                "bounds hint on a probe", witness=probes[bad[0]].tolist())
         return self.bounds_hint
 
     @cached_property
@@ -223,7 +264,8 @@ def _column_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 #: both kinds answer the solvers through one batched surface over scan rows
 #: ``xs``: ``linear_max_many``, ``residual_many``, ``distance_bound_many``,
-#: ``value_key`` and pool membership at value keys (``contains_key``)
+#: ``value_key`` and pool membership at value keys (``contains_key``); and
+#: the loader through ``value_range``, which checks the values and bounds them
 ConstraintMap = Union[MovingBox, MovingPolytope]
 
 
@@ -381,70 +423,28 @@ def build_instance(dims: Sequence[int],
     for i, p in enumerate(preference_maps):
         if p.n_vars != n or p.own_dim != dims[i]:
             raise InputError(f"preference map for player {i + 1} has inconsistent dimensions")
-
-    report = HypothesisReport()
-
-    # X bounding box (exact for boxes, enclosing for balls)
-    x_box = _joint_box([s.bounding_box() for s in choice_sets])
-    x_lo, x_hi = x_box._np
-    x_probes = _probe_grid_for_box(x_box, DEFAULT_PROBE_AXIS)
-    # keep only probes inside X (matters for ball factors)
-    tmp = GameInstance(dims, tuple(choice_sets), tuple(constraint_maps),
-                       tuple(preference_maps), tuple(Box((0,), (1,)) for _ in dims),
-                       utility_reducible=False)
-    x_probes = x_probes[tmp.in_choice_many(x_probes)]
-    report.constraint_probes = x_probes.shape[0]
-
-    hull_boxes: list[Box] = []
     for i, cmap in enumerate(constraint_maps):
         if cmap.own_dim != dims[i]:
             raise InputError(f"constraint map for player {i + 1} has wrong value dimension")
-        if isinstance(cmap, MovingBox):
-            gap_lo, _ = cmap.gap.range_over_box(x_lo, x_hi)
-            if np.any(gap_lo < -1e-12):
-                row = int(np.argmin(gap_lo))
-                witness = cmap.gap.argmin_over_box(row, x_lo, x_hi)
-                if all(choice_sets[j].contains(witness[tmp.own_slice(j)]) for j in range(len(dims))):
-                    raise HypothesisError(
-                        f"constraint map for player {i + 1} is empty on a probe "
-                        f"(component {row + 1} has lower > upper)",
-                        witness=witness.tolist())
-                # interval bound inconclusive on a non-box choice set: fall
-                # back to the probe grid
-                lo_p, hi_p = cmap.bounds_many(x_probes)
-                bad = np.where(np.any(lo_p > hi_p + 1e-12, axis=1))[0]
-                if bad.size:
-                    raise HypothesisError(
-                        f"constraint map for player {i + 1} is empty on a probe",
-                        witness=x_probes[bad[0]].tolist())
-        else:
-            # exact maxima of +-z_j over the value inside the hint widened by
-            # 1: -inf where that is empty, past the hint where the hint is loose
-            k = cmap.own_dim
-            wide = replace(cmap, bounds_hint=cmap.bounds_hint.inflate(1.0))
-            maxima, _ = wide.linear_max_many(
-                np.repeat(x_probes, 2 * k, axis=0),
-                np.tile(np.vstack([np.eye(k), -np.eye(k)]), (x_probes.shape[0], 1)))
-            maxima = maxima.reshape(-1, 2 * k)
-            lo, hi = cmap.bounds_hint._np
-            bad = np.nonzero(np.any(np.isneginf(maxima)
-                                    | (maxima > np.concatenate([hi, -lo]) + 1e-6), axis=1))[0]
-            if bad.size:
-                raise HypothesisError(
-                    f"constraint map for player {i + 1} is empty or leaves its "
-                    "bounds hint on a probe", witness=x_probes[bad[0]].tolist())
-        hull_boxes.append(cmap.value_range(x_lo, x_hi))
 
+    report = HypothesisReport()
     instance = GameInstance(
         dims=dims,
         choice_sets=tuple(choice_sets),
         constraint_maps=tuple(constraint_maps),
         preference_maps=tuple(preference_maps),
-        hull_boxes=tuple(hull_boxes),
+        hull_boxes=(),                     # set below, once the values are checked
         utility_reducible=all(isinstance(p, UtilityInduced) for p in preference_maps),
         options=dict(options or {}),
         hypotheses=report,
     )
+    # probes of the choice-set product's bounding box (exact for boxes,
+    # enclosing for balls), kept only inside the product
+    x_probes = _probe_grid_for_box(instance.x_bbox, DEFAULT_PROBE_AXIS)
+    x_probes = x_probes[instance.in_choice_many(x_probes)]
+    report.constraint_probes = x_probes.shape[0]
+    instance.hull_boxes = tuple(cmap.value_range(instance.x_bbox, x_probes, instance.in_choice_many)
+                                for cmap in constraint_maps)
 
     # self-exclusion over the hull product (plus choice corners), or the
     # probes a map declares; a hull-exact map excludes x_i structurally

@@ -85,6 +85,13 @@ class Box:
     def bounding_box(self) -> "Box":
         return self
 
+    def linear_max_many(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rowwise ``max_z <w, z>`` over the box for the ``ws`` rows,
+        with a maximizer per row (ties ``w_j = 0`` take the upper bound)."""
+        lo, hi = self._np
+        arg = np.where(ws >= 0, hi, lo)
+        return np.sum(arg * ws, axis=1), arg
+
     def inflate(self, margin: float) -> "Box":
         lo, hi = self._np
         return Box(tuple(lo - margin), tuple(hi + margin))
@@ -129,6 +136,13 @@ class Ball:
     def bounding_box(self) -> Box:
         c = self._c
         return Box(tuple(c - self.radius), tuple(c + self.radius))
+
+    def linear_max_many(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rowwise ``max_z <w, z>`` over the ball for the ``ws`` rows,
+        with a maximizer per row (``w = 0`` takes the centre)."""
+        norm = np.linalg.norm(ws, axis=1)
+        arg = self._c + self.radius * ws / np.where(norm > 0.0, norm, 1.0)[:, None]
+        return ws @ self._c + self.radius * norm, arg
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ where it is proven to pass:
   gamma_{k+2}``, and a row skips when ``2 B <= POLAR_TOL`` (the factor 2
   covers evaluating ``B``, and underflow, whose absolute errors are far
   below the half of ``POLAR_TOL`` it leaves).  Near-stationary rows keep
-  the check, and so does a form with an eigenvalue in ``(0, 1e-12]``,
-  which ``hull_exact`` admits but ``concave`` does not.
+  the check, and so does every form that is not exactly concave, however
+  small its positive eigenvalue.
 
 Where no field direction validates (a vanishing field, as at the inflection
 of ``(x1 - 0.5)^3``), :func:`normal_operator` samples preferred points and
@@ -131,9 +131,6 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
 
     chunk = max(1, int(2_000_000 // max(1, zpool.shape[0])))
     slab = max(1, POLAR_SLAB // zpool.shape[0])
-    # the polar check's (rows, |pool|) slabs are written into reused buffers
-    zcols = zpool.T.copy()
-    gain, inner, term = np.empty((3, min(slab, m), zpool.shape[0]))
     for start in range(0, m, chunk):
         rows = slice(start, min(m, start + chunk))
         block = xs[rows]
@@ -161,17 +158,11 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         for s in range(0, need.size, slab):
             r = need[s:s + slab]
             own, dr = block[r, sl], d[r]
-            g, dot, t = gain[:own.shape[0]], inner[:own.shape[0]], term[:own.shape[0]]
-            np.take(lifted, group[r], axis=0, out=g)
-            g -= base[r, None]
-            g -= margin
-            np.subtract(zcols[0], own[:, 0, None], out=dot)
-            dot *= dr[:, 0, None]
+            gain = (lifted[group[r]] - base[r, None]) - margin
+            dot = (zpool[:, 0] - own[:, 0, None]) * dr[:, 0, None]
             for j in range(1, k):
-                np.subtract(zcols[j], own[:, j, None], out=t)
-                t *= dr[:, j, None]
-                dot += t
-            cand_ok[r] &= ~np.any((g > 0.0) & (dot > POLAR_TOL), axis=1)
+                dot += (zpool[:, j] - own[:, j, None]) * dr[:, j, None]
+            cand_ok[r] &= ~np.any((gain > 0.0) & (dot > POLAR_TOL), axis=1)
         directions[rows] = d
         ok_mask[rows] = cand_ok
     return directions, full_mask, ok_mask

@@ -63,9 +63,6 @@ class PreferenceMap:
     own_start: int
     own_dim: int
 
-    #: every preferred set is its own convex hull, which then never holds
-    #: ``x_i`` (its gain cancels to exactly ``-margin <= 0``)
-    hull_exact = False
     #: every preferred set is an open half-space ``{z : <L(x), z - x_i> >
     #: margin}`` (or empty), whose normal is ``normal_field``
     halfspace_valued = False
@@ -75,10 +72,18 @@ class PreferenceMap:
     #: (``declared_scan``), exhaustively, instead of the solvers' grid over
     #: it plus seeded samples
     scans_declared = False
-    #: a utility exactly concave in the own block (no eigenvalue tolerance),
-    #: whose tangent inequality bounds every preferred point, up to the
-    #: rounding ``tangent_errors`` bounds
+    #: a utility exactly concave in the own block (decided in rational
+    #: arithmetic), whose tangent inequality bounds every preferred point,
+    #: up to the rounding ``tangent_errors`` bounds
     concave = False
+
+    @property
+    def hull_exact(self) -> bool:
+        """Every preferred set is its own convex hull, which then never holds
+        ``x_i`` (its gain cancels to exactly ``-margin <= 0``): the
+        half-space kinds and the exactly concave utilities, whose strict
+        upper level sets are convex."""
+        return self.halfspace_valued or self.concave
 
     def _gain_factors(self, xs: np.ndarray, zs: np.ndarray):
         """The strict gain on ``xs`` × ``zs`` rows as ``(lead, base, margin,
@@ -171,29 +176,13 @@ class UtilityInduced(PreferenceMap):
         return out
 
     @cached_property
-    def hull_exact(self) -> bool:
-        """Cheap structural test that the utility is concave in the own
-        block, which makes strict upper level sets convex.
-
-        Detects own-degree <= 1, and constant-coefficient own-quadratics
-        with a negative-semidefinite quadratic form (eigenvalues at most
-        1e-12).  Anything fancier takes the sampled-hull path.
-        """
-        terms = self._own_quadratic
-        if not terms:
-            return terms is not None
-        quad = np.zeros((self.own_dim, self.own_dim))
-        for a, b, c in terms:
-            quad[a, b] += c / 2.0
-            quad[b, a] += c / 2.0
-        return bool(np.all(np.linalg.eigvalsh(quad) <= 1e-12))
-
-    @cached_property
     def concave(self) -> bool:
         """The own quadratic form is negative semidefinite in rational
         arithmetic: symmetric elimination of its negation meets no negative
-        pivot and no zero pivot with a nonzero row.  Unlike ``hull_exact``
-        it allows no eigenvalue in ``(0, 1e-12]``."""
+        pivot and no zero pivot with a nonzero row.  No eigenvalue is
+        tolerated: a form with an eigenvalue in ``(0, 1e-12]`` is not
+        concave.  Own degree at most 1 counts as concave; a cubic or
+        rival-modulated quadratic own term does not."""
         terms = self._own_quadratic
         if terms is None:
             return False
@@ -288,7 +277,6 @@ class DirectionField(PreferenceMap):
     c: AffineMap
     offset: float = 0.0
 
-    hull_exact = True
     halfspace_valued = True
 
     def __post_init__(self):
@@ -541,12 +529,16 @@ def preferred(p: PreferenceMap, x, z) -> bool:
 
 def _in_convex_hull(points: np.ndarray, target: np.ndarray, tol: float = 1e-9) -> bool:
     """``target`` within ``tol`` of a convex combination of the ``points``
-    rows: exact for 1-D sets (the hull is an interval), else a HiGHS
-    feasibility LP."""
+    rows.  Every convex combination lies in the points' bounding box, so a
+    target more than ``tol`` outside it is not; one inside is, for 1-D sets
+    (the hull is the box); otherwise a HiGHS feasibility LP decides."""
     if points.shape[0] == 0:
         return False
+    if not (np.all(target >= points.min(axis=0) - tol)
+            and np.all(target <= points.max(axis=0) + tol)):
+        return False
     if points.shape[1] == 1:
-        return bool(points.min() - tol <= target[0] <= points.max() + tol)
+        return True
     from scipy.optimize import linprog  # imported on first use: a slow import
     res = linprog(
         c=np.zeros(points.shape[0]),
@@ -569,9 +561,10 @@ def hull_preferred(p: PreferenceMap, x, z, sample_budget: int = 256,
                    rng: Optional[np.random.Generator] = None) -> bool:
     """True iff ``z`` lies in the convex hull of the preference set at ``x``.
 
-    Exact for maps whose preferred sets are their own hulls
-    (``hull_exact``) and for tables; otherwise a hull-of-samples test in
-    ``window``, which under-approximates the true hull at the stated budget.
+    Exact for maps whose preferred sets are their own hulls (``hull_exact``:
+    half-space kinds and exactly concave utilities) and for tables;
+    otherwise a hull-of-samples test in ``window``, which under-approximates
+    the true hull at the stated budget.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     z = np.asarray(z, dtype=np.float64).reshape(-1)

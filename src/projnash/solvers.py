@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 from .game import (Certificate, GameInstance, WITNESS_GUARD, _scan_entry,
                    check_projected_solution_many, seeded_rng)
-from .geometry import (Box, check_grid_size, grid_axis, grid_axis_size, grid_points,
+from .geometry import (check_grid_size, grid_axis, grid_axis_size, grid_points,
                        lattice_axis, lattice_span, mesh_points, project)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
@@ -160,27 +160,15 @@ def _scan(game: GameInstance, cfg: SolverConfig
 
 def _projection_term_many(game: GameInstance, xs: np.ndarray, ys: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise ``max_{eta in X} <y - x, eta - x>`` with the maximizers.
-
-    Exact: choice sets are boxes (ties ``w_j = 0`` take the upper bound) or
-    balls (``w = 0`` takes the centre).
-    """
+    """Rowwise ``max_{eta in X} <y - x, eta - x>`` with the maximizers,
+    exact: each choice set's ``linear_max_many``."""
     w = ys - xs
     total = np.zeros(xs.shape[0])
     eta = np.empty_like(xs)
     for i in range(game.player_count):
         sl = game.own_slice(i)
-        s = game.choice_sets[i]
-        wi = w[:, sl]
-        if isinstance(s, Box):
-            lo, hi = s._np
-            eta[:, sl] = np.where(wi >= 0, hi, lo)
-            mx = np.sum(eta[:, sl] * wi, axis=1)
-        else:
-            norm = np.linalg.norm(wi, axis=1)
-            eta[:, sl] = s._c + s.radius * wi / np.where(norm > 0.0, norm, 1.0)[:, None]
-            mx = wi @ s._c + s.radius * norm
-        total += mx - np.sum(wi * xs[:, sl], axis=1)
+        mx, eta[:, sl] = game.choice_sets[i].linear_max_many(w[:, sl])
+        total += mx - np.sum(w[:, sl] * xs[:, sl], axis=1)
     return total, eta
 
 

@@ -174,6 +174,18 @@ def test_self_exclusion_violation_rejected():
         from_utilities([1, 1], sets, maps, ["(x1 - 0.5)^2", "x2"])
 
 
+def test_an_indefinite_form_within_1e_12_of_concave_is_checked():
+    # -x1^2 + 1e-13 x2^2 is not concave, however small its positive
+    # eigenvalue: at x = (0, -1) the preferred points z1 ~ 0, |z2| > 1 lie
+    # on both sides of x, so x lies in the hull of its preferred set
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    cmap = MovingBox(player_index=0, lower=AffineMap.constant([-1.0, -1.0], 2),
+                     upper=AffineMap.constant([1.0, 1.0], 2))
+    with pytest.raises(HypothesisError) as err:
+        from_utilities([2], [box], [cmap], ["-x1^2 + 1e-13*x2^2"])
+    assert "player 1" in str(err.value)
+    assert err.value.witness == [0.0, -1.0]
+
 
 def _one_player_table(kbox, zpoints, table):
     return parse_problem(f"players 1 dims 1\nplayer 1\nbox [0] [1]\nkbox {kbox}\n"

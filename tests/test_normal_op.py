@@ -30,7 +30,7 @@ CFG = SolverConfig(h=0.05, random_budget=128)
 def cubic_player_4d():
     """One player on ``[0, 1]^4`` with utility ``x1^3``, whose own gradient
     vanishes on the face ``x1 = 0`` (built once: its load-time self-exclusion
-    check solves 2401 hull LPs)."""
+    check samples the preferred set at 2401 probes)."""
     box = Box((0.0,) * 4, (1.0,) * 4)
     cmap = MovingBox(player_index=0, lower=AffineMap.constant([0.0] * 4, 4),
                      upper=AffineMap.constant([1.0] * 4, 4))
@@ -439,10 +439,12 @@ def test_a_flat_ridge_keeps_the_check(tilt, checked, monkeypatch):
 
 
 def test_a_tiny_positive_eigenvalue_keeps_the_check(monkeypatch):
-    # hull_exact allows eigenvalues up to 1e-12; the exact test does not
+    # not exactly concave, so neither hull-exact: the game loads only after
+    # its self-exclusion probes pass, and every candidate row is checked
     game = _two_d_game("-x1^2 + 1e-13*x2^2 + x2")
     p = game.preference_maps[0]
-    assert p.hull_exact and not p.concave and not p.halfspace_valued
+    assert not p.hull_exact and not p.concave and not p.halfspace_valued
+    assert game.hypotheses.self_exclusion_probes == 343
     seen = _checked_rows(monkeypatch)
     assert_directions_match_the_reference(game, _lattice_rows(game, 0.1), SolverConfig(h=0.1),
                                           [0])

@@ -123,9 +123,9 @@ def test_hull_equals_raw_for_concave_quadratic():
     ("-(x1 - x2)^2", True, True),                        # singular form
     ("-x2^2 + x1*x3", True, True),                       # zero first pivot
     ("x1*x3 + x2", True, True),                          # own degree 1
-    ("-x1^2 + 1e-13*x2^2", True, False),                 # eigenvalue in (0, 1e-12]
-    ("-x1^2 - x2^2 + 2.0000000000000004*x1*x2", True, False),
-    ("1e-13*x1*x2 - x2^2", True, False),                 # zero pivot, nonzero row
+    ("-x1^2 + 1e-13*x2^2", False, False),                 # eigenvalue in (0, 1e-12]
+    ("-x1^2 - x2^2 + 2.0000000000000004*x1*x2", False, False),
+    ("1e-13*x1*x2 - x2^2", False, False),                 # zero pivot, nonzero row
     ("x1*x2 - x2^2", False, False),
     ("-x1^2 - x2^2 + 3*x1*x2", False, False),            # indefinite
     ("x1^2 - x2^2", False, False),
@@ -948,6 +948,21 @@ def test_one_dimensional_hull_is_the_interval_the_lp_finds():
         for t, inside in ((lo - tol / 2, True), (hi + tol / 2, True),
                           (lo - 2 * tol, False), (hi + 2 * tol, False)):
             assert _in_convex_hull(points, np.array([t]), tol) == inside
+
+
+def test_a_target_outside_the_bounding_box_runs_no_lp(monkeypatch):
+    # every convex combination lies in the points' bounding box, so a
+    # target more than tol outside it is decided before any LP
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]])
+    for target in ([1.0 + 2e-9, 0.5, 0.0], [0.2, -1e-8, 0.1], [0.3, 0.3, 5.0]):
+        assert not _in_convex_hull(points, np.array(target), 1e-9)
+    with pytest.raises(AssertionError, match="linprog called"):
+        _in_convex_hull(points, np.array([0.2, 0.2, 0.1]), 1e-9)
 
 
 def test_two_dimensional_hull_answers_are_held_to_tol():

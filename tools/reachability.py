@@ -10,9 +10,10 @@ Traces, with the standard library's ``sys.settrace``:
   runs them.  The workloads module is only imported and called.
 
 It prints every executable line none of these ran, as ranges per module,
-then a count per module and the total.  A line is executable when the
-compiler gives it bytecode; a ``def`` or ``class`` header counts as run
-when the module is imported.  Tracing starts before ``projnash`` is
+then a count per module and the total, and last the physical line count
+of ``src/projnash/*.py`` (as ``wc -l`` counts them).  A line is executable
+when the compiler gives it bytecode; a ``def`` or ``class`` header counts
+as run when the module is imported.  Tracing starts before ``projnash`` is
 imported.  Run from the repository root:
 
     python tools/reachability.py
@@ -95,9 +96,10 @@ def ranges(lines: list[int]) -> str:
 
 def main() -> int:
     hits = trace_runs()
-    total = missed_total = 0
+    total = missed_total = physical = 0
     summary = []
     for path in sorted(SRC.glob("*.py")):
+        physical += path.read_text().count("\n")
         lines = executable_lines(path)
         missed = sorted(lines - hits.get(str(path), set()))
         total += len(lines)
@@ -107,6 +109,7 @@ def main() -> int:
             print(f"{path.relative_to(ROOT)}: {ranges(missed)}")
     print("\n".join(summary))
     print(f"total: {missed_total} of {total} executable lines not run")
+    print(f"src/projnash/*.py: {physical} lines")
     return 0
 
 
