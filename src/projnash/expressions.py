@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -221,13 +222,15 @@ class Polynomial:
                 f"expected points of shape (m, {self.n_vars}), got {points.shape}")
         return self.eval_columns([points[:, j] for j in range(self.n_vars)], points.shape[:1])
 
-    def eval_columns(self, cols, shape: tuple[int, ...]) -> np.ndarray:
+    def eval_columns(self, cols, shape: tuple[int, ...],
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
         """Evaluate on per-variable arrays broadcast to ``shape``: point
         columns, or grid axes shaped along their own dimensions (``None``
         for a variable no term reads).  Terms multiply ``cols[j] ** e_j`` in
         variable order and add in order, so a grid point rounds as its row
-        does under :meth:`eval_many`."""
-        out = np.zeros(shape)
+        does under :meth:`eval_many`.  With ``out``, the terms are added on
+        to it, in place, instead of to zeros."""
+        out = np.zeros(shape) if out is None else out
         exps, coeffs = self._np_terms
         for e, c in zip(exps, coeffs):
             term = c

@@ -423,9 +423,17 @@ def build_instance(dims: Sequence[int],
     for i, p in enumerate(preference_maps):
         if p.n_vars != n or p.own_dim != dims[i]:
             raise InputError(f"preference map for player {i + 1} has inconsistent dimensions")
+        if p.own_start != sum(dims[:i]):
+            raise InputError(f"preference map for player {i + 1} has own_start {p.own_start}, "
+                             f"expected {sum(dims[:i])}")
     for i, cmap in enumerate(constraint_maps):
         if cmap.own_dim != dims[i]:
             raise InputError(f"constraint map for player {i + 1} has wrong value dimension")
+    for kind, maps in (("preference", preference_maps), ("constraint", constraint_maps)):
+        for i, m in enumerate(maps):
+            if m.player_index != i:
+                raise InputError(f"{kind} map for player {i + 1} has player_index "
+                                 f"{m.player_index}, expected {i}")
 
     report = HypothesisReport()
     instance = GameInstance(

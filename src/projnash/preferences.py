@@ -42,6 +42,8 @@ _SQRT2 = math.sqrt(2.0)
 GRID_MATCH_TOL = 1e-9
 #: grid cells per block of whole slabs in a complement-cloud scan
 _CLOUD_BLOCK = 65_536
+#: edge of a complement cloud's nearest-neighbour buckets, in grid steps h_g
+CLOUD_BUCKET_STEPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +601,8 @@ class GraphDistanceContext:
     ``region`` is a box over the joint-times-own product space (the search
     domain inflated by 1); ``h_g`` is the complement grid step used when no
     closed form applies.  The context carries the per-preference complement
-    clouds so repeated queries stay cheap.
+    clouds, each with its nearest-neighbour index once queried, so repeated
+    queries stay cheap.
     """
 
     region: Box
@@ -645,15 +648,17 @@ class _ComplementCloud:
     """Boundary points of the complement of a preference graph on a grid.
 
     Built once per (preference, context); queries are nearest-neighbour
-    distances to the stored points, answered by one KD-tree built on the
-    first query.  Inactive coordinates (those the strict gain never reads)
-    are dropped exactly: the nearest complement point can always match the
-    query there.
+    distances to the stored points, answered by one
+    :class:`~projnash.nearest.NearestIndex` built on the first query, with
+    buckets of ``CLOUD_BUCKET_STEPS * h_g``.
+    Inactive coordinates (those the strict gain never reads) are dropped
+    exactly: the nearest complement point can always match the query there.
     """
 
     def __init__(self, p: PreferenceMap, ctx: GraphDistanceContext):
         n, k = p.n_vars, p.own_dim
         lo, hi = ctx.region._np
+        self.step = CLOUD_BUCKET_STEPS * ctx.h_g
         if isinstance(p, Sampled):
             pairs = []
             for r, xp in enumerate(p._at):
@@ -687,30 +692,47 @@ class _ComplementCloud:
         # blocks of whole slabs along the first active axis keep memory
         # bounded; every active variable is its axis, broadcast along its
         # own block dimension.  A block's mask carries the slab before it and
-        # the slab after it, each evaluated once, for the neighbour test.
+        # the slab after it, each evaluated once, for the neighbour test,
+        # which runs on the block's own slabs only.
+        # The leading gain terms that do not read the first axis are summed
+        # once, over one slab; each block starts from that sum and adds the
+        # remaining terms in order, so every entry rounds as in one sum.
         d = len(axes)
         slab_shape = shape[1:] if d > 1 else (1,)
         per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
         cols: list = [None] * gain.n_vars
         for c in range(1, d):
             cols[active[c]] = axes[c].reshape([-1 if a == c else 1 for a in range(d)])
+        split = next((t for t, (e, _) in enumerate(gain.terms) if e[active[0]]),
+                     len(gain.terms))
+        lead = Polynomial(gain.n_vars, gain.terms[:split]).eval_columns(cols, (1,) + slab_shape)
+        rest = Polynomial(gain.n_vars, gain.terms[split:])
+        buffer = np.empty((min(shape[0], per + 1),) + slab_shape)
 
         def masks(start: int, stop: int) -> np.ndarray:
             cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
-            return gain.eval_columns(cols, (stop - start,) + slab_shape) <= 0.0
+            out = buffer[:stop - start]
+            out[...] = lead
+            return rest.eval_columns(cols, out.shape, out=out) <= 0.0
 
+        # ``block`` holds the mask on slabs ``start - 1 .. stop``; past either
+        # end of the axis a slab of True (nothing preferred) stands in
+        edge = np.ones((1,) + slab_shape, dtype=bool)
+        block = np.concatenate([edge, masks(0, min(shape[0], per + 1))]
+                               + [edge] * (per >= shape[0]))
         boundary: list[np.ndarray] = []
-        first, block = 0, masks(0, min(shape[0], per + 1))      # block[0] is slab ``first``
         for start in range(0, shape[0], per):
             stop = min(shape[0], start + per)
-            # points with a preferred neighbour along some axis
-            pref, near = ~block, np.zeros_like(block)
-            for axis in range(block.ndim):
+            # points of slabs ``start .. stop - 1`` with a preferred neighbour
+            # along some axis
+            pref, core = ~block, block[1:-1]
+            near, inner = pref[:-2] | pref[2:], pref[1:-1]
+            for axis in range(1, core.ndim):
                 lo = (slice(None),) * axis + (slice(None, -1),)
                 hi = (slice(None),) * axis + (slice(1, None),)
-                near[hi] |= pref[lo]
-                near[lo] |= pref[hi]
-            hit = (block & near)[start - first:stop - first]
+                near[hi] |= inner[lo]
+                near[lo] |= inner[hi]
+            hit = core & near
             idx = np.unravel_index(np.flatnonzero(hit), hit.shape)   # C order, as argwhere
             coords = np.empty((idx[0].shape[0], d))
             coords[:, 0] = axes[0][start + idx[0]]
@@ -718,20 +740,17 @@ class _ComplementCloud:
                 coords[:, col] = axes[col][idx[col]]
             boundary.append(coords)
             if stop < shape[0]:
-                block = np.concatenate([block[stop - 1 - first:],
-                                        masks(stop + 1, min(shape[0], stop + per + 1))])
-                first = stop - 1
+                block = np.concatenate([block[-2:], masks(stop + 1, min(shape[0], stop + per + 1))]
+                                       + [edge] * (stop + per >= shape[0]))
         return np.vstack(boundary)
 
     @cached_property
-    def _tree(self):
-        from scipy.spatial import cKDTree  # imported on first use: a slow import
-        # an unbalanced, uncompacted build is twice as fast; queries return
-        # the same distances
-        return cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+    def _index(self):
+        from .nearest import NearestIndex     # imported on first use
+        return NearestIndex(self.points, self.step)
 
     def min_distance(self, queries: np.ndarray) -> np.ndarray:
-        return self._tree.query(queries[:, self.active])[0]
+        return self._index.query(queries[:, self.active])
 
 
 def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:

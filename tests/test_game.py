@@ -167,6 +167,24 @@ def test_empty_constraint_values_rejected():
     assert err.value.witness is not None
 
 
+def test_maps_must_sit_at_their_player_position():
+    # an empty value on a map that claims to be player 2's would be
+    # reported for the wrong player
+    empty = MovingBox(player_index=1, lower=AffineMap.constant([1.0], 1),
+                      upper=AffineMap.constant([0.0], 1))
+    with pytest.raises(InputError, match="constraint map for player 1 has player_index 1, "
+                                         "expected 0"):
+        from_utilities([1], [Box((0.0,), (1.0,))], [empty], ["x1"])
+    sets, maps = unit_box_self_maps(2)
+    good = from_utilities([1, 1], sets, maps, ["x1", "x2"]).preference_maps
+    with pytest.raises(InputError, match="preference map for player 2 has player_index 0, "
+                                         "expected 1"):
+        game_mod.build_instance([1, 1], sets, maps, [good[0], replace(good[1], player_index=0)])
+    with pytest.raises(InputError, match="preference map for player 2 has own_start 0, "
+                                         "expected 1"):
+        game_mod.build_instance([1, 1], sets, maps, [good[0], replace(good[1], own_start=0)])
+
+
 def test_self_exclusion_violation_rejected():
     # convex utility: at the vertex the two preferred branches surround x1
     sets, maps = unit_box_self_maps(2)

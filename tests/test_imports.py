@@ -1,9 +1,11 @@
-"""Import hygiene: parsing, building and verifying games need numpy only.
+"""Import hygiene: parsing, building, verifying and solving games need
+numpy only.
 
-scipy serves the complement-cloud KD-tree and the hull LP in two or more
-dimensions, each imported on first use, so every CLI call that never
-reaches them starts without scipy's slow submodules; certificate
-clustering needs numpy only.
+scipy serves only the two LP paths, hull membership in two or more
+dimensions and the separator of degenerate normal directions, each
+imported on first use; no CLI route on a shipped fixture reaches them, so
+none loads scipy's slow submodules.  Complement-cloud distances and
+certificate clustering need numpy only.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows
 exactly what the work loaded.
 """
@@ -16,8 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from projnash.fixtures import fixture_path
-from test_golden import EXIT_CODES, FLAGS, VERIFY_POINTS
+from projnash.fixtures import FIXTURE_NAMES, fixture_path
+from test_golden import EXIT_CODES, FLAGS, ROUTES, VERIFY_POINTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SLOW_MODULES = ("scipy.sparse", "scipy.spatial", "scipy.optimize")
@@ -107,19 +109,40 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_closed_form_fixed_point_builds_no_kd_tree():
-    # expand and corner have closed-form graph distances and clustering
-    # needs no scipy, so their fixed point never loads scipy.spatial;
-    # chase needs a complement cloud, whose KD-tree loads it
-    for name, tree in (("expand", False), ("corner", False), ("chase", True)):
+    # expand and corner have closed-form graph distances; chase, selfmap and
+    # disk query complement clouds, whose nearest-neighbour index needs
+    # numpy only, so no fixed point loads scipy.spatial
+    for name, cloud in (("expand", False), ("corner", False), ("chase", True),
+                        ("selfmap", True), ("disk", True)):
         out = _fresh(f"""
-from projnash import SolverConfig, load_fixture, solvers
-seen = []
+from projnash import SolverConfig, load_fixture, preferences, solvers
+seen, queries = [], []
 cluster = solvers._cluster_certificates
 def recording(certs, radius):
     seen.append("scipy.spatial" in sys.modules)
     return cluster(certs, radius)
 solvers._cluster_certificates = recording
+min_distance = preferences._ComplementCloud.min_distance
+def counting(cloud, rows):
+    queries.append(rows.shape[0])
+    return min_distance(cloud, rows)
+preferences._ComplementCloud.min_distance = counting
 result = solvers.solve_fixed_point(load_fixture({name!r}), SolverConfig(h=0.05, multistart=5))
-print(json.dumps({{"certificates": len(result.certificates), "seen": seen}}))
+print(json.dumps({{"certificates": len(result.certificates), "seen": seen,
+                  "cloud": sum(queries) > 0}}))
 """)
-        assert out == {"certificates": 1, "seen": [tree]}, name
+        assert out == {"certificates": 1, "seen": [False], "cloud": cloud}, name
+
+
+def test_every_cli_route_leaves_scipy_unimported():
+    runs = {f"{name}.{route}": [route, str(fixture_path(name)), *FLAGS]
+            for name in FIXTURE_NAMES for route in ROUTES}
+    out = _fresh(f"""
+import io
+from projnash import cli
+codes = {{key: cli.run(argv, stdout=io.StringIO()) for key, argv in {runs!r}.items()}}
+print(json.dumps({{"codes": codes, "loaded": loaded()}}))
+""")
+    expected = json.loads(EXIT_CODES.read_text())
+    assert out["codes"] == {key: expected[key] for key in runs}
+    assert out["loaded"] == []

@@ -10,11 +10,12 @@ Traces, with the standard library's ``sys.settrace``:
   runs them.  The workloads module is only imported and called.
 
 It prints every executable line none of these ran, as ranges per module,
-then a count per module and the total, and last the physical line count
-of ``src/projnash/*.py`` (as ``wc -l`` counts them).  A line is executable
-when the compiler gives it bytecode; a ``def`` or ``class`` header counts
-as run when the module is imported.  Tracing starts before ``projnash`` is
-imported.  Run from the repository root:
+then a count per module and the total, the physical line count of
+``src/projnash/*.py`` (as ``wc -l`` counts them), and last which of
+scipy's slow submodules (``SLOW_MODULES``) the traced runs imported.  A
+line is executable when the compiler gives it bytecode; a ``def`` or
+``class`` header counts as run when the module is imported.  Tracing
+starts before ``projnash`` is imported.  Run from the repository root:
 
     python tools/reachability.py
 """
@@ -32,6 +33,7 @@ SRC = ROOT / "src" / "projnash"
 FIXTURE_H = 0.05
 SEED = 0
 ROUTES = ("oracle", "solve-fp", "solve-qvi")
+SLOW_MODULES = ("scipy.sparse", "scipy.spatial", "scipy.optimize")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -110,6 +112,9 @@ def main() -> int:
     print("\n".join(summary))
     print(f"total: {missed_total} of {total} executable lines not run")
     print(f"src/projnash/*.py: {physical} lines")
+    loaded = [m for m in SLOW_MODULES if m in sys.modules]
+    print(f"scipy modules imported: {len(loaded)} of {len(SLOW_MODULES)}"
+          + (f" ({', '.join(loaded)})" if loaded else ""))
     return 0
 
 
