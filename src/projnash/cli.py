@@ -27,7 +27,7 @@ from .expressions import (AffineMap, ExpressionParser, Token, format_float,
 from .game import (Certificate, GameInstance, MovingBox, build_instance,
                    check_projected_solution)
 from .geometry import Ball, Box
-from .preferences import DirectionField, Sampled, UtilityInduced
+from .preferences import GAIN_GUARD, DirectionField, Sampled, UtilityInduced
 from .solvers import (SolveResult, SolverConfig, brute_force_oracle,
                       solve_fixed_point, solve_qvi)
 
@@ -35,7 +35,7 @@ SCHEMA = "projnash.report.v1"
 
 _OPTION_KEYS = {
     "h": float, "eps": float, "lambda": float, "budget": int, "seed": int,
-    "max_iter": int, "multistart": int, "h_g": float, "strictness": float,
+    "max_iter": int, "multistart": int, "h_g": float,
 }
 
 
@@ -154,7 +154,7 @@ def parse_problem(text: str) -> GameInstance:
             if key_tok.kind != "ident" or key not in _OPTION_KEYS:
                 raise ParseError(f"unknown option {key_tok.text!r}",
                                  key_tok.line, key_tok.col)
-            options[key] = _OPTION_KEYS[key](cur.parse_real())
+            options[key] = cur.parse_int() if _OPTION_KEYS[key] is int else cur.parse_real()
             continue
         cur.expect_keyword("player")
         idx_tok = cur.peek()
@@ -277,8 +277,8 @@ def _vec_text(values) -> str:
 
 def serialize_instance(game: GameInstance) -> str:
     lines = [f"players {game.player_count} dims " + " ".join(str(d) for d in game.dims)]
-    for key in sorted(game.options):
-        lines.append(f"set {key} {format_float(float(game.options[key]))}")
+    for key, val in sorted(game.options.items()):
+        lines.append(f"set {key} {val if isinstance(val, int) else format_float(float(val))}")
     for i in range(game.player_count):
         lines.append(f"player {i + 1}")
         s = game.choice_sets[i]
@@ -294,6 +294,8 @@ def serialize_instance(game: GameInstance) -> str:
         lines.append(f"kbox {lo_rows} {hi_rows}")
         p = game.preference_maps[i]
         if isinstance(p, UtilityInduced):
+            if p.margin:          # the grammar has none; dropping it would alias digests
+                raise InputError("utility margins are not serializable")
             lines.append(f"utility {p.utility.to_text()}")
         elif isinstance(p, DirectionField):
             rows = "[" + ", ".join(p.c.to_text_rows()) + "]"
@@ -376,14 +378,14 @@ def _emit_header(report: Report, command: str, problem: str, game: GameInstance,
     report.add("config.multistart", cfg.multistart)
     report.add("config.budget", cfg.random_budget)
     report.add("config.seed", cfg.seed)
-    report.add("config.strictness", cfg.strictness)
     report.add("config.h_g", cfg.distance_step)
     hyp = game.hypotheses
     report.add("hypotheses.constraint_probes", hyp.constraint_probes)
     report.add("hypotheses.self_exclusion_probes", hyp.self_exclusion_probes)
     report.add("resolution.statement",
                f"emptiness certified at grid resolution {format_float(cfg.h)} "
-               f"with {cfg.random_budget} seeded samples (seed {cfg.seed})")
+               f"with {cfg.random_budget} seeded samples (seed {cfg.seed}); "
+               f"a point is preferred where its strict gain exceeds {GAIN_GUARD:g}")
 
 
 def _emit_result(report: Report, result: SolveResult) -> None:

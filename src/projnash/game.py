@@ -32,11 +32,6 @@ from .preferences import PreferenceMap, UtilityInduced, hull_preferred
 
 DEFAULT_PROBE_AXIS = 7
 
-#: witnesses must clear this float guard above the strictness margin, so
-#: scan points that iterative projection leaves a few ulps outside a
-#: constraint boundary cannot register as intersection witnesses
-WITNESS_GUARD = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Constraint maps
@@ -479,8 +474,9 @@ def from_utilities(dims: Sequence[int],
                    strictness: float = 0.0,
                    options: Optional[dict] = None) -> GameInstance:
     """Build an instance whose preferences are strict upper level sets of
-    one polynomial utility per player.  The result is flagged
-    ``utility_reducible``."""
+    one polynomial utility per player, ``u(x_-i, z) > u(x) + strictness``:
+    ``strictness`` is the preference margin (``UtilityInduced.margin``).
+    The result is flagged ``utility_reducible``."""
     dims = tuple(int(d) for d in dims)
     n = sum(dims)
     if len(utilities) != len(dims):
@@ -626,7 +622,6 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
     Every check is bitwise the one the row gets alone on a fresh instance.
     """
     xs, ys = _joint_rows(game, xs, ys)
-    threshold = cfg.strictness + WITNESS_GUARD
     columns = []
     for i in range(game.player_count):
         pref, sl = game.preference_maps[i], game.own_slice(i)
@@ -643,14 +638,15 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
             step = max(1, CHECK_SLAB // max(1, total))
             for s in range(0, len(rows) if total else 0, step):
                 slab = rows[s:s + step]
-                hits = prefs.strict_gain_outer(pref, ys[slab], grid) > threshold
+                hits = prefs.strictly_preferred(prefs.strict_gain_outer(pref, ys[slab], grid))
                 for j in hits.any(axis=1).nonzero()[0]:
                     witnesses[slab[j]] = tuple(grid[np.argmax(hits[j])])
                 misses = [r for r in slab if r not in witnesses] if count else []
                 if misses:
                     samples = np.stack([_scan_samples(k_set, count, seeded_rng(
                         cfg.seed, 11, i, arrays=(xs[r], ys[r]))) for r in misses])
-                    hits = prefs.strict_gain_paired(pref, ys[misses], samples) > threshold
+                    hits = prefs.strictly_preferred(
+                        prefs.strict_gain_paired(pref, ys[misses], samples))
                     for j in hits.any(axis=1).nonzero()[0]:
                         witnesses[misses[j]] = tuple(samples[j, np.argmax(hits[j])])
             for r in rows:

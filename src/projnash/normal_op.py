@@ -10,18 +10,20 @@ the zero vector.
 Fast paths: both factorized kinds propose their negated unit
 ``normal_field`` (the own-block gradient of a utility, the field of a
 direction field), validated against sampled preferred points each call:
-no pool point ``z`` the computed gain calls preferred may have a computed
-``<z - x_i, d>`` above ``POLAR_TOL``.  Two kinds skip that polar check
-where it is proven to pass:
+no pool point ``z`` that ``preferences.strictly_preferred`` calls preferred
+(computed gain above ``GAIN_GUARD``) may have a computed ``<z - x_i, d>``
+above ``POLAR_TOL``.  Two kinds skip that polar check where it is proven to
+pass:
 
 * half-space kinds (``halfspace_valued``: direction fields, utilities
-  affine in the own block), on every row.  A preferred ``z`` has ``<L, z -
-  x_i> > margin >= 0`` with ``L`` the normal field up to rounding, so
-  ``<z - x_i, d> <= ~1e-16 |z|``, far below ``POLAR_TOL``.
+  affine in the own block), on every row.  A preferred ``z`` has computed
+  ``<L, z - x_i> > margin + GAIN_GUARD > 0`` with ``L`` the normal field up
+  to rounding, so ``<z - x_i, d> <= ~1e-16 |z|``, far below ``POLAR_TOL``.
 * exactly concave utilities (``concave``: a constant own quadratic form,
   negative semidefinite in rational arithmetic), on the rows whose bound
   below is at most ``POLAR_TOL``.  The computed gain rounds monotonically,
-  so a preferred ``z`` has computed ``A~(z) > B~``, hence ``u(z) - u(x_i) =
+  so a preferred ``z``, whose computed ``(A~(z) - B~) - margin`` is above
+  ``GAIN_GUARD > 0``, has computed ``A~(z) > B~``, hence ``u(z) - u(x_i) =
   A(z) - B > -E`` with ``E`` the rounding bound of
   ``UtilityInduced.tangent_errors``.  By the tangent inequality ``<g, z -
   x_i> >= u(z) - u(x_i) > -E`` for the exact gradient ``g``, so
@@ -134,11 +136,8 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
     for start in range(0, m, chunk):
         rows = slice(start, min(m, start + chunk))
         block = xs[rows]
-        # A_L over the pool once per distinct rival factor; IEEE subtraction
-        # is monotone, so the group maximum answers "any(gain > 0)"
-        reps, group, base, margin, lift = prefs.gain_groups(p, block, zpool)
-        lifted = lift(reps)                                   # (groups, |pool|)
-        nonempty = (np.max(lifted, axis=1)[group] - base) - margin > 0.0
+        # the best gain over the pool, once per distinct rival factor
+        nonempty = prefs.strictly_preferred(prefs.strict_gain_max(p, block, zpool))
         full_mask[rows] = ~nonempty
 
         # the field whose negated unit vector is the candidate direction (a
@@ -158,11 +157,11 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
         for s in range(0, need.size, slab):
             r = need[s:s + slab]
             own, dr = block[r, sl], d[r]
-            gain = (lifted[group[r]] - base[r, None]) - margin
+            pref = prefs.strictly_preferred(prefs.strict_gain_outer(p, block[r], zpool))
             dot = (zpool[:, 0] - own[:, 0, None]) * dr[:, 0, None]
             for j in range(1, k):
                 dot += (zpool[:, j] - own[:, j, None]) * dr[:, j, None]
-            cand_ok[r] &= ~np.any((gain > 0.0) & (dot > POLAR_TOL), axis=1)
+            cand_ok[r] &= ~np.any(pref & (dot > POLAR_TOL), axis=1)
         directions[rows] = d
         ok_mask[rows] = cand_ok
     return directions, full_mask, ok_mask

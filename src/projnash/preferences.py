@@ -38,6 +38,9 @@ from .geometry import (Box, ConvexSet, cell_count_text, grid_axis, grid_axis_siz
 
 _SQRT2 = math.sqrt(2.0)
 
+#: a computed strict gain means "preferred" only above this guard, so exact
+#: ties and points a few ulps outside a constraint never are
+GAIN_GUARD = 1e-12
 #: grid-point matching tolerance for the sampled variant
 GRID_MATCH_TOL = 1e-9
 #: grid cells per block of whole slabs in a complement-cloud scan
@@ -116,7 +119,7 @@ class PreferenceMap:
                 rng: Optional[np.random.Generator]) -> np.ndarray:
         """The preferred points among ``budget`` seeded probes of ``region``."""
         candidates = probe_points(region, budget, np.random.default_rng(0) if rng is None else rng)
-        return candidates[strict_gain_outer(self, x[None, :], candidates)[0] > 0.0]
+        return candidates[strictly_preferred(strict_gain_outer(self, x[None, :], candidates)[0])]
 
     def _hull_contains(self, x: np.ndarray, z: np.ndarray, window: ConvexSet,
                        budget: int, rng: Optional[np.random.Generator]) -> bool:
@@ -142,8 +145,8 @@ class UtilityInduced(PreferenceMap):
     def __post_init__(self):
         if self.utility.n_vars != self.n_vars:
             raise InputError("utility arity does not match the joint dimension")
-        if self.margin < 0:
-            raise InputError("strictness margin must be nonnegative")
+        if not 0 <= self.margin < math.inf:           # NaN too: it prefers nothing
+            raise InputError("strictness margin must be finite and nonnegative")
 
     @cached_property
     def gain(self) -> Polynomial:
@@ -284,8 +287,8 @@ class DirectionField(PreferenceMap):
     def __post_init__(self):
         if self.c.in_dim != self.n_vars or self.c.out_dim != self.own_dim:
             raise InputError("direction field shape does not match player dimensions")
-        if self.offset < 0:
-            raise InputError("direction offset must be nonnegative")
+        if not 0 <= self.offset < math.inf:
+            raise InputError("direction offset must be finite and nonnegative")
 
     @property
     def margin(self) -> float:
@@ -440,9 +443,15 @@ def _gain_factors(p: PreferenceMap, xs, zs):
                            np.asarray(zs, dtype=np.float64).reshape(-1, p.own_dim))
 
 
+def strictly_preferred(gain: np.ndarray) -> np.ndarray:
+    """The one preference rule, read by every site: ``z`` is preferred at
+    ``x`` where its computed strict gain is above ``GAIN_GUARD``."""
+    return gain > GAIN_GUARD
+
+
 def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Strict gain on the cross product of ``xs`` rows and ``zs`` rows;
-    positive exactly on preferred pairs.
+    above ``GAIN_GUARD`` exactly on preferred pairs (:func:`strictly_preferred`).
 
     Utilities and direction fields share one factorized form,
     ``sum_t L_t(x) z^e_t - sum_t L_t(x) x_i^e_t - margin``, with the rival
@@ -522,7 +531,7 @@ def preferred(p: PreferenceMap, x, z) -> bool:
         raise InputError(f"joint strategy has dimension {x.shape[0]}, expected {p.n_vars}")
     if z.shape[0] != p.own_dim:
         raise InputError(f"own strategy has dimension {z.shape[0]}, expected {p.own_dim}")
-    return bool(strict_gain_outer(p, x[None, :], z[None, :])[0, 0] > 0.0)
+    return bool(strictly_preferred(strict_gain_outer(p, x[None, :], z[None, :])[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -660,20 +669,12 @@ class _ComplementCloud:
         lo, hi = ctx.region._np
         self.step = CLOUD_BUCKET_STEPS * ctx.h_g
         if isinstance(p, Sampled):
-            pairs = []
-            for r, xp in enumerate(p._at):
-                for s, zp in enumerate(p._z):
-                    if not p._table[r, s]:
-                        pairs.append(np.concatenate([xp, zp]))
+            rows, cols = np.nonzero(~p._table)          # row-major: the table's order
             self.active = np.arange(n + k)
-            self.points = np.array(pairs).reshape(-1, n + k)
+            self.points = np.hstack([p._at[rows], p._z[cols]])
             return
         gain = p.gain
-        active = [j for j in range(n + k) if gain.uses_variable(j)]
-        for j in range(n, n + k):
-            if j not in active:
-                active.append(j)
-        active = sorted(active)
+        active = [j for j in range(n + k) if j >= n or gain.uses_variable(j)]
         self.active = np.array(active, dtype=np.int64)
         total = math.prod(grid_axis_size(lo[j], hi[j], ctx.h_g) for j in active)
         if total > 120_000_000:
@@ -713,7 +714,7 @@ class _ComplementCloud:
             cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
             out = buffer[:stop - start]
             out[...] = lead
-            return rest.eval_columns(cols, out.shape, out=out) <= 0.0
+            return rest.eval_columns(cols, out.shape, out=out) <= GAIN_GUARD
 
         # ``block`` holds the mask on slabs ``start - 1 .. stop``; past either
         # end of the axis a slab of True (nothing preferred) stands in
@@ -785,7 +786,7 @@ def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
                            and v.max() <= b.min() + GRID_MATCH_TOL) \
                 and (np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)):
             raise InputError("graph-distance query lies outside the context region")
-    pref = strict_gain_paired(p, ys, zs) > 0.0
+    pref = strictly_preferred(strict_gain_paired(p, ys, zs))
     if not np.any(pref):
         return np.zeros(pref.shape) if paired else np.zeros(pref.shape[1])
     own = _own_of(p, ys)[:, None, :]

@@ -24,8 +24,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InputError
-from .game import (Certificate, GameInstance, WITNESS_GUARD, _scan_entry,
-                   check_projected_solution_many, seeded_rng)
+from .game import (Certificate, GameInstance, _scan_entry, check_projected_solution_many,
+                   seeded_rng)
 from .geometry import (check_grid_size, grid_axis, grid_axis_size, grid_points,
                        lattice_axis, lattice_span, mesh_points, project)
 from . import preferences as prefs
@@ -46,8 +46,8 @@ class SolverConfig:
     """Shared knobs for all solver routes.
 
     ``eps`` left unset resolves to 1e-6 for analytic residuals and ``2 h``
-    for grid-derived candidates; setting it overrides both.  ``strictness``
-    is an extra margin a witness must clear in intersection scans.
+    for grid-derived candidates; setting it overrides both.  Preference
+    margins belong to the game (``UtilityInduced.margin``).
     """
 
     h: float = 0.01
@@ -57,7 +57,6 @@ class SolverConfig:
     multistart: int = 8
     random_budget: int = 512
     seed: int = 0
-    strictness: float = 0.0
     h_g: Optional[float] = None
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class SolverConfig:
             raise InputError("residual tolerance eps must be positive")
         if self.h_g is not None and not 0 < self.h_g < math.inf:
             raise InputError("distance grid step must be positive")
-        if not 0 <= self.strictness < math.inf:
-            raise InputError("strictness must be finite and nonnegative")
         if not 0 < self.damping <= 1:
             raise InputError("damping must lie in (0, 1]")
         if self.max_iter < 0 or self.multistart < 1 or self.random_budget < 0:
@@ -460,7 +457,8 @@ def _witness_prefilter(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
     filtered rows can never certify; survivors are re-checked exactly.
     The best gain is taken once per distinct (rival factors of ``y``, value
     of ``K_i(x)``); IEEE subtraction is monotone, so each row's
-    ``(max A_L - B) - margin`` clears the threshold exactly when a pair does."""
+    ``(max A_L - B) - margin`` clears ``GAIN_GUARD`` exactly when a pair's
+    gain does."""
     has_witness = np.zeros(xs.shape[0], dtype=bool)
     for i in range(game.player_count):
         lo_q, hi_q = game.hull_boxes[i]._np
@@ -472,7 +470,7 @@ def _witness_prefilter(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
         keys = cmap.value_key(xs)
         best = prefs.strict_gain_max(game.preference_maps[i], ys, pool, keys,
                                      lambda reps: cmap.contains_key(keys[reps], pool))
-        has_witness |= best > cfg.strictness + WITNESS_GUARD
+        has_witness |= prefs.strictly_preferred(best)
     return has_witness
 
 

@@ -7,13 +7,15 @@ over the row's whole scan (grid plus samples), whose first hit is the
 witness.  ``check_nep_many`` shares cached grids between rows with equal
 constraint values, takes gains in slabs, and scans the grid before it
 draws any samples; every player check it returns must equal the
-reference's exactly, witnesses included.
+reference's exactly, witnesses included.  Preference margins, the only
+strictness knob, live in the game (:func:`with_margin`).
 """
 
 import functools
 import importlib.util
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +23,34 @@ import pytest
 
 from projnash import game as game_mod
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
-from projnash.game import (WITNESS_GUARD, PlayerCheck, check_nep, check_nep_many,
+from projnash.game import (PlayerCheck, build_instance, check_nep, check_nep_many,
                            check_projected_solution, check_projected_solution_many,
                            seeded_rng)
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.game import MovingBox, MovingPolytope, from_utilities
 from projnash.geometry import Box, lattice_axis, mesh_points, project, set_grid
-from projnash.preferences import Sampled, strict_gain_outer
+from projnash.preferences import (GAIN_GUARD, DirectionField, Sampled, UtilityInduced,
+                                  strict_gain_outer)
 from projnash.solvers import SolverConfig
 
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-CONFIGS = [(s, b) for s in (0.0, 1e-3) for b in (0, 512)]
+#: (preference margin, sample budget) pairs
+CONFIGS = [(m, b) for m in (0.0, 1e-3) for b in (0, 512)]
+
+
+def with_margin(game, margin):
+    """``game`` with ``margin`` added to the preference margin of every
+    utility and the offset of every direction field; tables have none."""
+    if not margin:
+        return game
+    maps = tuple(replace(p, margin=p.margin + margin) if isinstance(p, UtilityInduced)
+                 else replace(p, offset=p.offset + margin) if isinstance(p, DirectionField)
+                 else p for p in game.preference_maps)
+    return build_instance(game.dims, game.choice_sets, game.constraint_maps, maps,
+                          options=game.options)
 
 
 def reference_check_nep(game, x, y, cfg):
@@ -59,7 +75,7 @@ def reference_check_nep(game, x, y, cfg):
         witness = None
         if pts.shape[0]:
             gains = strict_gain_outer(pref, y[None, :], pts)[0]
-            hits = np.nonzero(gains > cfg.strictness + WITNESS_GUARD)[0]
+            hits = np.nonzero(gains > GAIN_GUARD)[0]
             witness = tuple(pts[hits[0]]) if hits.size else None
         out.append(PlayerCheck(membership_residual=residual, witness=witness,
                                emptiness_resolution=resolution, points_scanned=pts.shape[0]))
@@ -115,9 +131,9 @@ def test_fixture_rows_match_the_reference(name, h):
     game = load_fixture(name)
     xs, ys = scan_rows(game, h, 60)
     witnesses = 0
-    for strictness, budget in CONFIGS:
-        cfg = SolverConfig(h=h, strictness=strictness, random_budget=budget, seed=3)
-        witnesses += assert_matches_reference(game, xs, ys, cfg)
+    for margin, budget in CONFIGS:
+        cfg = SolverConfig(h=h, random_budget=budget, seed=3)
+        witnesses += assert_matches_reference(with_margin(game, margin), xs, ys, cfg)
     if name != "vacuous":
         assert witnesses > 0     # failing rows, so first witnesses are compared
 
@@ -128,9 +144,9 @@ def test_table_rows_match_the_reference(h):
     game = load_fixture("table")
     ys = np.array(game.preference_maps[0].at_points)
     xs = game.project_choice_many(ys)
-    for strictness, budget in CONFIGS:
-        cfg = SolverConfig(h=h, strictness=strictness, random_budget=budget)
-        assert_matches_reference(game, xs, ys, cfg)
+    for margin, budget in CONFIGS:
+        cfg = SolverConfig(h=h, random_budget=budget)
+        assert_matches_reference(with_margin(game, margin), xs, ys, cfg)
 
 
 def _pentagon_game():
@@ -154,9 +170,9 @@ def test_polytope_rows_match_the_reference(make):
     # repeat rows so groups hold several rows with one shared polytope grid
     xs, ys = np.vstack([xs, xs[::3]]), np.vstack([ys, ys[::3]])
     witnesses = 0
-    for strictness, budget in CONFIGS:
-        cfg = SolverConfig(h=0.1, strictness=strictness, random_budget=budget)
-        witnesses += assert_matches_reference(game, xs, ys, cfg)
+    for margin, budget in CONFIGS:
+        cfg = SolverConfig(h=0.1, random_budget=budget)
+        witnesses += assert_matches_reference(with_margin(game, margin), xs, ys, cfg)
     assert witnesses > 0
 
 
@@ -171,9 +187,9 @@ def test_generated_game_rows_match_the_reference(family):
         else:
             game, _ = random_direction_instance(rng)
         xs, ys = scan_rows(game, 0.05, 40)
-        for strictness, budget in CONFIGS:
-            cfg = SolverConfig(h=0.05, strictness=strictness, random_budget=budget)
-            assert_matches_reference(game, xs, ys, cfg)
+        for margin, budget in CONFIGS:
+            cfg = SolverConfig(h=0.05, random_budget=budget)
+            assert_matches_reference(with_margin(game, margin), xs, ys, cfg)
 
 
 @pytest.mark.parametrize("slab", [None, 1500])
@@ -225,10 +241,10 @@ def test_samples_are_drawn_only_for_rows_with_no_grid_witness(name, monkeypatch)
         return real(seed, *tags, arrays=arrays)
 
     monkeypatch.setattr(game_mod, "seeded_rng", counting)
-    game = load_fixture(name)
-    xs, ys = scan_rows(game, 0.05, 60)
-    for strictness in (0.0, 1e-3):
-        cfg = SolverConfig(h=0.05, strictness=strictness, random_budget=64)
+    xs, ys = scan_rows(load_fixture(name), 0.05, 60)
+    for margin in (0.0, 1e-3):
+        game = with_margin(load_fixture(name), margin)
+        cfg = SolverConfig(h=0.05, random_budget=64)
         calls.clear()
         check_nep_many(game, xs, ys, cfg)
         want = Counter()
@@ -236,7 +252,7 @@ def test_samples_are_drawn_only_for_rows_with_no_grid_witness(name, monkeypatch)
             for x, y in zip(xs, ys):
                 grid = set_grid(game.constraint_maps[i].materialize(x), cfg.h)[0]
                 gains = strict_gain_outer(pref, y[None, :], grid)
-                if not np.any(gains > strictness + WITNESS_GUARD):
+                if not np.any(gains > GAIN_GUARD):
                     want[(11, i), np.concatenate([x, y]).tobytes()] += 1
         assert calls == want
         if name != "vacuous":

@@ -47,6 +47,12 @@ MALFORMED = [
     ("players 2 dims 1 0\n", "player dimensions must be positive", 1, 18),
     ("players 1 dims 1\nset h abc\n", "expected a number, found 'abc'", 2, 7),
     ("players 1 dims 1\nset speed 1\n", "unknown option 'speed'", 2, 5),
+    ("players 1 dims 1\nset strictness 0\n", "unknown option 'strictness'", 2, 5),
+    # the integer options take integer tokens, as their flags do
+    ("players 1 dims 1\nset seed 1.25\n", "expected an integer, found '1.25'", 2, 10),
+    ("players 1 dims 1\nset budget 2.7\n", "expected an integer, found '2.7'", 2, 12),
+    ("players 1 dims 1\nset max_iter 2e3\n", "expected an integer, found '2e3'", 2, 14),
+    ("players 1 dims 1\nset multistart 4.0\n", "expected an integer, found '4.0'", 2, 16),
     ("players 1 dims 1\nplayer 3\n", "player index out of range", 2, 8),
     (_ONE + _BODY + "utility x1\nplayer 1\n", "player 1 declared twice", 6, 8),
     (_ONE + "cube [0] [1]\n", "expected 'box' or 'ball'", 3, 1),

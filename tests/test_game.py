@@ -17,7 +17,7 @@ from projnash.preferences import preferred, sample_preferred
 from projnash.cli import parse_problem
 from projnash.solvers import SolverConfig
 
-from test_check_nep_many import _bits, _polytope_game, bench_workloads, scan_rows
+from test_check_nep_many import _bits, _polytope_game, bench_workloads, scan_rows, with_margin
 
 
 # -- constraint materialization -------------------------------------------------
@@ -192,15 +192,29 @@ def test_self_exclusion_violation_rejected():
         from_utilities([1, 1], sets, maps, ["(x1 - 0.5)^2", "x2"])
 
 
-def test_an_indefinite_form_within_1e_12_of_concave_is_checked():
-    # -x1^2 + 1e-13 x2^2 is not concave, however small its positive
-    # eigenvalue: at x = (0, -1) the preferred points z1 ~ 0, |z2| > 1 lie
-    # on both sides of x, so x lies in the hull of its preferred set
+def _indefinite_game(c):
     box = Box((-1.0, -1.0), (1.0, 1.0))
     cmap = MovingBox(player_index=0, lower=AffineMap.constant([-1.0, -1.0], 2),
                      upper=AffineMap.constant([1.0, 1.0], 2))
+    return from_utilities([2], [box], [cmap], [f"-x1^2 + {c}*x2^2"])
+
+
+def test_an_indefinite_form_within_1e_12_of_concave_is_checked():
+    # -x1^2 + 1e-13 x2^2 is not concave, however small its positive
+    # eigenvalue, so every probe is checked; but its gains stay below 3e-13
+    # on the sampling window, under GAIN_GUARD, so no point is preferred
+    # and the game loads
+    game = _indefinite_game("1e-13")
+    assert not game.preference_maps[0].hull_exact
+    assert game.hypotheses.self_exclusion_probes == 49
+
+
+def test_an_indefinite_form_whose_gains_clear_the_guard_is_rejected():
+    # with 1e-9 x2^2, at x = (0, -1) the preferred points z1 ~ 0, |z2| > 1
+    # gain up to 3e-9 and lie on both sides of x, so x lies in the hull of
+    # its preferred set
     with pytest.raises(HypothesisError) as err:
-        from_utilities([2], [box], [cmap], ["-x1^2 + 1e-13*x2^2"])
+        _indefinite_game("1e-9")
     assert "player 1" in str(err.value)
     assert err.value.witness == [0.0, -1.0]
 
@@ -468,9 +482,10 @@ def test_warm_instance_certifies_the_verify_batch_as_fresh_ones():
     batch = wl.WORKLOADS["certify"]
     ops = wl.verify_ops(batch, 0)
     games = {p: wl.load(p) for p, _ in batch.verify}
-    strict = SolverConfig(h=0.05, strictness=1e-3, random_budget=64, seed=4)
-    for cfg, rows in ((wl.config(wl.VERIFY_H, 0), ops), (strict, ops[::5])):
-        warm = {p: _fresh(g) for p, g in games.items()}
+    # the second pass adds a preference margin of 1e-3 to every game
+    strict = SolverConfig(h=0.05, random_budget=64, seed=4)
+    for cfg, rows, margin in ((wl.config(wl.VERIFY_H, 0), ops, 0.0), (strict, ops[::5], 1e-3)):
+        warm = {p: _fresh(with_margin(g, margin)) for p, g in games.items()}
         for op in rows:
             got = check_projected_solution(warm[op.problem], op.x, op.y, cfg)
             want = check_projected_solution(_fresh(warm[op.problem]), op.x, op.y, cfg)

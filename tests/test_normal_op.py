@@ -15,8 +15,8 @@ from projnash.geometry import (Box, ConeSample, grid_points, lattice_axis, mesh_
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
                                 normal_directions_batch,
                                 normal_operator, unit_normal_product)
-from projnash.preferences import (DirectionField, UtilityInduced, sample_preferred,
-                                  strict_gain_outer)
+from projnash.preferences import (GAIN_GUARD, DirectionField, UtilityInduced,
+                                  sample_preferred, strict_gain_outer)
 from projnash.solvers import SolverConfig, _scan
 
 from test_check_nep_many import _polytope_game
@@ -207,7 +207,7 @@ def normal_directions_reference(game, i, xs, cfg):
     for start in range(0, xs.shape[0], chunk):
         rows = slice(start, start + chunk)
         block = xs[rows]
-        pref = strict_gain_outer(p, block, zpool) > 0.0
+        pref = strict_gain_outer(p, block, zpool) > GAIN_GUARD
         nonempty = np.any(pref, axis=1)
         field = p.normal_field(block)
         norms = np.linalg.norm(field, axis=1)
@@ -410,20 +410,26 @@ def test_concave_players_skip_the_check_only_where_proven(name, factor, monkeypa
 
 def test_near_stationary_rows_keep_the_check():
     # -(x1 - t)^2 with x1 = z - 1e-8 and t = x1 - 1e-9, z a probe point:
-    # the gradient is 2e-9, and the rounding of the gain can call z
-    # preferred although it is not, with <z - x1, d> = 1e-8 > POLAR_TOL
+    # the gradient is 2e-9 and no gain exceeds 1e-18.  On the unit window
+    # every gain rounds to at most GAIN_GUARD, so nothing is preferred; on
+    # a window scaled by 1e3 the gain's terms are of order 1e6 and their
+    # rounding, far above GAIN_GUARD, can call z preferred although it is
+    # not, with <z - x1, d> = 1e-8 > POLAR_TOL
     cfg = SolverConfig(h=0.1, random_budget=256)
-    pool = probe_points(Box((-1.0,), (2.0,)), 256, seeded_rng(cfg.seed, 29, 0))[:, 0]
-    rejected = 0
-    for z in pool[100:]:
-        x = float(z) - 1e-8
-        game = _one_d_game(f"-(x1 - {x - 1e-9!r})^2")
-        assert game.preference_maps[0].concave
-        ys = np.array([[x, 0.3]])
-        assert_directions_match_the_reference(game, ys, cfg, [0])
-        full, ok = normal_directions_batch(game, 0, ys, cfg)[1:]
-        rejected += int(not full[0] and not ok[0])
-    assert rejected > 0
+    for factor in (1.0, 1e3):
+        pool = probe_points(Box((-1.0,), (factor + 1.0,)), 256, seeded_rng(cfg.seed, 29, 0))
+        rejected = 0
+        for z in pool[100:, 0]:
+            x = float(z) - 1e-8
+            game = _one_d_game(f"-(x1 - {x - 1e-9!r})^2")
+            assert game.preference_maps[0].concave
+            game = _scaled(game, np.zeros((0, 2)), factor)[0]
+            ys = np.array([[x, 0.3]])
+            assert_directions_match_the_reference(game, ys, cfg, [0])
+            full, ok = normal_directions_batch(game, 0, ys, cfg)[1:]
+            assert full[0] or factor > 1.0
+            rejected += int(not full[0] and not ok[0])
+        assert (rejected > 0) == (factor > 1.0)
 
 
 @pytest.mark.parametrize("tilt, checked", [("1e-2", False), ("1e-5", True)])

@@ -17,7 +17,7 @@ from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.geometry import Box, grid_axis, lattice_axis, mesh_points, probe_points
 from projnash.normal_op import normal_directions_batch
-from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
+from projnash.preferences import (GAIN_GUARD, DirectionField, Sampled, UtilityInduced,
                                   _ComplementCloud, _cloud_for, _gain_factors,
                                   _halfspace_form, _in_convex_hull,
                                   _rival_scalar_form, context_for, graph_distance,
@@ -25,6 +25,7 @@ from projnash.preferences import (DirectionField, Sampled, UtilityInduced,
                                   gain_groups, preferred,
                                   sample_preferred, strict_gain_max,
                                   strict_gain_outer, strict_gain_paired)
+from projnash.game import check_nep
 from projnash.solvers import SolverConfig
 
 SQRT2 = math.sqrt(2.0)
@@ -369,6 +370,18 @@ def _utility(text, n, margin=0.0):
                           utility=parse_polynomial_text(text, n), margin=margin)
 
 
+@pytest.mark.parametrize("field, value", [
+    (f, v) for f in ("margin", "offset") for v in (float("nan"), float("inf"), -1e-3)])
+def test_margins_reject_values_that_disable_checks(field, value):
+    # preference margins are the only strictness knob; a NaN margin makes
+    # every gain NaN, which no scan would ever call preferred
+    with pytest.raises(InputError, match="must be finite and nonnegative"):
+        if field == "margin":
+            _utility("x1", 2, margin=value)
+        else:
+            _direction(["1"], 2, offset=value)
+
+
 def test_halfspace_form_needs_a_nonzero_constant_field():
     # a zero field prefers nothing: its complement is everything, not a half-space
     assert _halfspace_form(_direction(["0"], 2)) is None
@@ -522,7 +535,7 @@ def _boundary_points_by_rows(gain, active, axes, shape):
         full[:, active[0]] = axes[0][i]
         for col, var in enumerate(active[1:]):
             full[:, var] = rest_flat[:, col]
-        return (gain.eval_many(full) <= 0.0).reshape(shape[1:] if d > 1 else (1,))
+        return (gain.eval_many(full) <= GAIN_GUARD).reshape(shape[1:] if d > 1 else (1,))
 
     boundary = []
     prev_mask, cur_mask = None, slab_mask(0)
@@ -627,7 +640,7 @@ def _boundary_points_by_slabs(gain, active, axes, shape):
 
     def slab_mask(i):
         cols[active[0]] = axes[0][i:i + 1]
-        return gain.eval_columns(cols, slab_shape) <= 0.0
+        return gain.eval_columns(cols, slab_shape) <= GAIN_GUARD
 
     boundary = [np.zeros((0, d))]
     prev_mask, cur_mask = None, slab_mask(0)
@@ -696,7 +709,7 @@ def _boundary_points_argwhere(gain, active, axes, shape):
 
     def masks(start, stop):
         cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
-        return gain.eval_columns(cols, (stop - start,) + slab_shape) <= 0.0
+        return gain.eval_columns(cols, (stop - start,) + slab_shape) <= GAIN_GUARD
 
     boundary = []
     first, block = 0, masks(0, min(shape[0], per + 1))
@@ -1010,3 +1023,75 @@ def test_paired_gains_are_the_outer_gains_entry_by_entry():
     paired = strict_gain_paired(p, xs, zs)
     for r in range(7):
         assert np.array_equal(paired[r], strict_gain_outer(p, xs[r:r + 1], zs[r])[0])
+
+
+# -- one rule at ties ----------------------------------------------------------------
+
+#: most (y, z) pairs one player's tie search evaluates
+_TIE_PAIRS = 500_000
+
+
+def _tie_pairs(p, ctx, h_g, per_player=6):
+    """Pairs of the complement cloud's grid whose computed strict gain lies
+    in ``(0, GAIN_GUARD]``, exact ties that rounding leaves a few ulps above
+    0: up to ``per_player`` of them, strided, as ``(y, z, neighbours)``
+    with the pair's neighbours along every grid axis.  Joint coordinates the
+    gain never reads stay at their axis midpoint."""
+    lo, hi = ctx.region._np
+    n = p.n_vars
+    axes = [grid_axis(lo[j], hi[j], h_g) for j in range(n + p.own_dim)]
+    read = [j >= n or p.gain.uses_variable(j) for j in range(n + p.own_dim)]
+    picks = [np.arange(len(ax)) if r else np.array([len(ax) // 2]) for ax, r in zip(axes, read)]
+    ys = mesh_points([axes[j][picks[j]] for j in range(n)])
+    zs = mesh_points(axes[n:])
+    if ys.shape[0] * zs.shape[0] > _TIE_PAIRS:
+        return []
+    gains = strict_gain_outer(p, ys, zs)
+    rows, cols = np.nonzero((gains > 0.0) & (gains <= GAIN_GUARD))
+    out = []
+    for k in np.linspace(0, rows.size - 1, min(per_player, rows.size)).astype(int):
+        pair = np.concatenate([ys[rows[k]], zs[cols[k]]])
+        index = [int(np.flatnonzero(ax == v)[0]) for ax, v in zip(axes, pair)]
+        neighbours = []
+        for j in (j for j in range(n + p.own_dim) if read[j]):
+            for step in (-1, 1):
+                if 0 <= index[j] + step < len(axes[j]):
+                    near = pair.copy()
+                    near[j] = axes[j][index[j] + step]
+                    neighbours.append(near)
+        out.append((pair[:n], pair[n:], np.array(neighbours)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["chase", "selfmap", "disk"])
+def test_every_site_gives_one_answer_at_ties(name, monkeypatch):
+    # a pair whose computed gain is in (0, GAIN_GUARD] is not preferred:
+    # not by the membership test, not by the graph distance, not by the
+    # complement cloud (which keeps it as a boundary point next to a
+    # preferred neighbour) and not by a certificate that scans only it
+    from projnash import game as game_mod
+    real_grid = game_mod.set_grid
+    game = load_fixture(name)
+    h_g = 0.05
+    cfg = SolverConfig(h=h_g, random_budget=0)
+    ties = on_boundary = 0
+    for i, p in enumerate(game.preference_maps):
+        ctx = game.distance_context(i, h_g)
+        cloud = _ComplementCloud(p, ctx)
+        points = {row.tobytes() for row in cloud.points}
+        for y, z, neighbours in _tie_pairs(p, ctx, h_g):
+            ties += 1
+            assert not preferred(p, y, z)
+            assert graph_distance(p, ctx, y, z) == 0.0
+            near = strict_gain_outer(p, neighbours[:, :p.n_vars], neighbours[:, p.n_vars:])
+            if np.any(np.diag(near) > 1e-9):
+                on_boundary += 1
+                assert np.concatenate([y, z])[cloud.active].tobytes() in points
+            # every scan of player i's dimension is that one point
+            monkeypatch.setattr(game_mod, "set_grid", lambda k_set, h: (
+                (z[None, :], h) if k_set.dim == z.size else real_grid(k_set, h)))
+            fresh = dataclasses.replace(game, _caches={})
+            check = check_nep(fresh, fresh.project_choice(y), y, cfg)[i]
+            assert check.points_scanned == 1 and check.witness is None
+            monkeypatch.undo()
+    assert ties > 0 and on_boundary > 0

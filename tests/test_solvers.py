@@ -8,14 +8,14 @@ from projnash.errors import InputError
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.fixtures import load_fixture
 from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
-                           WITNESS_GUARD, check_projected_solution, from_utilities,
-                           seeded_rng)
+                           check_projected_solution, from_utilities, seeded_rng)
 from projnash.geometry import Box, grid_points, lattice_axis, mesh_points
 from projnash.normal_op import normal_directions_batch, normal_operator, unit_normal_product
 from projnash.geometry import grid_axis
-from projnash.preferences import strict_gain_outer
+from projnash.preferences import GAIN_GUARD, strict_gain_outer
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
+from test_check_nep_many import with_margin
 from test_normal_op import cubic_player_4d, normal_directions_reference
 from projnash import solvers
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
@@ -47,13 +47,10 @@ def test_config_validation():
     ("h_g", float("nan"), "distance grid step"),
     ("h_g", float("inf"), "distance grid step"),
     ("h_g", 0.0, "distance grid step"),
-    ("strictness", float("nan"), "strictness"),
-    ("strictness", float("inf"), "strictness"),
-    ("strictness", -1e-3, "strictness"),
 ])
 def test_config_rejects_values_that_disable_checks(field, value, message):
-    # NaN fails every comparison, so a NaN strictness or eps would pass
-    # every intersection scan or residual test
+    # NaN fails every comparison, so a NaN eps would pass every residual
+    # test
     with pytest.raises(InputError, match=message):
         SolverConfig(**{field: value})
 
@@ -334,15 +331,17 @@ def _pairwise_prefilter(game, xs, ys, cfg):
         gains = strict_gain_outer(game.preference_maps[i], ys, pool)
         cmap = game.constraint_maps[i]
         in_k = cmap.contains_key(cmap.value_key(xs), pool)
-        hit |= np.any(in_k & (gains > cfg.strictness + WITNESS_GUARD), axis=1)
+        hit |= np.any(in_k & (gains > GAIN_GUARD), axis=1)
     return hit
 
 
-@pytest.mark.parametrize("strictness", [0.0, 1e-3])
-def test_witness_prefilter_matches_the_pairwise_test(strictness):
+@pytest.mark.parametrize("margin", [0.0, 1e-3])
+def test_witness_prefilter_matches_the_pairwise_test(margin):
+    # the margin is the games' preference margin
     games = [(load_fixture(name), 0.05) for name in GAIN_FIXTURES] + [(_polytope_game(), 0.1)]
     for game, h in games:
-        cfg = SolverConfig(h=h, strictness=strictness)
+        game = with_margin(game, margin)
+        cfg = SolverConfig(h=h)
         for xs, ys in _scan(game, cfg)[1]:
             assert np.array_equal(_witness_prefilter(game, xs, ys, cfg),
                                   _pairwise_prefilter(game, xs, ys, cfg))
