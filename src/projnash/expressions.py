@@ -6,20 +6,21 @@ owns the tokenizer for that syntax, the expression parser, and the two value
 types everything downstream evaluates:
 
 * :class:`Polynomial` -- a multivariate polynomial stored as a map from
-  exponent tuples to coefficients; supports batched numpy evaluation,
-  partial derivatives and variable remapping.
+  exponent tuples to coefficients; supports batched numpy evaluation and
+  partial derivatives.
 * :class:`AffineMap` -- a vector-valued affine map ``x -> A x + b`` with
   exact interval arithmetic over boxes.
 
-Total degree is capped at :data:`MAX_DEGREE` at parse time.
+Total degree is capped at :data:`MAX_DEGREE` at parse time, and every
+coefficient of a parsed expression must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -69,13 +70,8 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         raw = m.group()
-        if kind == "num":
-            tokens.append(Token("num", raw, line, col))
-        elif kind == "ident":
-            tokens.append(Token("ident", raw, line, col))
-        elif kind == "op":
-            op = "^" if raw == "**" else raw
-            tokens.append(Token("op", op, line, col))
+        if kind in ("num", "ident", "op"):
+            tokens.append(Token(kind, "^" if raw == "**" else raw, line, col))
         elif kind == "newline":
             tokens.append(Token("newline", "\n", line, col))
             line += 1
@@ -170,14 +166,7 @@ class Polynomial:
         return self.degree() == 0
 
     def constant_value(self) -> float:
-        zero = (0,) * self.n_vars
-        for e, c in self.terms:
-            if e == zero:
-                return c
-        return 0.0
-
-    def uses_variable(self, index: int) -> bool:
-        return any(e[index] for e, _ in self.terms)
+        return dict(self.terms).get((0,) * self.n_vars, 0.0)
 
     def partial(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable ``index``."""
@@ -189,19 +178,6 @@ class Polynomial:
             de = tuple(v - 1 if j == index else v for j, v in enumerate(e))
             acc[de] = acc.get(de, 0.0) + c * k
         return Polynomial(self.n_vars, _canonical(acc))
-
-    def remap(self, mapping: dict[int, int], new_n_vars: int) -> "Polynomial":
-        """Return the same polynomial over ``new_n_vars`` variables with each
-        old variable ``j`` renamed to ``mapping[j]``."""
-        acc: dict[tuple[int, ...], float] = {}
-        for e, c in self.terms:
-            ne = [0] * new_n_vars
-            for j, k in enumerate(e):
-                if k:
-                    ne[mapping[j]] += k
-            key = tuple(ne)
-            acc[key] = acc.get(key, 0.0) + c
-        return Polynomial(new_n_vars, _canonical(acc))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -220,22 +196,12 @@ class Polynomial:
         if points.ndim != 2 or points.shape[1] != self.n_vars:
             raise InputError(
                 f"expected points of shape (m, {self.n_vars}), got {points.shape}")
-        return self.eval_columns([points[:, j] for j in range(self.n_vars)], points.shape[:1])
-
-    def eval_columns(self, cols, shape: tuple[int, ...],
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Evaluate on per-variable arrays broadcast to ``shape``: point
-        columns, or grid axes shaped along their own dimensions (``None``
-        for a variable no term reads).  Terms multiply ``cols[j] ** e_j`` in
-        variable order and add in order, so a grid point rounds as its row
-        does under :meth:`eval_many`.  With ``out``, the terms are added on
-        to it, in place, instead of to zeros."""
-        out = np.zeros(shape) if out is None else out
+        out = np.zeros(points.shape[0])
         exps, coeffs = self._np_terms
         for e, c in zip(exps, coeffs):
             term = c
             for j in np.nonzero(e)[0]:
-                term = term * cols[j] ** e[j]
+                term = term * points[:, j] ** e[j]
             out += term
         return out
 
@@ -303,6 +269,8 @@ class ExpressionParser:
                 f"polynomial degree {poly.degree()} exceeds the supported maximum {MAX_DEGREE}",
                 start,
             )
+        if not all(math.isfinite(c) for _, c in poly.terms):
+            raise self._fail("expression coefficient overflows the float range", start)
         return poly
 
     def _at_stop(self) -> bool:
@@ -491,14 +459,13 @@ class AffineMap:
         upper = np.asarray(upper, dtype=np.float64)
         return np.where(a[row] >= 0, lower, upper)
 
-    def to_polynomials(self, n_vars: int | None = None) -> list[Polynomial]:
-        n = self.in_dim if n_vars is None else n_vars
+    def to_polynomials(self) -> list[Polynomial]:
         out = []
         for row, off in zip(self.matrix, self.offset):
-            p = Polynomial.constant(off, n)
+            p = Polynomial.constant(off, self.in_dim)
             for j, c in enumerate(row):
                 if c:
-                    p = p + Polynomial.variable(j, n).scale(c)
+                    p = p + Polynomial.variable(j, self.in_dim).scale(c)
             out.append(p)
         return out
 

@@ -59,6 +59,8 @@ class Box:
     def __post_init__(self):
         if len(self.lower) != len(self.upper) or not self.lower:
             raise InputError("box bounds must be nonempty and of equal length")
+        if not all(map(math.isfinite, (*self.lower, *self.upper))):    # NaN too
+            raise InputError("box bounds must be finite")
         if any(l > u for l, u in zip(self.lower, self.upper)):
             raise InputError(f"empty box: lower {self.lower} exceeds upper {self.upper}")
 
@@ -105,8 +107,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise InputError(f"negative ball radius {self.radius}")
+        if not (0 <= self.radius < math.inf and all(map(math.isfinite, self.center))):
+            raise InputError("ball radius must be finite and nonnegative, its center finite")
         if not self.center:
             raise InputError("ball center must be nonempty")
 

@@ -39,6 +39,9 @@ pass:
   the check, and so does every form that is not exactly concave, however
   small its positive eigenvalue.
 
+Every candidate row of the shipped fixtures' routes is proven, so only the
+tests reach the polar-check loop of :func:`normal_directions_batch`.
+
 Where no field direction validates (a vanishing field, as at the inflection
 of ``(x1 - 0.5)^3``), :func:`normal_operator` samples preferred points and
 asks :func:`geometry.separate` for a polar direction: exact for the samples,

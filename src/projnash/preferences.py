@@ -19,7 +19,10 @@ The graph distance of a preference map is the Euclidean distance from a pair
 ``{(x, z) : z preferred at x}``.  It is 0 exactly on non-preferred pairs,
 positive on preferred ones, and 1-Lipschitz.  Half-space-structured variants
 get exact closed forms; everything else falls back to a distance cloud built
-once per context from a grid scan of the complement boundary.
+once per context from a grid scan of the complement boundary.  Every site,
+that cloud included, evaluates the strict gain through one kernel,
+:meth:`PreferenceMap._gain_factors`, and reads one rule,
+:func:`strictly_preferred`; no ``(x, z)`` gain polynomial is built.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import InputError
 from .expressions import AffineMap, Polynomial
 from .geometry import (Box, ConvexSet, cell_count_text, grid_axis, grid_axis_size,
-                       probe_points)
+                       mesh_points, probe_points)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -149,18 +152,6 @@ class UtilityInduced(PreferenceMap):
             raise InputError("strictness margin must be finite and nonnegative")
 
     @cached_property
-    def gain(self) -> Polynomial:
-        """Polynomial over (x, z) variables: u(x_-i, z) - u(x) - margin."""
-        n, k = self.n_vars, self.own_dim
-        identity = {j: j for j in range(n)}
-        swapped = dict(identity)
-        for j in range(k):
-            swapped[self.own_start + j] = n + j
-        u_z = self.utility.remap(swapped, n + k)
-        u_x = self.utility.remap(identity, n + k)
-        return u_z - u_x - Polynomial.constant(self.margin, n + k)
-
-    @cached_property
     def own_gradient(self) -> list[Polynomial]:
         return [self.utility.partial(self.own_start + j) for j in range(self.own_dim)]
 
@@ -266,6 +257,15 @@ class UtilityInduced(PreferenceMap):
         return (rival, np.array([c for _, _, c in terms]), np.array(starts, dtype=np.intp),
                 tuple(terms[r][0] for r in starts))
 
+    @cached_property
+    def _gain_axes(self) -> tuple[list[int], list[int]]:
+        """The joint axes the rival factors read, and the own axes the base
+        reads: those of the own exponents."""
+        rival, _, _, exps = self._own_groups
+        own = np.array(exps, dtype=np.int64).reshape(-1, self.own_dim).any(axis=0)
+        return (np.flatnonzero(rival.any(axis=0)).tolist(),
+                (self.own_start + np.flatnonzero(own)).tolist())
+
     def _gain_terms(self, xs: np.ndarray) -> tuple[np.ndarray, tuple, float]:
         """Rival factors ``L_t(x)`` (one column per own exponent ``e_t``),
         the exponents, and the margin: ``u(x_-i, z) = sum_t L_t(x) z^e_t``
@@ -303,17 +303,12 @@ class DirectionField(PreferenceMap):
         return self.c.eval_many(xs)
 
     @cached_property
-    def gain(self) -> Polynomial:
-        n, k = self.n_vars, self.own_dim
-        rows = self.c.to_polynomials(n)
-        total = Polynomial.constant(-self.offset, n + k)
-        identity = {j: j for j in range(n)}
-        for j in range(k):
-            cj = rows[j].remap(identity, n + k)
-            zj = Polynomial.variable(n + j, n + k)
-            xj = Polynomial.variable(self.own_start + j, n + k)
-            total = total + cj * (zj - xj)
-        return total
+    def _gain_axes(self) -> tuple[list[int], list[int]]:
+        """The nonzero columns of ``c``, and the own axes of its nonzero rows
+        (see :meth:`UtilityInduced._gain_axes`)."""
+        a, b = self.c._np
+        return (np.flatnonzero(a.any(axis=0)).tolist(),
+                (self.own_start + np.flatnonzero(a.any(axis=1) | (b != 0))).tolist())
 
     def _gain_terms(self, xs: np.ndarray) -> tuple[np.ndarray, tuple, float]:
         """``c(x)``, unit own exponents and the offset (see
@@ -457,8 +452,11 @@ def strict_gain_outer(p: PreferenceMap, xs: np.ndarray, zs: np.ndarray) -> np.nd
     ``sum_t L_t(x) z^e_t - sum_t L_t(x) x_i^e_t - margin``, with the rival
     factors ``L_t`` computed once per row.  Both sums accumulate term by
     term in the same order, so ``z == x_i`` cancels bitwise and the strict
-    comparison there is exactly false.  For the sampled variant the
-    magnitude is conventional (+/-1); only the sign matters.
+    comparison there is exactly false.  The base is the lift at ``z =
+    x_i``, bit for bit, so the complement cloud evaluates the rival factors
+    once per rival row and still computes these entries at its grid pairs.
+    For the sampled variant the magnitude is conventional (+/-1); only the
+    sign matters.
     """
     return _strict_gain(*_gain_factors(p, xs, zs)[1:])
 
@@ -619,8 +617,8 @@ class GraphDistanceContext:
     _clouds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.h_g <= 0:
-            raise InputError("distance grid step must be positive")
+        if not 0 < self.h_g < math.inf:                # NaN too
+            raise InputError(f"distance grid step must be positive and finite, got {self.h_g}")
 
 
 def context_for(joint_box: Box, own_box: Box, h_g: float) -> GraphDistanceContext:
@@ -660,8 +658,9 @@ class _ComplementCloud:
     distances to the stored points, answered by one
     :class:`~projnash.nearest.NearestIndex` built on the first query, with
     buckets of ``CLOUD_BUCKET_STEPS * h_g``.
-    Inactive coordinates (those the strict gain never reads) are dropped
-    exactly: the nearest complement point can always match the query there.
+    Inactive coordinates (those the gain's factors never read,
+    ``_gain_axes``) are dropped exactly: the nearest complement point can
+    always match the query there.
     """
 
     def __init__(self, p: PreferenceMap, ctx: GraphDistanceContext):
@@ -673,67 +672,91 @@ class _ComplementCloud:
             self.active = np.arange(n + k)
             self.points = np.hstack([p._at[rows], p._z[cols]])
             return
-        gain = p.gain
-        active = [j for j in range(n + k) if j >= n or gain.uses_variable(j)]
+        rival, own = p._gain_axes
+        active = sorted(set(rival) | set(own)) + list(range(n, n + k))
         self.active = np.array(active, dtype=np.int64)
         total = math.prod(grid_axis_size(lo[j], hi[j], ctx.h_g) for j in active)
         if total > 120_000_000:
             raise InputError(
                 f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
         axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
-        shape = tuple(len(ax) for ax in axes)
-        self.points = self._boundary_points(gain, active, axes, shape)
+        self.points = self._boundary_points(p, axes, [active.index(j) for j in rival])
         if self.points.shape[0] == 0:
             raise InputError(
                 "preference covers the whole distance region at this resolution; "
                 "cannot build a complement cloud")
 
-    def _boundary_points(self, gain: Polynomial, active: list[int],
-                         axes: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    def _boundary_points(self, p: PreferenceMap, axes: list[np.ndarray],
+                         read: list[int]) -> np.ndarray:
         # blocks of whole slabs along the first active axis keep memory
-        # bounded; every active variable is its axis, broadcast along its
-        # own block dimension.  A block's mask carries the slab before it and
-        # the slab after it, each evaluated once, for the neighbour test,
-        # which runs on the block's own slabs only.
-        # The leading gain terms that do not read the first axis are summed
-        # once, over one slab; each block starts from that sum and adds the
-        # remaining terms in order, so every entry rounds as in one sum.
-        d = len(axes)
-        slab_shape = shape[1:] if d > 1 else (1,)
+        # bounded.  A block's preferred points are ``strictly_preferred((lift
+        # - base) - margin)``, as at every other site: ``lift`` on the axes
+        # ``read`` by the rival factors times the own grid (once per cloud
+        # unless they read the first axis), ``base`` on the x axes in chunks
+        # of about a slab of x rows, both broadcast into the block.  A block
+        # carries the slab before and after it for the neighbour test.
+        shape = tuple(len(ax) for ax in axes)
+        d, nx = len(axes), len(axes) - p.own_dim
+        if nx == 0:                         # the gain is -margin: nothing is preferred
+            return np.empty((0, d))
+        slab_shape = shape[1:]
         per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
-        cols: list = [None] * gain.n_vars
-        for c in range(1, d):
-            cols[active[c]] = axes[c].reshape([-1 if a == c else 1 for a in range(d)])
-        split = next((t for t, (e, _) in enumerate(gain.terms) if e[active[0]]),
-                     len(gain.terms))
-        lead = Polynomial(gain.n_vars, gain.terms[:split]).eval_columns(cols, (1,) + slab_shape)
-        rest = Polynomial(gain.n_vars, gain.terms[split:])
+        zs = mesh_points(axes[nx:])
+
+        def rows(cols: list[int], start: int, stop: int) -> np.ndarray:
+            # joint rows over x axes ``cols``, the first cut to ``start:stop``
+            parts = [axes[c][start:stop] if c == 0 else axes[c] for c in cols]
+            out = np.zeros((math.prod(map(len, parts)), p.n_vars))
+            out[:, self.active[cols]] = mesh_points(parts) if parts else 0.0
+            return out
+
+        def lift_of(start: int, stop: int) -> np.ndarray:
+            a = p._gain_factors(rows(read, start, stop), zs)[3](slice(None))
+            return a.reshape([(stop - start if c == 0 else shape[c]) if c in read or c >= nx
+                              else 1 for c in range(d)])
+
+        order = read + [c for c in range(nx) if c not in read]   # rival axes first
+
+        def base_of(start: int, stop: int) -> np.ndarray:
+            # the lift at each x point's own block, paired: the base bit for
+            # bit, with the rival factors evaluated once per rival row
+            sizes = [stop - start if c == 0 else shape[c] for c in order]
+            xg = rows(order, start, stop).reshape(math.prod(sizes[:len(read)]), -1, p.n_vars)
+            base = p._gain_factors(xg[:, 0], _own_of(p, xg))[3](slice(None))
+            return base.reshape(sizes).transpose(np.argsort(order))[(...,) + (None,) * p.own_dim]
+
+        lift = None if 0 in read else lift_of(0, 1)
+        # whole mask ranges (below) of first-axis values per chunk of base
+        span = per * max(1, math.prod(shape[nx:]) // per)
+        held = [0, base_of(0, min(shape[0], span + 1))]  # base from value held[0] on
         buffer = np.empty((min(shape[0], per + 1),) + slab_shape)
 
         def masks(start: int, stop: int) -> np.ndarray:
-            cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
-            out = buffer[:stop - start]
-            out[...] = lead
-            return rest.eval_columns(cols, out.shape, out=out) <= GAIN_GUARD
+            if stop > held[0] + held[1].shape[0]:
+                held[:] = start, base_of(start, min(shape[0], start + span))
+            first, base = held
+            gain = np.subtract(lift_of(start, stop) if lift is None else lift,
+                               base[start - first:stop - first], out=buffer[:stop - start])
+            gain -= p.margin
+            return strictly_preferred(gain)
 
-        # ``block`` holds the mask on slabs ``start - 1 .. stop``; past either
-        # end of the axis a slab of True (nothing preferred) stands in
-        edge = np.ones((1,) + slab_shape, dtype=bool)
+        # ``block`` holds the preferred points of slabs ``start - 1 .. stop``;
+        # past either end of the axis a slab with none stands in
+        edge = np.zeros((1,) + slab_shape, dtype=bool)
         block = np.concatenate([edge, masks(0, min(shape[0], per + 1))]
                                + [edge] * (per >= shape[0]))
         boundary: list[np.ndarray] = []
         for start in range(0, shape[0], per):
             stop = min(shape[0], start + per)
-            # points of slabs ``start .. stop - 1`` with a preferred neighbour
-            # along some axis
-            pref, core = ~block, block[1:-1]
-            near, inner = pref[:-2] | pref[2:], pref[1:-1]
-            for axis in range(1, core.ndim):
+            # points of slabs ``start .. stop - 1`` not preferred, with a
+            # preferred neighbour along some axis
+            near, inner = block[:-2] | block[2:], block[1:-1]
+            for axis in range(1, inner.ndim):
                 lo = (slice(None),) * axis + (slice(None, -1),)
                 hi = (slice(None),) * axis + (slice(1, None),)
                 near[hi] |= inner[lo]
                 near[lo] |= inner[hi]
-            hit = core & near
+            hit = near & ~inner
             idx = np.unravel_index(np.flatnonzero(hit), hit.shape)   # C order, as argwhere
             coords = np.empty((idx[0].shape[0], d))
             coords[:, 0] = axes[0][start + idx[0]]

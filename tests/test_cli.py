@@ -60,6 +60,13 @@ MALFORMED = [
     (_ONE + "box [0\n] [1]\n", "expected ',' or ']', found '\\n'", 3, 7),
     (_ONE + "box [x1] [1]\n", "expected a constant vector entry", 3, 5),
     (_ONE + "box [0, 1] [1]\n", "choice box must have 1 entries", 3, 1),
+    # a literal or a product that overflows is refused, not loaded as infinity
+    (_ONE + "box [0] [1e999]\n", "expression coefficient overflows the float range", 3, 10),
+    (_ONE + _BODY + "utility 1e999*x1\n", "expression coefficient overflows the float range", 5, 9),
+    (_ONE + _BODY + "utility 1e200*1e200*x1\n",
+     "expression coefficient overflows the float range", 5, 9),
+    (_ONE + _BODY + "utility x1 + 1e200*1e200 - 1e200*1e200\n",
+     "expression coefficient overflows the float range", 5, 9),
     (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 1),
     (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 3, 1),
     (_ONE + _BODY + "5\n", "expected a preference declaration", 5, 1),

@@ -69,12 +69,6 @@ def test_eval_many_matches_scalar_eval():
         assert abs(p.eval(row) - val) < 1e-12
 
 
-def test_remap_moves_variables():
-    p = parse_polynomial_text("x1^2 + x2", 2)
-    q = p.remap({0: 2, 1: 0}, 3)
-    assert q.eval([5.0, 0.0, 2.0]) == 9.0
-
-
 def test_to_text_round_trip():
     p = parse_polynomial_text("3*x1^2*x2 - 0.25 + x2", 2)
     q = parse_polynomial_text(p.to_text(), 2)

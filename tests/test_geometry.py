@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +96,21 @@ def test_empty_box_rejected():
 def test_negative_radius_rejected():
     with pytest.raises(InputError):
         Ball((0.0,), -0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Box((math.nan,), (1.0,)), "box bounds must be finite"),
+    (lambda: Box((0.0, 0.0), (1.0, math.inf)), "box bounds must be finite"),
+    (lambda: Box((-math.inf,), (0.0,)), "box bounds must be finite"),
+    (lambda: Ball((0.0,), math.nan), "ball radius must be finite and nonnegative"),
+    (lambda: Ball((0.0,), math.inf), "ball radius must be finite and nonnegative"),
+    (lambda: Ball((math.nan, 0.0), 1.0), "its center finite"),
+])
+def test_non_finite_sets_are_rejected(make, message):
+    # a NaN passes every ordered comparison's negation, so each is refused
+    # at construction instead of failing later with a misleading message
+    with pytest.raises(InputError, match=message):
+        make()
 
 
 # -- projection variational inequality --------------------------------------

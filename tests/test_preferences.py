@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from projnash.preferences import (GAIN_GUARD, DirectionField, Sampled, UtilityIn
                                   graph_distance_many, hull_preferred,
                                   gain_groups, preferred,
                                   sample_preferred, strict_gain_max,
-                                  strict_gain_outer, strict_gain_paired)
+                                  strict_gain_outer, strict_gain_paired,
+                                  strictly_preferred)
 from projnash.game import check_nep
 from projnash.solvers import SolverConfig
 
@@ -521,21 +521,71 @@ def test_complement_cloud_cache_keys_on_the_preference():
 
 # -- complement cloud ----------------------------------------------------------------
 
-def _boundary_points_by_rows(gain, active, axes, shape):
+def gain_polynomial(p):
+    """The strict gain as one polynomial over the ``(x, z)`` variables,
+    ``u(x_-i, z) - u(x) - margin`` or ``<c(x), z - x_i> - offset``,
+    expanded term by term: an independent reference for the factorized
+    kernel, which never builds it."""
+    n, k, s = p.n_vars, p.own_dim, p.own_start
+
+    def widen(poly, own_to_z):
+        # the same polynomial over n + k variables, its own block moved to z
+        out = Polynomial.constant(0.0, n + k)
+        for e, c in poly.terms:
+            term = Polynomial.constant(c, n + k)
+            for j, power in enumerate(e):
+                var = n + j - s if own_to_z and s <= j < s + k else j
+                term = term * Polynomial.variable(var, n + k).pow(power)
+            out = out + term
+        return out
+
+    if isinstance(p, UtilityInduced):
+        return (widen(p.utility, True) - widen(p.utility, False)
+                - Polynomial.constant(p.margin, n + k))
+    total = Polynomial.constant(-p.offset, n + k)
+    for j, row in enumerate(p.c.to_polynomials()):
+        step = Polynomial.variable(n + j, n + k) - Polynomial.variable(s + j, n + k)
+        total = total + widen(row, False) * step
+    return total
+
+
+def _reads(poly, j) -> bool:
+    return any(e[j] for e, _ in poly.terms)
+
+
+def _x_rows(p, active, parts):
+    """Joint rows over the grid's x axes ``parts`` (one per active joint
+    coordinate, in order); coordinates off the grid stay 0."""
+    rows = np.zeros((math.prod(map(len, parts)), p.n_vars))
+    rows[:, active[:len(parts)]] = mesh_points(parts)
+    return rows
+
+
+def _outer_mask(p, active, axes, start, stop):
+    """Complement on the grid's first-axis values ``start:stop`` by the one
+    rule, on the cross product of the x grid and the own grid."""
+    nx = len(axes) - p.own_dim
+    xs = _x_rows(p, active, [axes[0][start:stop]] + axes[1:nx])
+    gains = strict_gain_outer(p, xs, mesh_points(axes[nx:]))
+    return ~strictly_preferred(gains).reshape((stop - start,) + tuple(map(len, axes[1:])))
+
+
+def _boundary_points_by_rows(p, active, axes, shape):
     """The complement boundary with each slab's grid filled into full
-    ``(x, z)`` rows for ``eval_many`` and neighbours found by ``np.roll``."""
-    d = len(axes)
+    ``(x, z)`` rows, each row's gain paired with its own ``z`` under the one
+    rule, and neighbours found by ``np.roll``."""
+    d, n = len(axes), p.n_vars
     rest_axes = axes[1:]
-    rest_flat = (np.stack([m.reshape(-1) for m in np.meshgrid(*rest_axes, indexing="ij")], axis=1)
-                 if rest_axes else np.zeros((1, 0)))
-    full = np.zeros((rest_flat.shape[0], gain.n_vars))
+    rest_flat = np.stack([m.reshape(-1) for m in np.meshgrid(*rest_axes, indexing="ij")], axis=1)
+    full = np.zeros((rest_flat.shape[0], n + p.own_dim))
 
     def slab_mask(i):
         full[:, :] = 0.0
         full[:, active[0]] = axes[0][i]
         for col, var in enumerate(active[1:]):
             full[:, var] = rest_flat[:, col]
-        return (gain.eval_many(full) <= GAIN_GUARD).reshape(shape[1:] if d > 1 else (1,))
+        gains = strict_gain_paired(p, full[:, :n], full[:, None, n:])[:, 0]
+        return ~strictly_preferred(gains).reshape(shape[1:])
 
     boundary = []
     prev_mask, cur_mask = None, slab_mask(0)
@@ -566,17 +616,24 @@ def _boundary_points_by_rows(gain, active, axes, shape):
     return np.vstack(boundary)
 
 
-def _check_cloud_against_rows(p, ctx) -> int:
+def _cloud_axes(cloud, ctx):
+    lo, hi = ctx.region._np
+    axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in cloud.active]
+    return cloud.active.tolist(), axes, tuple(ax.shape[0] for ax in axes)
+
+
+def _check_cloud_against_rows(p, ctx, max_cells=math.inf) -> int:
     """Points of the cloud, which must equal the row scan's bit for bit;
-    0 when the cloud is refused (too large, or no complement boundary)."""
+    0 when the cloud is refused (too large, or no complement boundary) or
+    its grid has more than ``max_cells`` cells."""
     try:
         cloud = _ComplementCloud(p, ctx)
     except InputError:
         return 0
-    lo, hi = ctx.region._np
-    axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in cloud.active]
-    want = _boundary_points_by_rows(p.gain, cloud.active.tolist(), axes,
-                                    tuple(ax.shape[0] for ax in axes))
+    active, axes, shape = _cloud_axes(cloud, ctx)
+    if math.prod(shape) > max_cells:
+        return 0
+    want = _boundary_points_by_rows(p, active, axes, shape)
     assert cloud.points.shape == want.shape
     assert np.array_equal(cloud.points.view(np.uint64), want.view(np.uint64))
     return cloud.points.shape[0]
@@ -620,27 +677,14 @@ def test_complement_cloud_matches_the_row_scan_on_random_utilities(p):
     _check_cloud_against_rows(p, ctx)
 
 
-def test_complement_cloud_matches_the_row_scan_on_one_active_axis():
-    # the gain reads z alone: every slab is a single grid point
-    p = SimpleNamespace(n_vars=1, own_dim=1, gain=parse_polynomial_text("x2^2 - 0.25", 2))
-    ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
-    assert _check_cloud_against_rows(p, ctx) == 2
-    assert _ComplementCloud(p, ctx).active.tolist() == [1]
-
-
-def _boundary_points_by_slabs(gain, active, axes, shape):
+def _boundary_points_by_slabs(p, active, axes, shape):
     """The complement boundary one first-axis slab at a time, each slab's
     mask kept for its neighbours' test: the scan the block-wise cloud
     replaced."""
     d = len(axes)
-    slab_shape = shape[1:] if d > 1 else (1,)
-    cols = [None] * gain.n_vars
-    for c in range(1, d):
-        cols[active[c]] = axes[c].reshape([-1 if a == c - 1 else 1 for a in range(d - 1)])
 
     def slab_mask(i):
-        cols[active[0]] = axes[0][i:i + 1]
-        return gain.eval_columns(cols, slab_shape) <= GAIN_GUARD
+        return _outer_mask(p, active, axes, i, i + 1)[0]
 
     boundary = [np.zeros((0, d))]
     prev_mask, cur_mask = None, slab_mask(0)
@@ -671,10 +715,7 @@ def _check_cloud_against_slabs(p, ctx) -> int:
         cloud = _ComplementCloud(p, ctx)
     except InputError:
         return 0
-    lo, hi = ctx.region._np
-    axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in cloud.active]
-    want = _boundary_points_by_slabs(p.gain, cloud.active.tolist(), axes,
-                                     tuple(ax.shape[0] for ax in axes))
+    want = _boundary_points_by_slabs(p, *_cloud_axes(cloud, ctx))
     assert cloud.points.tobytes() == want.tobytes()
     return cloud.points.shape[0]
 
@@ -692,24 +733,40 @@ def test_block_wise_cloud_matches_the_slab_scan(monkeypatch, block, steps, cloud
                 if not isinstance(p, Sampled):
                     built += _check_cloud_against_slabs(p, game.distance_context(i, h_g)) > 0
     assert built >= clouds
-    one_axis = SimpleNamespace(n_vars=1, own_dim=1, gain=parse_polynomial_text("x2^2 - 0.25", 2))
-    ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g=0.05)
-    assert _check_cloud_against_slabs(one_axis, ctx) == 2
 
 
-def _boundary_points_argwhere(gain, active, axes, shape):
+def _long_axis_preferences():
+    """Preferences on two joint coordinates whose rival factors skip the
+    first active axis, read it, and share an own coordinate with the base."""
+    util = lambda text, own: UtilityInduced(player_index=own, n_vars=2, own_start=own,
+                                            own_dim=1, utility=parse_polynomial_text(text, 2))
+    field = DirectionField(player_index=0, n_vars=2, own_start=0, own_dim=1,
+                           c=AffineMap(((1.0, -1.0),), (0.25,)))
+    return [util("-(x1 - x2)^2", 0), util("-(x2 - x1)^2 + x1*x2^3", 1), field]
+
+
+@pytest.mark.parametrize("block", [prefs_mod._CLOUD_BLOCK, 997, 1])
+@pytest.mark.parametrize("case", range(3))
+def test_cloud_base_chunks_on_a_long_first_axis(monkeypatch, block, case):
+    # a joint box much wider than the own box: the first axis outruns the
+    # own grid, so the base is evaluated in several chunks
+    monkeypatch.setattr(prefs_mod, "_CLOUD_BLOCK", block)
+    p = _long_axis_preferences()[case]
+    ctx = context_for(Box((0.0, 0.0), (6.0, 6.0)), Box((0.0,), (0.5,)), h_g=0.1)
+    cloud = _ComplementCloud(p, ctx)
+    active, axes, shape = _cloud_axes(cloud, ctx)
+    assert shape[0] > math.prod(shape[2:]) and len(active) == 3
+    assert cloud.points.tobytes() == _boundary_points_by_slabs(p, active, axes, shape).tobytes()
+
+
+def _boundary_points_argwhere(p, active, axes, shape):
     """The block-wise complement boundary with its indices from N-D
     ``np.argwhere``: the cloud's scan before it took flat indices."""
     d = len(axes)
-    slab_shape = shape[1:] if d > 1 else (1,)
-    per = max(1, prefs_mod._CLOUD_BLOCK // math.prod(slab_shape))
-    cols = [None] * gain.n_vars
-    for c in range(1, d):
-        cols[active[c]] = axes[c].reshape([-1 if a == c else 1 for a in range(d)])
+    per = max(1, prefs_mod._CLOUD_BLOCK // math.prod(shape[1:]))
 
     def masks(start, stop):
-        cols[active[0]] = axes[0][start:stop].reshape((-1,) + (1,) * len(slab_shape))
-        return gain.eval_columns(cols, (stop - start,) + slab_shape) <= GAIN_GUARD
+        return _outer_mask(p, active, axes, start, stop)
 
     boundary = []
     first, block = 0, masks(0, min(shape[0], per + 1))
@@ -750,13 +807,34 @@ def test_cloud_points_match_the_argwhere_scan(monkeypatch, block):
                     cloud = _ComplementCloud(p, ctx)
                 except InputError:
                     continue
-                lo, hi = ctx.region._np
-                axes = [grid_axis(lo[j], hi[j], h_g) for j in cloud.active]
-                want = _boundary_points_argwhere(p.gain, cloud.active.tolist(), axes,
-                                                 tuple(ax.shape[0] for ax in axes))
+                want = _boundary_points_argwhere(p, *_cloud_axes(cloud, ctx))
                 assert cloud.points.tobytes() == want.tobytes()
                 built += 1
     assert built >= 25
+
+
+@pytest.mark.parametrize("n, text", [(1, "-1000000*x1^2 + 600000*x1"),
+                                     (2, "-1000000*x1^2 + 600000*x1*x2")])
+def test_no_cloud_point_is_preferred_at_scaled_coefficients(n, text):
+    # large coefficients round the expanded (x, z) polynomial and the
+    # factorized gain differently; the cloud holds complement points only
+    # as the one rule decides them, so none of its points is preferred
+    p = UtilityInduced(player_index=0, n_vars=n, own_start=0, own_dim=1,
+                       utility=parse_polynomial_text(text, n))
+    ctx = context_for(Box((0.0,) * n, (1.0,) * n), Box((0.0,), (1.0,)), h_g=0.02)
+    cloud = _ComplementCloud(p, ctx)
+    assert cloud.active.tolist() == list(range(n + 1))
+    xs, xi = np.unique(cloud.points[:, :n], axis=0, return_inverse=True)
+    zs, zi = np.unique(cloud.points[:, n:], axis=0, return_inverse=True)
+    gains = strict_gain_outer(p, xs, zs)[xi.reshape(-1), zi.reshape(-1)]
+    assert cloud.points.shape[0] > 300
+    assert not np.any(strictly_preferred(gains))
+
+
+@pytest.mark.parametrize("h_g", [0.0, -0.1, math.inf, math.nan])
+def test_distance_context_rejects_steps_that_are_not_positive_and_finite(h_g):
+    with pytest.raises(InputError, match="distance grid step must be positive and finite"):
+        context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), h_g)
 
 
 # -- self-exclusion of the gain kernel ------------------------------------------
@@ -764,17 +842,22 @@ def test_cloud_points_match_the_argwhere_scan(monkeypatch, block):
 @st.composite
 def gain_preferences(draw):
     """Utilities of degree <= 4 and zero-offset affine direction fields with
-    own dimension 1-3 and up to two rival coordinates.  Structure comes from
-    hypothesis, coefficients from a drawn seed, so they are generic floats
-    whose sums round."""
+    own dimension 1-3 and up to two rival coordinates; a field may have
+    rows of zeros (offset included) and columns of zeros.  Structure comes
+    from hypothesis, coefficients from a drawn seed, so they are generic
+    floats whose sums round."""
     own_dim, rivals = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     n = own_dim + rivals
     own_start = draw(st.integers(0, rivals))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = dict(player_index=0, n_vars=n, own_start=own_start, own_dim=own_dim)
     if draw(st.booleans()):
-        c = AffineMap(tuple(map(tuple, rng.uniform(-2, 2, (own_dim, n)).tolist())),
-                      tuple(rng.uniform(-2, 2, own_dim).tolist()))
+        zero_rows = draw(st.lists(st.booleans(), min_size=own_dim, max_size=own_dim))
+        zero_cols = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        a = rng.uniform(-2, 2, (own_dim, n))
+        b = rng.uniform(-2, 2, own_dim)
+        a[:, zero_cols], a[zero_rows], b[zero_rows] = 0.0, 0.0, 0.0
+        c = AffineMap(tuple(map(tuple, a.tolist())), tuple(b.tolist()))
         return DirectionField(c=c, offset=0.0, **shape)
     utility = Polynomial.constant(0.0, n)
     for _ in range(draw(st.integers(1, 6))):
@@ -801,8 +884,28 @@ def test_strict_gain_matches_the_gain_polynomial(p, seed):
     xs = rng.uniform(-2, 2, (5, p.n_vars))
     zs = rng.uniform(-2, 2, (7, p.own_dim))
     gains = strict_gain_outer(p, xs, zs)
-    expected = np.array([[p.gain.eval(np.concatenate([x, z])) for z in zs] for x in xs])
+    gain = gain_polynomial(p)
+    expected = np.array([[gain.eval(np.concatenate([x, z])) for z in zs] for x in xs])
     assert np.allclose(gains, expected, rtol=1e-9, atol=1e-9)
+
+
+@given(gain_preferences())
+def test_gain_axes_are_the_gain_polynomial_variables(p):
+    # the cloud's active joint axes come from the factorized terms; they are
+    # the variables the expanded gain reads, and the rival factors' axes are
+    # those its terms with an own variable read (a zero row of a field's
+    # ``c`` drops its own coordinate from both)
+    n, gain = p.n_vars, gain_polynomial(p)
+    rival, own = p._gain_axes
+    assert sorted(set(rival) | set(own)) == [j for j in range(n) if _reads(gain, j)]
+    assert rival == sorted({j for e, _ in gain.terms if any(e[n:]) for j in range(n) if e[j]})
+
+
+@given(gain_preferences())
+def test_complement_cloud_matches_the_row_scan_on_gain_preferences(p):
+    joint = Box((0.0,) * p.n_vars, (1.0,) * p.n_vars)
+    ctx = context_for(joint, Box((0.0,) * p.own_dim, (1.0,) * p.own_dim), h_g=0.25)
+    _check_cloud_against_rows(p, ctx, max_cells=200_000)
 
 
 def test_sampled_gain_table_batched():
@@ -1040,7 +1143,8 @@ def _tie_pairs(p, ctx, h_g, per_player=6):
     lo, hi = ctx.region._np
     n = p.n_vars
     axes = [grid_axis(lo[j], hi[j], h_g) for j in range(n + p.own_dim)]
-    read = [j >= n or p.gain.uses_variable(j) for j in range(n + p.own_dim)]
+    gain = gain_polynomial(p)
+    read = [j >= n or _reads(gain, j) for j in range(n + p.own_dim)]
     picks = [np.arange(len(ax)) if r else np.array([len(ax) // 2]) for ax, r in zip(axes, read)]
     ys = mesh_points([axes[j][picks[j]] for j in range(n)])
     zs = mesh_points(axes[n:])
