@@ -726,7 +726,8 @@ class _ComplementCloud:
             return base.reshape(sizes).transpose(np.argsort(order))[(...,) + (None,) * p.own_dim]
 
         lift = None if 0 in read else lift_of(0, 1)
-        # whole mask ranges (below) of first-axis values per chunk of base
+        # a chunk of base holds whole ranges of ``masks`` ([0, per + 1), then
+        # [j per + 1, (j + 1) per + 1)): about a slab of x rows, at most a block
         span = per * max(1, math.prod(shape[nx:]) // per)
         held = [0, base_of(0, min(shape[0], span + 1))]  # base from value held[0] on
         buffer = np.empty((min(shape[0], per + 1),) + slab_shape)
