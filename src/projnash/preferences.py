@@ -681,10 +681,6 @@ class _ComplementCloud:
                 f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
         axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
         self.points = self._boundary_points(p, axes, [active.index(j) for j in rival])
-        if self.points.shape[0] == 0:
-            raise InputError(
-                "preference covers the whole distance region at this resolution; "
-                "cannot build a complement cloud")
 
     def _boundary_points(self, p: PreferenceMap, axes: list[np.ndarray],
                          read: list[int]) -> np.ndarray:
@@ -695,10 +691,16 @@ class _ComplementCloud:
         # unless they read the first axis), ``base`` on the x axes in chunks
         # of about a slab of x rows, both broadcast into the block.  A block
         # carries the slab before and after it for the neighbour test.
+        # with no boundary point, every grid point is preferred or none is
+        def empty(preferred: bool) -> InputError:
+            what = "covers the whole" if preferred else "prefers no point of the"
+            return InputError(f"preference {what} distance region at this resolution; "
+                              "cannot build a complement cloud")
+
         shape = tuple(len(ax) for ax in axes)
         d, nx = len(axes), len(axes) - p.own_dim
-        if nx == 0:                         # the gain is -margin: nothing is preferred
-            return np.empty((0, d))
+        if nx == 0:                         # the gain is -margin <= 0
+            raise empty(False)
         slab_shape = shape[1:]
         per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
         zs = mesh_points(axes[nx:])
@@ -746,6 +748,7 @@ class _ComplementCloud:
         edge = np.zeros((1,) + slab_shape, dtype=bool)
         block = np.concatenate([edge, masks(0, min(shape[0], per + 1))]
                                + [edge] * (per >= shape[0]))
+        first_preferred = bool(block[1].flat[0])
         boundary: list[np.ndarray] = []
         for start in range(0, shape[0], per):
             stop = min(shape[0], start + per)
@@ -767,7 +770,10 @@ class _ComplementCloud:
             if stop < shape[0]:
                 block = np.concatenate([block[-2:], masks(stop + 1, min(shape[0], stop + per + 1))]
                                        + [edge] * (stop + per >= shape[0]))
-        return np.vstack(boundary)
+        points = np.vstack(boundary)
+        if not points.shape[0]:
+            raise empty(first_preferred)
+        return points
 
     @cached_property
     def _index(self):

@@ -1199,3 +1199,15 @@ def test_every_site_gives_one_answer_at_ties(name, monkeypatch):
             assert check.points_scanned == 1 and check.witness is None
             monkeypatch.undo()
     assert ties > 0 and on_boundary > 0
+
+
+@pytest.mark.parametrize("utility, margin", [("0", 0.0), ("x1", 100.0)])
+def test_a_cloud_of_a_preference_that_prefers_nothing_says_so(utility, margin):
+    # utility 0 reads no x axis; x1 with a margin wider than the region
+    # reads one but prefers no grid point.  Neither covers the region.
+    p = UtilityInduced(player_index=0, n_vars=1, own_start=0, own_dim=1,
+                       utility=parse_polynomial_text(utility, 1), margin=margin)
+    ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), 0.05)
+    with pytest.raises(InputError, match="^preference prefers no point of the distance "
+                                         "region at this resolution"):
+        _ComplementCloud(p, ctx)
