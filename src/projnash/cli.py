@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -95,7 +96,10 @@ class _Cursor:
             tok = self.next(skip_newlines=False)
         if tok.kind != "num":
             raise ParseError(f"expected a number, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        return sign * float(tok.text)
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok.text} overflows the float range", tok.line, tok.col)
+        return sign * value
 
     def parse_expr_vector(self, n_vars: int) -> list:
         """``[`` expr (``,`` expr)* ``]`` on one line; returns polynomials."""

@@ -452,13 +452,6 @@ class AffineMap:
         hi = b + pos @ upper + neg @ lower
         return lo, hi
 
-    def argmin_over_box(self, row: int, lower, upper) -> np.ndarray:
-        """A box vertex minimizing component ``row`` over [lower, upper]."""
-        a, _ = self._np
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        return np.where(a[row] >= 0, lower, upper)
-
     def to_polynomials(self) -> list[Polynomial]:
         out = []
         for row, off in zip(self.matrix, self.offset):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HypothesisError, InputError
 from .expressions import AffineMap, Polynomial, parse_polynomial_text
-from .geometry import Box, ConvexSet, HalfspacePolytope, grid_points, project, set_grid
+from .geometry import Box, ConvexSet, HalfspacePolytope, grid_points, set_grid
 from . import preferences as prefs
 from .preferences import PreferenceMap, UtilityInduced, hull_preferred
 
@@ -92,41 +92,25 @@ class MovingBox:
         return np.all((pool[None, :, :] >= lo[:, None, :] - 1e-12)
                       & (pool[None, :, :] <= hi[:, None, :] + 1e-12), axis=2)
 
-    def value_range(self, x_box: Box, probes: np.ndarray, in_choice) -> Box:
+    def value_range(self, x_box: Box, probes: np.ndarray, choice_max) -> Box:
         """A box holding every value over the choice set, by interval
         arithmetic on the bounds over its bounding box ``x_box``; the loader
         calls it once.  Raises :class:`HypothesisError` where a value is
-        empty: at the gap's interval minimizer when the choice-product
-        membership ``in_choice`` admits it, else at the first of the
-        ``probes`` (choice points) with lower > upper."""
+        empty, decided exactly: ``choice_max`` (as
+        :meth:`GameInstance.linear_max_many`) gives each component's
+        smallest ``upper - lower`` over the choice set, with a minimizer."""
+        (a_l, b_l), (a_u, b_u) = self.lower._np, self.upper._np
+        neg_max, arg = choice_max(a_l - a_u)
+        gap_min = (b_u - b_l) - neg_max
+        row = int(np.argmin(gap_min))
+        if gap_min[row] < -1e-12:
+            raise HypothesisError(
+                f"constraint map for player {self.player_index + 1} is empty at a choice "
+                f"point (component {row + 1} has lower > upper)", witness=arg[row].tolist())
         x_lo, x_hi = x_box._np
-        gap_lo, _ = self.gap.range_over_box(x_lo, x_hi)
-        if np.any(gap_lo < -1e-12):
-            row = int(np.argmin(gap_lo))
-            witness = self.gap.argmin_over_box(row, x_lo, x_hi)
-            if in_choice(witness[None, :])[0]:
-                raise HypothesisError(
-                    f"constraint map for player {self.player_index + 1} is empty on a probe "
-                    f"(component {row + 1} has lower > upper)",
-                    witness=witness.tolist())
-            # interval bound inconclusive on a non-box choice set: fall back
-            # to the probe grid
-            lo_p, hi_p = self.bounds_many(probes)
-            bad = np.where(np.any(lo_p > hi_p + 1e-12, axis=1))[0]
-            if bad.size:
-                raise HypothesisError(
-                    f"constraint map for player {self.player_index + 1} is empty on a probe",
-                    witness=probes[bad[0]].tolist())
         lo, _ = self.lower.range_over_box(x_lo, x_hi)
         _, hi = self.upper.range_over_box(x_lo, x_hi)
         return Box(tuple(lo), tuple(hi))
-
-    @cached_property
-    def gap(self) -> AffineMap:
-        """``upper - lower`` as one affine map."""
-        a_u, b_u = self.upper._np
-        a_l, b_l = self.lower._np
-        return AffineMap(tuple(map(tuple, a_u - a_l)), tuple(b_u - b_l))
 
 
 @dataclass(frozen=True)
@@ -165,7 +149,7 @@ class MovingPolytope:
         rows = tuple((n, float(o)) for n, o in zip(self.normals, offs))
         return HalfspacePolytope(rows, self.own_dim)
 
-    def value_range(self, x_box: Box, probes: np.ndarray, in_choice) -> Box:
+    def value_range(self, x_box: Box, probes: np.ndarray, choice_max) -> Box:
         """The bounds hint, once checked at the ``probes`` (choice points)
         by exact maxima of ``+-z_j`` over the value inside the hint widened
         by 1: ``-inf`` where that is empty, past the hint where the hint is
@@ -343,6 +327,16 @@ class GameInstance:
             out[:, sl] = self.choice_sets[i].project_many(ys[:, sl])
         return out
 
+    def linear_max_many(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact rowwise ``max_x <w, x>`` over the choice-set product for the
+        ``(m, n)`` rows ``ws``, with a maximizer per row, block by block."""
+        best, arg = np.zeros(ws.shape[0]), np.empty_like(ws)
+        for i in range(self.player_count):
+            sl = self.own_slice(i)
+            vals, arg[:, sl] = self.choice_sets[i].linear_max_many(ws[:, sl])
+            best += vals
+        return best, arg
+
     def in_choice(self, x, tol: float = 1e-9) -> bool:
         return bool(self.in_choice_many(np.asarray(x, dtype=np.float64).reshape(1, -1), tol)[0])
 
@@ -395,13 +389,14 @@ def build_instance(dims: Sequence[int],
                    options: Optional[dict] = None) -> GameInstance:
     """Assemble and validate a game instance.
 
-    Load-time checks (each raises :class:`HypothesisError` with the
-    witnessing probe on failure):
+    Load-time checks (each raises :class:`HypothesisError` with a witness
+    on failure):
 
-    * every constraint map has nonempty values over the choice set, verified
-      by interval arithmetic on the affine bounds plus a probe grid;
-    * every moving polytope stays inside its bounds hint at all probes (one
-      exact batched sweep of coordinate maxima);
+    * every moving box has nonempty values over the choice set, decided
+      exactly by the choice sets' linear maxima (the witness is a
+      minimizer of the most negative gap);
+    * every moving polytope is nonempty and stays inside its bounds hint at
+      all probes (one exact batched sweep of coordinate maxima);
     * no player's current strategy falls into the convex hull of their own
       preference set at any probe of the hull product.
     """
@@ -446,7 +441,8 @@ def build_instance(dims: Sequence[int],
     x_probes = _probe_grid_for_box(instance.x_bbox, DEFAULT_PROBE_AXIS)
     x_probes = x_probes[instance.in_choice_many(x_probes)]
     report.constraint_probes = x_probes.shape[0]
-    instance.hull_boxes = tuple(cmap.value_range(instance.x_bbox, x_probes, instance.in_choice_many)
+    instance.hull_boxes = tuple(cmap.value_range(instance.x_bbox, x_probes,
+                                                 instance.linear_max_many)
                                 for cmap in constraint_maps)
 
     # self-exclusion over the hull product (plus choice corners), or the
@@ -613,9 +609,10 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
 
     Per player, rows with bitwise-equal ``value_key`` share one ``K_i(x)``
     and scan grid from the instance's scan cache (:func:`_scan_entry`, at
-    most ``SCAN_CACHE_POINTS`` grid points).  The
-    scan order is the grid, then the row's own samples (``seeded_rng(
-    cfg.seed, 11, i, arrays=(x, y))``); the witness is the first hit.
+    most ``SCAN_CACHE_POINTS`` grid points) and one ``project_many`` call
+    for their membership residuals.  The scan order is the grid, then the
+    row's own samples (``seeded_rng(cfg.seed, 11, i, arrays=(x, y))``); the
+    witness is the first hit.
     Gains run in slabs of at most ``CHECK_SLAB`` entries, the grid first;
     samples are drawn only for rows with no grid witness.
     ``points_scanned`` is the size of the stamped scan, grid plus budget.
@@ -649,10 +646,10 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
                         prefs.strict_gain_paired(pref, ys[misses], samples))
                     for j in hits.any(axis=1).nonzero()[0]:
                         witnesses[misses[j]] = tuple(samples[j, np.argmax(hits[j])])
-            for r in rows:
-                yi = ys[r, sl]
+            own = ys[rows, sl]
+            for r, yi, nearest in zip(rows, own, k_set.project_many(own)):
                 checks[r] = PlayerCheck(
-                    membership_residual=float(np.linalg.norm(yi - project(k_set, yi))),
+                    membership_residual=float(np.linalg.norm(yi - nearest)),
                     witness=witnesses.get(r), emptiness_resolution=resolution,
                     points_scanned=total)
         columns.append(checks)

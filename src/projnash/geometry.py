@@ -1,8 +1,11 @@
 """Closed convex sets in low-dimensional Euclidean space.
 
 Three set variants (axis-aligned boxes, Euclidean balls, half-space
-polytopes) share a small oracle interface: exact or iterative nearest-point
-projection, membership, bounding boxes for probe generation.  On top of the
+polytopes) share a small oracle interface: batched nearest-point projection
+(``project_many``) and membership (``contains_many``), whose rows do not
+depend on their batch, with one-row calls beside them, and bounding boxes
+for probe generation.  Boxes and balls project exactly; polytopes run one
+cyclic Dykstra loop with a verified face polish.  On top of the
 sets live scan grids, probe points, the projection VI residual, the cone
 samples of the normal operator and :func:`separate`, which finds a direction
 polar to a finite point family in any dimension with at most ``2 k`` HiGHS
@@ -168,7 +171,7 @@ class HalfspacePolytope:
             if not any(c != 0.0 for c in normal):
                 raise InputError("polytope row normal is zero")
         # feasibility probe; stores the point found
-        a, b = self._rows_np()
+        a, b = self._np
         try:
             feasible = _dykstra(a, b, np.zeros(self.dim))
         except NonConvergenceError as exc:
@@ -177,23 +180,24 @@ class HalfspacePolytope:
                 f"(projection from origin stalled at {exc.last_iterate})") from exc
         object.__setattr__(self, "_feasible", tuple(feasible))
 
-    def _rows_np(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _np(self) -> tuple[np.ndarray, np.ndarray]:
         a = np.array([n for n, _ in self.rows], dtype=np.float64)
         b = np.array([o for _, o in self.rows], dtype=np.float64)
         norms = np.linalg.norm(a, axis=1)
         return a / norms[:, None], b / norms
-
-    @cached_property
-    def _np(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows_np()
 
     def project_many(self, points: np.ndarray) -> np.ndarray:
         a, b = self._np
         return _dykstra_many(a, b, np.asarray(points, dtype=np.float64))
 
     def contains(self, x, tol: float = CONE_TOL) -> bool:
+        return bool(self.contains_many(_as_vector(x, self.dim)[None, :], tol)[0])
+
+    def contains_many(self, points: np.ndarray, tol: float = CONE_TOL) -> np.ndarray:
+        """Membership of each ``(m, dim)`` row, every half-space within ``tol``."""
         a, b = self._np
-        return bool(np.all(a @ _as_vector(x, self.dim) - b <= tol))
+        return np.all(_row_products(a, points) - b <= tol, axis=1)
 
     def bounding_box(self) -> Box:
         """Vertex-spanned box when the set has corners.  Otherwise a loose
@@ -232,6 +236,12 @@ class HalfspacePolytope:
 ConvexSet = Union[Box, Ball, HalfspacePolytope]
 
 
+def _row_products(a: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``points @ a.T`` as one stacked matrix-vector product per row, which
+    rounds a row as its one-row call does (a matmul over the batch does not)."""
+    return np.matmul(a, points[:, :, None])[:, :, 0]
+
+
 def _face_polish(a: np.ndarray, b: np.ndarray, ys: np.ndarray,
                  xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest points given face guesses from the iteration.
@@ -242,10 +252,12 @@ def _face_polish(a: np.ndarray, b: np.ndarray, ys: np.ndarray,
     (tight active rows, nonnegative multipliers, global feasibility), so a
     wrong guess is simply not ok; rows that are not ok hold NaN.
 
-    All rows advance one add/drop round at a time, grouped by their
-    *ordered* active list (the order of the rows fixes the rounding of the
-    Gram solve).  Stacked ``matmul`` rounds every row exactly as the one-row
-    product would, so a row's point does not depend on its batch.
+    All rows advance one add/drop round at a time, grouped by their active
+    list.  A list is kept in index order (the order of the rows fixes the
+    rounding of the Gram solve), so a verified point depends only on its
+    final face, not on the guess that led there.  Stacked ``matmul`` rounds
+    every row exactly as the one-row product would, so a row's point does
+    not depend on its batch.
     """
     m = a.shape[0]
     n = ys.shape[0]
@@ -299,83 +311,74 @@ def _face_polish(a: np.ndarray, b: np.ndarray, ys: np.ndarray,
                 tight = ~(np.max(np.abs(np.matmul(a_act, cand[:, :, None])[:, :, 0] - b_act),
                                  axis=1) > 1e-9)
                 rows, cand = rows[tight], cand[tight]
-            viol = np.matmul(a, cand[:, :, None])[:, :, 0] - b
+            viol = _row_products(a, cand) - b
             worst = np.argmax(viol, axis=1)
             done = viol[np.arange(rows.shape[0]), worst] <= CONE_TOL
             points[rows[done]] = cand[done]
             ok[rows[done]] = True
             grow = ~done & ~np.any(act[None, :] == worst[:, None], axis=1)
             if np.any(grow):
-                active[rows[grow], k] = worst[grow]
-                going[rows[grow]] = True
+                # the list stays in index order, so the Gram solve does not
+                # depend on the iterate that led to it
+                added = rows[grow]
+                active[added, k] = worst[grow]
+                active[added, :k + 1] = np.sort(active[added, :k + 1], axis=1)
+                going[added] = True
         live = live[going[live]]
     return points, ok
 
 
-def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nearest point in ``{x : a x <= b}`` via cyclic half-space projection
-    with Dykstra corrections.
-
-    Plain cyclic projection only reaches *some* feasible point; the
-    correction vectors are what make the limit the nearest point.  The
-    movement test alone is unsound in both directions: the iteration can
-    stall briefly at an infeasible point before the corrections release it,
-    and on degenerate faces the movement decays sublinearly.  Termination
-    therefore also demands feasibility, and once the movement is small the
-    identified face is polished to the exact nearest point (verified
-    against the optimality conditions before acceptance).  Raises
-    :class:`NonConvergenceError` after ``ITER_CAP`` cycles.
-    """
-    x = y.astype(np.float64).copy()
-    corrections = np.zeros((a.shape[0], a.shape[1]))
-    for _ in range(ITER_CAP):
-        start = x.copy()
-        for r in range(a.shape[0]):
-            w = x + corrections[r]
-            viol = float(a[r] @ w - b[r])
-            xr = w - max(0.0, viol) * a[r]
-            corrections[r] = w - xr
-            x = xr
-        move = float(np.linalg.norm(x - start))
-        if move < 1e-7:
-            polished, ok = _face_polish(a, b, y[None, :], x[None, :])
-            if ok[0]:
-                return polished[0]
-        if move < TOL_PROJ and float(np.max(a @ x - b)) <= CONE_TOL:
-            return x
-    raise NonConvergenceError(
-        f"polytope projection did not converge within {ITER_CAP} cycles",
-        last_iterate=x)
-
-
 def _dykstra_many(a: np.ndarray, b: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Batched variant: vectorized cycles to localize the faces, then one
-    batched exact polish.  Points whose polish fails fall back to the
-    scalar iteration."""
-    m, d = ys.shape
-    feasible = np.all(ys @ a.T - b <= CONE_TOL, axis=1)
-    out = np.empty_like(ys)
-    out[feasible] = ys[feasible]
-    if np.all(feasible):
-        return out
-    todo = np.nonzero(~feasible)[0]
-    x = ys[todo].copy()
-    corrections = np.zeros((a.shape[0], todo.shape[0], d))
+    """Nearest points of the ``ys`` rows in ``{x : a x <= b}``: cyclic
+    half-space projection with Dykstra corrections (which make the limit the
+    nearest point), vectorized over the infeasible rows.  Once every row
+    moves less than 1e-6 in a cycle, one batched :func:`_face_polish`
+    settles the rows it verifies.  The movement test alone is unsound (the
+    iteration can stall at an infeasible point, and on degenerate faces it
+    decays sublinearly), so the other rows keep cycling: a row moving less
+    than 1e-7 is polished again, and a feasible one moving less than
+    ``TOL_PROJ`` is accepted.  Raises :class:`NonConvergenceError`, with the
+    first unsettled iterate, after ``ITER_CAP`` cycles."""
+    out = ys.copy()
+    live = np.flatnonzero(~np.all(_row_products(a, ys) - b <= CONE_TOL, axis=1))
+    x = ys[live]
+    corrections = np.zeros((a.shape[0],) + x.shape)
+    polished = False
     for _ in range(ITER_CAP):
-        start = x.copy()
+        if not live.size:
+            break
+        start = x
         for r in range(a.shape[0]):
             w = x + corrections[r]
             viol = np.clip(w @ a[r] - b[r], 0.0, None)
-            xr = w - viol[:, None] * a[r][None, :]
-            corrections[r] = w - xr
-            x = xr
-        if float(np.max(np.linalg.norm(x - start, axis=1))) < 1e-6:
-            break
-    polished, ok = _face_polish(a, b, ys[todo], x)
-    out[todo] = polished
-    for i in todo[~ok]:
-        out[i] = _dykstra(a, b, ys[i])
+            x = w - viol[:, None] * a[r][None, :]
+            corrections[r] = w - x
+        move = np.linalg.norm(x - start, axis=1)
+        if not polished and np.max(move) >= 1e-6:
+            continue
+        settle = np.flatnonzero(move < 1e-7) if polished else np.arange(live.size)
+        polished = True
+        done = np.zeros(live.size, dtype=bool)
+        if settle.size:
+            points, ok = _face_polish(a, b, ys[live[settle]], x[settle])
+            out[live[settle[ok]]] = points[ok]
+            done[settle[ok]] = True
+        accept = ~done & (move < TOL_PROJ)
+        accept[accept] = np.all(_row_products(a, x[accept]) - b <= CONE_TOL, axis=1)
+        out[live[accept]] = x[accept]
+        done |= accept
+        live, x, corrections = live[~done], x[~done], corrections[:, ~done]
+    if live.size:
+        raise NonConvergenceError(
+            f"polytope projection did not converge within {ITER_CAP} cycles",
+            last_iterate=x[0])
     return out
+
+
+def _dykstra(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Nearest point of ``y`` in ``{x : a x <= b}``: the one-row call of
+    :func:`_dykstra_many`."""
+    return _dykstra_many(a, b, np.asarray(y, dtype=np.float64)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

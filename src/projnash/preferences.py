@@ -389,7 +389,7 @@ class Sampled(PreferenceMap):
     def declared_scan(self, k_set: ConvexSet) -> np.ndarray:
         """The declared points inside ``k_set``: the table is the whole scan,
         exhaustive, so its stamped resolution is 0 and it adds no samples."""
-        return self._z[np.array([k_set.contains(z, tol=1e-9) for z in self._z])]
+        return self._z[k_set.contains_many(self._z, tol=1e-9)]
 
     def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
         """The declared at-points."""
@@ -680,10 +680,14 @@ class _ComplementCloud:
             raise InputError(
                 f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
         axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
-        self.points = self._boundary_points(p, axes, [active.index(j) for j in rival])
+        self.points, covered = self._boundary_points(p, axes, [active.index(j) for j in rival])
+        if not self.points.shape[0]:        # every grid point is preferred or none is
+            what = "covers the whole" if covered else "prefers no point of the"
+            raise InputError(f"preference {what} distance region at this resolution; "
+                             "cannot build a complement cloud")
 
     def _boundary_points(self, p: PreferenceMap, axes: list[np.ndarray],
-                         read: list[int]) -> np.ndarray:
+                         read: list[int]) -> tuple[np.ndarray, bool]:
         # blocks of whole slabs along the first active axis keep memory
         # bounded.  A block's preferred points are ``strictly_preferred((lift
         # - base) - margin)``, as at every other site: ``lift`` on the axes
@@ -691,16 +695,10 @@ class _ComplementCloud:
         # unless they read the first axis), ``base`` on the x axes in chunks
         # of about a slab of x rows, both broadcast into the block.  A block
         # carries the slab before and after it for the neighbour test.
-        # with no boundary point, every grid point is preferred or none is
-        def empty(preferred: bool) -> InputError:
-            what = "covers the whole" if preferred else "prefers no point of the"
-            return InputError(f"preference {what} distance region at this resolution; "
-                              "cannot build a complement cloud")
-
         shape = tuple(len(ax) for ax in axes)
         d, nx = len(axes), len(axes) - p.own_dim
-        if nx == 0:                         # the gain is -margin <= 0
-            raise empty(False)
+        if nx == 0:                         # the gain is -margin: nothing is preferred
+            return np.empty((0, d)), False
         slab_shape = shape[1:]
         per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
         zs = mesh_points(axes[nx:])
@@ -748,7 +746,6 @@ class _ComplementCloud:
         edge = np.zeros((1,) + slab_shape, dtype=bool)
         block = np.concatenate([edge, masks(0, min(shape[0], per + 1))]
                                + [edge] * (per >= shape[0]))
-        first_preferred = bool(block[1].flat[0])
         boundary: list[np.ndarray] = []
         for start in range(0, shape[0], per):
             stop = min(shape[0], start + per)
@@ -770,10 +767,8 @@ class _ComplementCloud:
             if stop < shape[0]:
                 block = np.concatenate([block[-2:], masks(stop + 1, min(shape[0], stop + per + 1))]
                                        + [edge] * (stop + per >= shape[0]))
-        points = np.vstack(boundary)
-        if not points.shape[0]:
-            raise empty(first_preferred)
-        return points
+        # with no boundary, every grid point has the status of this one
+        return np.vstack(boundary), bool(block[1].flat[0])
 
     @cached_property
     def _index(self):

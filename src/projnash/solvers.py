@@ -62,11 +62,11 @@ class SolverConfig:
     def __post_init__(self):
         # the chained comparisons also refuse NaN, which ``x <= 0`` lets through
         if not 0 < self.h < math.inf:
-            raise InputError("grid resolution h must be positive")
+            raise InputError("grid resolution h must be positive and finite")
         if self.eps is not None and not 0 < self.eps < math.inf:
-            raise InputError("residual tolerance eps must be positive")
+            raise InputError("residual tolerance eps must be positive and finite")
         if self.h_g is not None and not 0 < self.h_g < math.inf:
-            raise InputError("distance grid step must be positive")
+            raise InputError("distance grid step must be positive and finite")
         if not 0 < self.damping <= 1:
             raise InputError("damping must lie in (0, 1]")
         if self.max_iter < 0 or self.multistart < 1 or self.random_budget < 0:

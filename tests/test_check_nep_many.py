@@ -28,7 +28,8 @@ from projnash.game import (PlayerCheck, build_instance, check_nep, check_nep_man
                            seeded_rng)
 from projnash.expressions import AffineMap, parse_polynomial_text
 from projnash.game import MovingBox, MovingPolytope, from_utilities
-from projnash.geometry import Box, lattice_axis, mesh_points, project, set_grid
+from projnash.geometry import (Ball, Box, HalfspacePolytope, lattice_axis, mesh_points,
+                               project, set_grid)
 from projnash.preferences import (GAIN_GUARD, DirectionField, Sampled, UtilityInduced,
                                   strict_gain_outer)
 from projnash.solvers import SolverConfig
@@ -257,3 +258,25 @@ def test_samples_are_drawn_only_for_rows_with_no_grid_witness(name, monkeypatch)
         assert calls == want
         if name != "vacuous":
             assert sum(want.values()) < 2 * xs.shape[0]     # some rows skip their samples
+
+
+@pytest.mark.parametrize("make", [lambda: load_fixture("vacuous"), lambda: load_fixture("chase"),
+                                  _polytope_game, _pentagon_game])
+def test_one_membership_projection_per_value_group(make, monkeypatch):
+    # with no samples and a warm scan cache, the only projections left are
+    # the membership residuals: one project_many call per player and group
+    game = make()
+    xs, ys = scan_rows(game, 0.1, 40)
+    xs, ys = np.vstack([xs, xs[::2]]), np.vstack([ys, ys[::2]])
+    cfg = SolverConfig(h=0.1, random_budget=0)
+    want = check_nep_many(game, xs, ys, cfg)
+    calls = []
+    for kind in (Box, Ball, HalfspacePolytope):
+        def counting(self, points, real=kind.project_many):
+            calls.append(points.shape[0])
+            return real(self, points)
+        monkeypatch.setattr(kind, "project_many", counting)
+    assert check_nep_many(game, xs, ys, cfg) == want
+    groups = [np.unique(cmap.value_key(xs), axis=0).shape[0] for cmap in game.constraint_maps]
+    assert len(calls) == sum(groups) < game.player_count * xs.shape[0]
+    assert sum(calls) == game.player_count * xs.shape[0]

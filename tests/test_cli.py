@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ MALFORMED = [
      "expression coefficient overflows the float range", 5, 9),
     (_ONE + _BODY + "utility x1 + 1e200*1e200 - 1e200*1e200\n",
      "expression coefficient overflows the float range", 5, 9),
+    # a real that overflows is refused at its token: options, radii, offsets
+    ("players 1 dims 1\nset h 1e999\n", "number 1e999 overflows the float range", 2, 7),
+    (_ONE + "ball [0] 2e400\n", "number 2e400 overflows the float range", 3, 10),
+    (_ONE + _BODY + "direction [1] offset -1e309\n",
+     "number 1e309 overflows the float range", 5, 23),
     (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 1),
     (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 3, 1),
     (_ONE + _BODY + "5\n", "expected a preference declaration", 5, 1),
@@ -137,16 +143,28 @@ def _disk_window_game(c):
             f"player 2\nbox [-1] [1]\nkbox [x1 + x2 - {c}] [0]\nutility x3\n")
 
 
-def test_empty_constraint_on_a_ball_is_found_on_the_probe_grid():
-    # over the ball's bounding box x1 + x2 reaches 2, at a corner outside the
-    # ball, so the interval bound is inconclusive and the probe grid decides:
-    # x1 + x2 - c > 0 somewhere on the ball for c = 1, nowhere for c = 1.5
+def test_empty_constraint_on_a_ball_is_found_exactly():
+    # x1 + x2 - c > 0 somewhere on the ball for c = 1, nowhere for c = 1.5;
+    # the gap's minimum over the ball is decided exactly, at the maximizer
+    # of x1 + x2 (player 2's zero weight takes its upper bound)
     with pytest.raises(HypothesisError) as err:
         parse_problem(_disk_window_game(1.0))
-    assert "empty on a probe" in str(err.value)
-    assert np.allclose(err.value.witness, [2 / 3, 2 / 3, -1.0])
+    assert "is empty at a choice point (component 1 has lower > upper)" in str(err.value)
+    assert np.allclose(err.value.witness, [math.sqrt(0.5), math.sqrt(0.5), 1.0],
+                       rtol=0.0, atol=1e-15)
     g = parse_problem(_disk_window_game(1.5))
     assert g.hypotheses.constraint_probes > 0
+
+
+def test_empty_constraint_between_the_probes_of_a_ball_is_found():
+    # the largest x1 + x2 on the 7-point probe grid inside the unit disk is
+    # 4/3 < 1.38 < sqrt(2), so only the exact minimum finds the empty values
+    text = ("players 2 dims 2 1\n"
+            "player 1\nball [0, 0] 1\nkbox [x1 + x2 - 1.38, -1] [0, 1]\nutility x1 + x2\n"
+            "player 2\nbox [-1] [1]\nkbox [-1] [1]\nutility x3\n")
+    with pytest.raises(HypothesisError, match="player 1 is empty") as err:
+        parse_problem(text)
+    assert np.allclose(err.value.witness, [math.sqrt(0.5), math.sqrt(0.5), 1.0])
 
 
 def test_parse_options_and_flag_to_utility_flag():
@@ -224,6 +242,15 @@ def test_cli_verify_non_finite_candidate_exit_two(capsys, x, y):
 def test_cli_verify_degenerate_config_exit_two(capsys, flag, value):
     assert run(["verify", SELFMAP, "--x", "0,0", "--y", "0,0", flag, value]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, message", [("--h", "grid resolution h"),
+                                           ("--eps", "residual tolerance eps"),
+                                           ("--h-g", "distance grid step")])
+def test_cli_infinite_step_is_refused_as_not_finite(capsys, flag, message):
+    # 1e999 parses as infinity; the message names both conditions
+    assert run(["oracle", EXPAND, flag, "1e999"]) == 2
+    assert f"{message} must be positive and finite" in capsys.readouterr().err
 
 
 def test_cli_reuses_one_parser_across_calls(capsys):

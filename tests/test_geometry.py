@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from projnash import geometry
 from projnash.errors import InputError, NonConvergenceError
@@ -255,6 +255,22 @@ def test_projection_invariants_random_sets():
                                       rng=np.random.default_rng(trial)) >= -1e-9
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 2]), st.integers(1, 3))
+@settings(max_examples=60)
+def test_projection_rows_are_their_one_row_calls(seed, kind, d):
+    # bit for bit, on points inside and outside the set; a polish whose
+    # active lists kept the order of their adds broke this for polytopes
+    rng = np.random.default_rng(seed)
+    s = random_set(rng, kind, d)
+    ys = np.vstack([rng.uniform(-3, 3, (60, d)), probe_points(s, 8, rng)])
+    full = s.project_many(ys)
+    inside = s.contains_many(ys)
+    for y, got, member in zip(ys, full, inside):
+        assert s.project_many(y[None, :])[0].tobytes() == got.tobytes()
+        assert project(s, y).tobytes() == got.tobytes()
+        assert s.contains(y) == member
+
+
 def test_probe_points_live_in_set():
     rng = np.random.default_rng(19)
     for trial in range(60):
@@ -335,7 +351,7 @@ def _polish_one(a, b, y, x):
             return cand
         if worst in active:
             return None
-        active.append(worst)
+        active = sorted(active + [worst])      # the list stays in index order
     return None
 
 

@@ -55,6 +55,15 @@ def test_config_rejects_values_that_disable_checks(field, value, message):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, message", [("h", "grid resolution h"),
+                                            ("eps", "residual tolerance eps"),
+                                            ("h_g", "distance grid step")])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
+def test_config_messages_say_positive_and_finite(field, value, message):
+    with pytest.raises(InputError, match=f"^{message} must be positive and finite$"):
+        SolverConfig(**{field: value})
+
+
 def test_config_eps_defaults_and_override():
     cfg = SolverConfig(h=0.05)
     assert cfg.eps_analytic == 1e-6
