@@ -58,10 +58,10 @@ def test_config_rejects_values_that_disable_checks(field, value, message):
 @pytest.mark.parametrize("field, message", [("h", "grid resolution h"),
                                             ("eps", "residual tolerance eps"),
                                             ("h_g", "distance grid step")])
-@pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
-def test_config_messages_say_positive_and_finite(field, value, message):
+def test_config_messages_say_positive_and_finite(field, message):
+    # an infinite step is positive; the message must not say it is not
     with pytest.raises(InputError, match=f"^{message} must be positive and finite$"):
-        SolverConfig(**{field: value})
+        SolverConfig(**{field: float("inf")})
 
 
 def test_config_eps_defaults_and_override():
