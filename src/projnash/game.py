@@ -53,9 +53,11 @@ class MovingBox:
     def own_dim(self) -> int:
         return self.lower.out_dim
 
-    def materialize(self, x) -> Box:
-        lo = self.lower.eval(x)
-        hi = self.upper.eval(x)
+    def materialize(self, x, key: Optional[np.ndarray] = None) -> Box:
+        """The value at ``x``; ``key``, its ``value_key`` row where the
+        caller has it, holds the same bounds."""
+        k = self.own_dim
+        lo, hi = (self.lower.eval(x), self.upper.eval(x)) if key is None else (key[:k], key[k:])
         if np.any(lo > hi):
             raise InputError(
                 f"constraint box for player {self.player_index + 1} is empty at x={np.asarray(x).tolist()}")
@@ -81,9 +83,15 @@ class MovingBox:
     #: ``xs``; the residual is that distance
     distance_bound_many = residual_many
 
+    @cached_property
+    def _bounds_map(self) -> AffineMap:
+        """``lower`` and ``upper`` as one map; each entry is the same sum."""
+        return AffineMap(self.lower.matrix + self.upper.matrix,
+                         self.lower.offset + self.upper.offset)
+
     def value_key(self, xs: np.ndarray) -> np.ndarray:
         """The values at ``xs`` as rows ``lo‖hi``; equal rows are equal boxes."""
-        return np.hstack(self.bounds_many(xs))
+        return self._bounds_map.eval_many(xs)
 
     def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """``(m, |pool|)`` membership of the pool points in the values given
@@ -144,8 +152,9 @@ class MovingPolytope:
     def own_dim(self) -> int:
         return len(self.normals[0])
 
-    def materialize(self, x) -> HalfspacePolytope:
-        offs = self.offsets.eval(x)
+    def materialize(self, x, key: Optional[np.ndarray] = None) -> HalfspacePolytope:
+        """The value at ``x`` (``key``: as :meth:`MovingBox.materialize`)."""
+        offs = self.offsets.eval(x) if key is None else key
         rows = tuple((n, float(o)) for n, o in zip(self.normals, offs))
         return HalfspacePolytope(rows, self.own_dim)
 
@@ -562,20 +571,20 @@ def _scan_samples(k_set: ConvexSet, count: int, rng: np.random.Generator) -> np.
     return k_set.project_many(rng.uniform(lo, hi, size=(count, k_set.dim)))
 
 
-def _scan_entry(game: GameInstance, i: int, key: bytes, x: np.ndarray, h: float,
+def _scan_entry(game: GameInstance, i: int, key: np.ndarray, x: np.ndarray, h: float,
                 declared: bool = False) -> tuple[ConvexSet, np.ndarray, float]:
     """``(k_set, grid, resolution)``: player ``i``'s constraint value at
-    ``x``, whose ``value_key`` bytes are ``key``, and its :func:`set_grid`
+    ``x``, whose ``value_key`` row is ``key``, and its :func:`set_grid`
     at step ``h`` (``declared``: the preference's ``declared_scan`` of it,
     resolution 0), from the instance's scan cache, which the certifier and
     the best responses share.  Grids are read-only.  The cache holds at most
     ``SCAN_CACHE_POINTS`` grid points: a larger grid is returned uncached,
     and older entries are evicted, oldest first, only as far as a new one
     needs."""
-    cache, slot = game._caches.setdefault("scan", {}), (i, key, h, declared)
+    cache, slot = game._caches.setdefault("scan", {}), (i, key.tobytes(), h, declared)
     entry = cache.get(slot)
     if entry is None:
-        k_set = game.constraint_maps[i].materialize(x)
+        k_set = game.constraint_maps[i].materialize(x, key)
         grid, resolution = ((game.preference_maps[i].declared_scan(k_set), 0.0) if declared
                             else set_grid(k_set, h))
         grid.flags.writeable = False
@@ -625,11 +634,13 @@ def check_nep_many(game: GameInstance, xs, ys, cfg) -> list[tuple[PlayerCheck, .
         declared = pref.scans_declared
         count = 0 if declared else cfg.random_budget
         groups: dict[bytes, list[int]] = {}
-        for r, key in enumerate(game.constraint_maps[i].value_key(xs)):
+        keys = game.constraint_maps[i].value_key(xs)
+        for r, key in enumerate(keys):
             groups.setdefault(key.tobytes(), []).append(r)
         checks: list[Optional[PlayerCheck]] = [None] * xs.shape[0]
-        for key, rows in groups.items():
-            k_set, grid, resolution = _scan_entry(game, i, key, xs[rows[0]], cfg.h, declared)
+        for rows in groups.values():
+            k_set, grid, resolution = _scan_entry(game, i, keys[rows[0]], xs[rows[0]], cfg.h,
+                                                  declared)
             total = grid.shape[0] + count
             witnesses: dict[int, tuple] = {}
             step = max(1, CHECK_SLAB // max(1, total))

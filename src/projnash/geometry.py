@@ -398,8 +398,12 @@ def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     if len(axes) == 1:
         # the one-axis product is the axis; meshgrid would cost 10 us more
         return np.array(axes[0]).reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+    # meshgrid and stack's values, filled into one array
+    axes = [np.asarray(ax) for ax in axes]
+    out = np.empty(tuple(ax.shape[0] for ax in axes) + (len(axes),), np.result_type(*axes))
+    for j, ax in enumerate(axes):
+        out[..., j] = ax.reshape((-1,) + (1,) * (len(axes) - 1 - j))
+    return out.reshape(-1, len(axes))
 
 
 def grid_points(box: Box, per_axis: Sequence[int]) -> np.ndarray:
@@ -420,10 +424,17 @@ def grid_axis_size(lo: float, hi: float, step: float) -> Union[int, float]:
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Axis points spaced at most ``step`` apart, both endpoints included."""
+    """Axis points spaced at most ``step`` apart, both endpoints included:
+    ``np.linspace(lo, hi, n)`` bit for bit (``k * ((hi - lo) / (n - 1)) +
+    lo``, then ``hi``), without its argument handling."""
     if hi <= lo + 1e-15:
         return np.array([lo])
-    return np.linspace(lo, hi, grid_axis_size(lo, hi, step))
+    n = grid_axis_size(lo, hi, step)
+    axis = np.arange(n, dtype=np.float64)
+    axis *= (hi - lo) / (n - 1)             # never 0: hi - lo > 1e-15
+    axis += lo
+    axis[-1] = hi
+    return axis
 
 
 def lattice_span(lo: float, hi: float, step: float) -> tuple[float, float, Union[int, float]]:
@@ -476,8 +487,11 @@ def constraint_axis(lo: float, hi: float, step: float) -> np.ndarray:
     k_hi = int(math.floor(hi / step + 1e-9))
     if k_hi < k_lo:
         return base
-    lattice = np.arange(k_lo, k_hi + 1) * step
-    return np.unique(np.concatenate([base, lattice]))
+    axis = np.concatenate([base, np.arange(k_lo, k_hi + 1) * step])
+    # np.unique's own steps (a sort, then the first of each run of equal
+    # values), without its dispatch
+    axis.sort()
+    return axis[np.concatenate(([True], axis[1:] != axis[:-1]))]
 
 
 def _constraint_axis_bound(lo: float, hi: float, step: float) -> Union[int, float]:

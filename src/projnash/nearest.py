@@ -103,7 +103,9 @@ class NearestIndex:
         self.lo = np.minimum.reduceat(self.cols, starts, axis=1)
         self.hi = np.maximum.reduceat(self.cols, starts, axis=1)
 
-    def query(self, queries: np.ndarray) -> np.ndarray:
+    def query(self, queries: np.ndarray, squared: bool = False) -> np.ndarray:
+        """The nearest distance of each query row, or its least computed
+        squared distance when ``squared``."""
         m = queries.shape[0]
         if m == 0 or self.starts.shape[0] == 0:
             return np.full(m, np.inf)
@@ -142,7 +144,7 @@ class NearestIndex:
             rest = ~closest & (lb <= bound[pq - s])
             best[s:e] = np.minimum(bound, self._least(q, pq[rest], pb[rest], s, e))
         out = np.empty(m)
-        out[order] = np.sqrt(best)
+        out[order] = best if squared else np.sqrt(best)
         return out
 
     def _least(self, q: np.ndarray, pq: np.ndarray, pb: np.ndarray,

@@ -48,6 +48,9 @@ GAIN_GUARD = 1e-12
 GRID_MATCH_TOL = 1e-9
 #: grid cells per block of whole slabs in a complement-cloud scan
 _CLOUD_BLOCK = 65_536
+#: most grid cells of a complement cloud built whole on its first query;
+#: a larger grid is built only where its queries reach
+_CLOUD_WHOLE = 1 << 20
 #: edge of a complement cloud's nearest-neighbour buckets, in grid steps h_g
 CLOUD_BUCKET_STEPS = 8
 
@@ -210,10 +213,10 @@ class UtilityInduced(PreferenceMap):
         coordinates.  Every entry is a sum of products that rounds at most
         ``K = 2 (n + P) + 8`` times (``P`` own-reading terms; :func:`_gamma`);
         the factor 2 covers the rounding of the magnitudes."""
-        rival, coeffs, starts, exps = self._own_groups
+        read, rival, coeffs, starts, exps = self._own_groups
         err = 2.0 * _gamma(2 * (self.n_vars + coeffs.shape[0]) + 8)
         absx = np.abs(xs)
-        lead = np.add.reduceat(np.prod(absx[:, None, :] ** rival, axis=2) * np.abs(coeffs),
+        lead = np.add.reduceat(np.prod(absx[:, None, read] ** rival, axis=2) * np.abs(coeffs),
                                starts, axis=1)                          # (m, T)
         e = np.array(exps, dtype=np.int64)                              # (T, k)
         own = _own_of(self, absx)
@@ -228,7 +231,7 @@ class UtilityInduced(PreferenceMap):
     def halfspace_valued(self) -> bool:
         """Every own exponent has degree 1 (or there is none): the gain is
         affine in ``z``, with the own gradient as its normal."""
-        return all(sum(e) == 1 for e in self._own_groups[3])
+        return all(sum(e) == 1 for e in self._own_groups[4])
 
     @cached_property
     def field_map(self) -> Optional[AffineMap]:
@@ -243,35 +246,41 @@ class UtilityInduced(PreferenceMap):
         return np.stack([g.eval_many(xs) for g in self.own_gradient], axis=1)
 
     @cached_property
-    def _own_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    def _own_groups(self) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, tuple]:
         """The utility's terms that read the own block, sorted by own
-        exponent: their rival exponents (own columns zeroed) and
-        coefficients, where each own exponent's group starts, and the
-        distinct own exponents.  Terms free of the own block cancel in
-        every gain and are dropped."""
+        exponent: the span of joint columns from the first to the last one
+        their rival factors read, their exponents on that span (own columns
+        zeroed), their coefficients, where each own exponent's group
+        starts, and the distinct own exponents.  Terms free of the own
+        block cancel in every gain and are dropped."""
         own = slice(self.own_start, self.own_start + self.own_dim)
         terms = sorted((e[own], e, c) for e, c in self.utility.terms if any(e[own]))
         rival = np.array([e for _, e, _ in terms], dtype=np.int64).reshape(-1, self.n_vars)
         rival[:, own] = 0
+        read = np.flatnonzero(rival.any(axis=0))
+        read = slice(int(read[0]), int(read[-1]) + 1) if read.size else slice(0, 0)
         starts = [r for r in range(len(terms)) if r == 0 or terms[r][0] != terms[r - 1][0]]
-        return (rival, np.array([c for _, _, c in terms]), np.array(starts, dtype=np.intp),
-                tuple(terms[r][0] for r in starts))
+        return (read, rival[:, read], np.array([c for _, _, c in terms]),
+                np.array(starts, dtype=np.intp), tuple(terms[r][0] for r in starts))
 
     @cached_property
     def _gain_axes(self) -> tuple[list[int], list[int]]:
         """The joint axes the rival factors read, and the own axes the base
         reads: those of the own exponents."""
-        rival, _, _, exps = self._own_groups
+        read, rival, _, _, exps = self._own_groups
         own = np.array(exps, dtype=np.int64).reshape(-1, self.own_dim).any(axis=0)
-        return (np.flatnonzero(rival.any(axis=0)).tolist(),
+        return ((read.start + np.flatnonzero(rival.any(axis=0))).tolist(),
                 (self.own_start + np.flatnonzero(own)).tolist())
 
     def _gain_terms(self, xs: np.ndarray) -> tuple[np.ndarray, tuple, float]:
         """Rival factors ``L_t(x)`` (one column per own exponent ``e_t``),
         the exponents, and the margin: ``u(x_-i, z) = sum_t L_t(x) z^e_t``
-        plus terms free of ``z``."""
-        rival, coeffs, starts, exps = self._own_groups
-        terms = np.prod(xs[:, None, :] ** rival, axis=2) * coeffs       # (m, P)
+        plus terms free of ``z``.  Only the span of columns the factors
+        read is raised: the other powers are exactly 1.0, and ``np.prod``
+        over the last axis multiplies in order, so the bits are those of
+        the product over every column."""
+        read, rival, coeffs, starts, exps = self._own_groups
+        terms = np.prod(xs[:, None, read] ** rival, axis=2) * coeffs    # (m, P)
         return np.add.reduceat(terms, starts, axis=1), exps, self.margin
 
 
@@ -652,25 +661,34 @@ def _rival_scalar_form(p: PreferenceMap) -> Optional[tuple[AffineMap, np.ndarray
 
 
 class _ComplementCloud:
-    """Boundary points of the complement of a preference graph on a grid.
+    """Boundary points of the complement of a preference graph on a grid,
+    built only where its queries reach.
 
-    Built once per (preference, context); queries are nearest-neighbour
-    distances to the stored points, answered by one
-    :class:`~projnash.nearest.NearestIndex` built on the first query, with
-    buckets of ``CLOUD_BUCKET_STEPS * h_g``.
-    Inactive coordinates (those the gain's factors never read,
-    ``_gain_axes``) are dropped exactly: the nearest complement point can
-    always match the query there.
+    The grid is the context region's :func:`grid_axis` at step ``h_g`` on
+    each active coordinate; inactive ones (those the gain's factors never
+    read, ``_gain_axes``) are dropped exactly: the nearest complement point
+    can always match the query there.  A grid point is a boundary point
+    when it is not preferred and a neighbour along some axis is; past the
+    region no point is preferred.  ``points`` holds the boundary points of
+    the built sub-box, index ranges ``[lo, hi)`` into the axes: empty at
+    first, grown by :meth:`min_distance` as its queries need and all of the
+    region after :meth:`build_region`.  Each built point is the full-region
+    cloud's, and the full-region build in one piece keeps its order.
+    Queries go to one :class:`~projnash.nearest.NearestIndex` over the
+    built points, with buckets of ``CLOUD_BUCKET_STEPS * h_g``, rebuilt
+    after each growth.  A table's cloud is its declared non-preferred pairs,
+    all built at once.
     """
 
     def __init__(self, p: PreferenceMap, ctx: GraphDistanceContext):
         n, k = p.n_vars, p.own_dim
         lo, hi = ctx.region._np
-        self.step = CLOUD_BUCKET_STEPS * ctx.h_g
+        self.p, self.step, self._index = p, CLOUD_BUCKET_STEPS * ctx.h_g, None
         if isinstance(p, Sampled):
             rows, cols = np.nonzero(~p._table)          # row-major: the table's order
             self.active = np.arange(n + k)
             self.points = np.hstack([p._at[rows], p._z[cols]])
+            self.axes, self.lo, self.hi = [], np.zeros(0, np.intp), np.zeros(0, np.intp)
             return
         rival, own = p._gain_axes
         active = sorted(set(rival) | set(own)) + list(range(n, n + k))
@@ -679,26 +697,67 @@ class _ComplementCloud:
         if total > 120_000_000:
             raise InputError(
                 f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
-        axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
-        self.points, covered = self._boundary_points(p, axes, [active.index(j) for j in rival])
-        if not self.points.shape[0]:        # every grid point is preferred or none is
-            what = "covers the whole" if covered else "prefers no point of the"
+        self.axes, self._cells = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active], total
+        self._read = [active.index(j) for j in rival]
+        self.points, self.lo, self.hi = np.empty((0, len(active))), None, None
+
+    def build_region(self) -> "_ComplementCloud":
+        """Build the whole region (the full cloud); returns the cloud."""
+        if self.axes:
+            self._cover(np.zeros(len(self.axes), np.intp), np.array(list(map(len, self.axes))))
+        return self
+
+    def _cover(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Grow the built sub-box to its hull with ``[lo, hi)``, building
+        only the new part, one box at a time: along each axis in turn, the
+        new ranges below and above the old box, across the old box's ranges
+        on the axes before and the new ones on the axes after."""
+        if self.lo is None:
+            pieces = [(lo, hi)]
+        else:
+            lo, hi = np.minimum(lo, self.lo), np.maximum(hi, self.hi)
+            pieces = []
+            for j in range(lo.shape[0]):
+                inner_lo = np.concatenate([self.lo[:j], lo[j:]])
+                inner_hi = np.concatenate([self.hi[:j], hi[j:]])
+                for a, b in ((lo[j], self.lo[j]), (self.hi[j], hi[j])):
+                    if a < b:
+                        pieces.append((np.concatenate([inner_lo[:j], [a], inner_lo[j + 1:]]),
+                                       np.concatenate([inner_hi[:j], [b], inner_hi[j + 1:]])))
+        if not pieces:
+            return
+        found = [self._boundary_points(a, b) for a, b in pieces]
+        self.points = np.vstack([self.points] + [pts for pts, _ in found])
+        self._index = None
+        if not self.points.shape[0] and all(hi - lo == list(map(len, self.axes))):
+            # every grid point is preferred or none is; the box stays as it
+            # was, so a later query raises again
+            what = "covers the whole" if found[-1][1] else "prefers no point of the"
             raise InputError(f"preference {what} distance region at this resolution; "
                              "cannot build a complement cloud")
+        self.lo, self.hi = lo, hi
 
-    def _boundary_points(self, p: PreferenceMap, axes: list[np.ndarray],
-                         read: list[int]) -> tuple[np.ndarray, bool]:
-        # blocks of whole slabs along the first active axis keep memory
+    def _boundary_points(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, bool]:
+        # the boundary points of the sub-box ``[lo, hi)``, with the status
+        # of one grid point.  Masks cover the sub-box and a one-cell halo
+        # inside the region; past it, a slab or cell with none stands in.
+        # Blocks of whole slabs along the first active axis keep memory
         # bounded.  A block's preferred points are ``strictly_preferred((lift
         # - base) - margin)``, as at every other site: ``lift`` on the axes
-        # ``read`` by the rival factors times the own grid (once per cloud
+        # ``read`` by the rival factors times the own grid (once per piece
         # unless they read the first axis), ``base`` on the x axes in chunks
         # of about a slab of x rows, both broadcast into the block.  A block
         # carries the slab before and after it for the neighbour test.
-        shape = tuple(len(ax) for ax in axes)
-        d, nx = len(axes), len(axes) - p.own_dim
+        p, read = self.p, self._read
+        d, nx = len(self.axes), len(self.axes) - p.own_dim
         if nx == 0:                         # the gain is -margin: nothing is preferred
             return np.empty((0, d)), False
+        # the first axis stays whole (blocks index it); the others are cut
+        # to the sub-box and its halo, of which ``crop`` is the sub-box
+        first = np.maximum(lo - 1, 0)
+        axes = [self.axes[0]] + [ax[a:b + 1] for ax, a, b in zip(self.axes[1:], first[1:], hi[1:])]
+        shape = tuple(len(ax) for ax in axes)
+        crop = tuple(slice(a, b) for a, b in zip(lo[1:] - first[1:], hi[1:] - first[1:]))
         slab_shape = shape[1:]
         per = max(1, _CLOUD_BLOCK // math.prod(slab_shape))
         zs = mesh_points(axes[nx:])
@@ -726,11 +785,12 @@ class _ComplementCloud:
             return base.reshape(sizes).transpose(np.argsort(order))[(...,) + (None,) * p.own_dim]
 
         lift = None if 0 in read else lift_of(0, 1)
-        # a chunk of base holds whole ranges of ``masks`` ([0, per + 1), then
-        # [j per + 1, (j + 1) per + 1)): about a slab of x rows, at most a block
+        # a chunk of base holds about a slab of x rows, at most a block
         span = per * max(1, math.prod(shape[nx:]) // per)
-        held = [0, base_of(0, min(shape[0], span + 1))]  # base from value held[0] on
-        buffer = np.empty((min(shape[0], per + 1),) + slab_shape)
+        lo0, hi0 = int(lo[0]), int(hi[0])
+        start0 = max(lo0 - 1, 0)
+        held = [start0, base_of(start0, min(shape[0], start0 + span + 2))]
+        buffer = np.empty((min(shape[0], per + 2),) + slab_shape)
 
         def masks(start: int, stop: int) -> np.ndarray:
             if stop > held[0] + held[1].shape[0]:
@@ -741,42 +801,84 @@ class _ComplementCloud:
             gain -= p.margin
             return strictly_preferred(gain)
 
-        # ``block`` holds the preferred points of slabs ``start - 1 .. stop``;
-        # past either end of the axis a slab with none stands in
+        # ``block`` holds the preferred points of slabs ``start - 1 .. stop``
         edge = np.zeros((1,) + slab_shape, dtype=bool)
-        block = np.concatenate([edge, masks(0, min(shape[0], per + 1))]
-                               + [edge] * (per >= shape[0]))
+        stop = min(hi0, lo0 + per)
+        block = np.concatenate([edge] * (lo0 == 0) + [masks(start0, min(shape[0], stop + 1))]
+                               + [edge] * (stop == shape[0]))
         boundary: list[np.ndarray] = []
-        for start in range(0, shape[0], per):
-            stop = min(shape[0], start + per)
+        for start in range(lo0, hi0, per):
+            stop = min(hi0, start + per)
             # points of slabs ``start .. stop - 1`` not preferred, with a
             # preferred neighbour along some axis
             near, inner = block[:-2] | block[2:], block[1:-1]
             for axis in range(1, inner.ndim):
-                lo = (slice(None),) * axis + (slice(None, -1),)
-                hi = (slice(None),) * axis + (slice(1, None),)
-                near[hi] |= inner[lo]
-                near[lo] |= inner[hi]
-            hit = near & ~inner
+                lo_sl = (slice(None),) * axis + (slice(None, -1),)
+                hi_sl = (slice(None),) * axis + (slice(1, None),)
+                near[hi_sl] |= inner[lo_sl]
+                near[lo_sl] |= inner[hi_sl]
+            hit = (near & ~inner)[(slice(None),) + crop]
             idx = np.unravel_index(np.flatnonzero(hit), hit.shape)   # C order, as argwhere
             coords = np.empty((idx[0].shape[0], d))
             coords[:, 0] = axes[0][start + idx[0]]
             for col in range(1, d):
-                coords[:, col] = axes[col][idx[col]]
+                coords[:, col] = axes[col][crop[col - 1].start + idx[col]]
             boundary.append(coords)
-            if stop < shape[0]:
-                block = np.concatenate([block[-2:], masks(stop + 1, min(shape[0], stop + per + 1))]
-                                       + [edge] * (stop + per >= shape[0]))
-        # with no boundary, every grid point has the status of this one
+            if stop < hi0:
+                after = min(hi0, stop + per)
+                block = np.concatenate([block[-2:], masks(stop + 1, min(shape[0], after + 1))]
+                                       + [edge] * (after == shape[0]))
         return np.vstack(boundary), bool(block[1].flat[0])
 
-    @cached_property
-    def _index(self):
-        from .nearest import NearestIndex     # imported on first use
-        return NearestIndex(self.points, self.step)
+    def _span(self, q: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
+        """Index ranges of the grid points within ``reach`` of the ``q``
+        rows along every axis, and one more on each side."""
+        lo = [np.searchsorted(ax, np.min(q[:, j] - reach)) - 1 for j, ax in enumerate(self.axes)]
+        hi = [np.searchsorted(ax, np.max(q[:, j] + reach), "right") + 1
+              for j, ax in enumerate(self.axes)]
+        return np.maximum(lo, 0), np.minimum(hi, list(map(len, self.axes)))
+
+    def _settled(self, q: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        """Rows whose least squared distance ``sq`` to the built points is
+        at most the squared distance to the nearest grid coordinate past
+        the built box, on every side where it stops short of the region.
+        Differences and squares round monotonically, and a computed sum of
+        squares is at least each of its terms, so no unbuilt point is
+        computed nearer."""
+        bound = np.full(q.shape[0], np.inf)
+        for j, (ax, a, b) in enumerate(zip(self.axes, self.lo, self.hi)):
+            gaps = ([q[:, j] - ax[a - 1]] if a > 0 else []) + (
+                [ax[b] - q[:, j]] if b < ax.shape[0] else [])
+            for gap in gaps:
+                gap = np.maximum(gap, 0.0)
+                np.minimum(bound, gap * gap, out=bound)
+        return sq <= bound
+
+    def _query(self, q: np.ndarray) -> np.ndarray:
+        if self._index is None:
+            from .nearest import NearestIndex     # imported on first use
+            self._index = NearestIndex(self.points, self.step)
+        return self._index.query(q, squared=True)
 
     def min_distance(self, queries: np.ndarray) -> np.ndarray:
-        return self._index.query(queries[:, self.active])
+        """Distance from each joint ``(y, z)`` row to the nearest point of
+        the full-region cloud, bit for bit.  The first call builds the box
+        of its queries (the region, for a grid of at most ``_CLOUD_WHOLE``
+        cells); a query whose nearest built point is not proven
+        nearest by :meth:`_settled` grows the box to cover its nearest
+        distance around it (that distance bounds the true one, so one
+        growth settles it), or to the whole region when the built part
+        holds no point, where an empty cloud raises."""
+        q = queries[:, self.active]
+        if self.lo is None:
+            self._cover(*self._span(q, 0.0 if self._cells > _CLOUD_WHOLE else np.inf))
+        sq = self._query(q)
+        todo = ~self._settled(q, sq)
+        while np.any(todo):
+            self._cover(*self._span(q[todo], np.sqrt(sq[todo])))
+            sq[todo] = self._query(q[todo])
+            todo[todo] = ~self._settled(q[todo], sq[todo])
+        return np.sqrt(sq)
 
 
 def _cloud_for(p: PreferenceMap, ctx: GraphDistanceContext) -> _ComplementCloud:

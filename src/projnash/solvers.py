@@ -27,7 +27,7 @@ from .errors import InputError
 from .game import (Certificate, GameInstance, _scan_entry, check_projected_solution_many,
                    seeded_rng)
 from .geometry import (check_grid_size, grid_axis, grid_axis_size, grid_points,
-                       lattice_axis, lattice_span, mesh_points, project)
+                       lattice_axis, lattice_span, mesh_points)
 from . import preferences as prefs
 from .normal_op import normal_directions_batch, normal_operator
 
@@ -201,60 +201,77 @@ def best_response_distance(game: GameInstance, i: int, x, y, cfg: SolverConfig
     resolution) and the selection is the projection of ``y_i`` onto the
     constraint: the iteration is stationary at true solutions.  Otherwise
     the selection is the centroid of the maximizer list, a point of the
-    hull of best responses.  The one-row call of :func:`_best_responses`;
-    the maximizers are a writable copy.
+    hull of best responses.  The one-row call of :func:`_best_responses`,
+    after the check that ``x`` is a choice point; the maximizers are a
+    writable copy.
     """
     xs = np.asarray(x, dtype=np.float64).reshape(1, -1)
     ys = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    _check_choice(game, xs)
     maximizers, selected = _best_responses(game, i, xs, ys, cfg)
     return maximizers[0].copy(), selected[0]
 
 
-def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
-                    cfg: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`best_response_distance` at every ``(x, y)`` row.
-
-    Each row's grid is the ``set_grid`` of its constraint value from
-    the instance's scan cache (``game._scan_entry``), so rows with one value
-    share one grid, fetched when the row's chunk is due: consecutive rows
-    are padded to a common grid size of at most ``_RESPONSE_ENTRIES``
-    entries (a larger grid runs alone) and take one graph-distance call;
-    the selection runs row by row.  Each row's maximizers and selection are
-    bitwise its one-row call's; maximizers that are the whole grid are the
-    cached, read-only array.
-    """
+def _check_choice(game: GameInstance, xs: np.ndarray) -> None:
     if xs.shape[1] != game.n:
         raise InputError(f"joint strategy has dimension {xs.shape[1]}, expected {game.n}")
     if not np.all(game.in_choice_many(xs, tol=1e-9)):
         raise InputError("joint strategy lies outside the choice-set product")
-    sl = game.own_slice(i)
+
+
+def _best_responses(game: GameInstance, i: int, xs: np.ndarray, ys: np.ndarray,
+                    cfg: SolverConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`best_response_distance` at every ``(x, y)`` row; the caller
+    checks that the ``xs`` are choice points (:func:`_check_choice`).
+
+    Each row's grid is the ``set_grid`` of its constraint value from the
+    instance's scan cache (``game._scan_entry``, which builds a missing
+    value from the row's ``value_key``), so rows with one value share one
+    grid, fetched when the row's chunk is due: consecutive rows are padded
+    to a common grid size of at most ``_RESPONSE_ENTRIES`` entries (a
+    larger grid runs alone) and take one graph-distance call.  In a chunk,
+    the rows whose maximum is 0 take one ``project_many`` call per
+    constraint value, and the others their maximizer centroid row by row.
+    Each row's maximizers and selection are bitwise its one-row call's;
+    maximizers that are the whole grid are the cached, read-only array.
+    """
+    sl, dim = game.own_slice(i), game.dims[i]
     ctx = game.distance_context(i, cfg.distance_step)
     maximizers: list = []
-    selected = np.empty((xs.shape[0], game.dims[i]))
+    selected = np.empty((xs.shape[0], dim))
 
     def respond(chunk: list, width: int) -> None:
         # a padded entry repeats the row's last grid point, so it moves no
         # maximum; a one-row chunk passes its grid as it is
-        pts = [grid if grid.shape[0] == width else
-               grid[np.minimum(np.arange(width), grid.shape[0] - 1)] for _, grid in chunk]
-        pts = pts[0][None] if len(pts) == 1 else np.stack(pts)
-        rows = np.arange(len(maximizers), len(maximizers) + len(chunk))
-        vals = prefs.graph_distance_many(game.preference_maps[i], ctx, ys[rows], pts)
+        first = len(maximizers)
+        if len(chunk) == 1:
+            pts = chunk[0][1][None]
+        else:
+            pts = np.empty((len(chunk), width, dim))
+            for t, (_, grid) in enumerate(chunk):
+                pts[t, :grid.shape[0]] = grid
+                pts[t, grid.shape[0]:] = grid[-1]
+        vals = prefs.graph_distance_many(game.preference_maps[i], ctx,
+                                         ys[first:first + len(chunk)], pts)
         gmax = vals.max(axis=1)
         # the zero-distance plateau is the non-preferred region, never a maximizer
         best = (vals >= (gmax - cfg.eps_analytic)[:, None]) & (vals > 0.0)
-        for r, (k_set, grid), mask, top in zip(rows, chunk, best, gmax.tolist()):
+        flat: dict = {}
+        for r, (k_set, grid), mask, top in zip(range(first, xs.shape[0]), chunk, best,
+                                               gmax.tolist()):
             if top <= 0.0:
                 maximizers.append(grid)
-                selected[r] = project(k_set, ys[r, sl])
+                flat.setdefault(id(k_set), (k_set, []))[1].append(r)
             else:
                 maximizers.append(grid[mask[:grid.shape[0]]])
                 # np.mean's own sum and division, without its dispatch
                 selected[r] = np.add.reduce(maximizers[r], axis=0) / maximizers[r].shape[0]
+        for k_set, rows in flat.values():
+            selected[rows] = k_set.project_many(ys[rows, sl])
 
     chunk, width = [], 0
     for x, key in zip(xs, game.constraint_maps[i].value_key(xs)):
-        k_set, grid, _ = _scan_entry(game, i, key.tobytes(), x, cfg.h)
+        k_set, grid, _ = _scan_entry(game, i, key, x, cfg.h)
         if chunk and (len(chunk) + 1) * max(width, grid.shape[0]) > _RESPONSE_ENTRIES:
             respond(chunk, width)
             chunk, width = [], 0
@@ -299,8 +316,22 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
     through the full projected-solution check; only certified points are
     returned.  Convergence is not guaranteed -- an empty certificate list
     with an advisory is the honest failure mode.
+
+    Each iteration checks once that its ``xs`` are choice points, for
+    every player's best response.  A sampled (table) preference answers
+    only at its declared points, off every best-response grid, so a game
+    with one is refused before the first iteration.  The step norm is
+    ``np.linalg.norm``'s own ``sqrt(s.dot(s))`` per start.
     """
+    for i, p in enumerate(game.preference_maps):
+        if p.scans_declared:
+            raise InputError(
+                f"solve-fp cannot run on player {i + 1}: a sampled preference answers only "
+                "at its declared points, and a best response scans a grid of its constraint "
+                "value; use oracle or verify")
+
     def responses(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        _check_choice(game, xs)
         target = np.empty_like(ys)
         for i in range(game.player_count):
             target[:, game.own_slice(i)] = _best_responses(game, i, xs, ys, cfg)[1]
@@ -326,7 +357,7 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
             trace = result.starts[r]
             trace.iterations += 1
             trace.history.append((tuple(x_next[j]), tuple(y_next[j])))
-            if float(np.linalg.norm(steps[j])) <= cfg.eps_analytic:
+            if math.sqrt(steps[j].dot(steps[j])) <= cfg.eps_analytic:
                 trace.converged, moving[j] = True, False
         live = live[moving]
     # one undamped step before certification: exact fixed points are

@@ -30,7 +30,7 @@ def _record(name: str, h_g: float) -> dict:
     out = {}
     for i, p in enumerate(game.preference_maps):
         try:
-            cloud = _ComplementCloud(p, game.distance_context(i, h_g))
+            cloud = _ComplementCloud(p, game.distance_context(i, h_g)).build_region()
         except InputError as exc:
             out[f"{name}.p{i + 1}.h{h_g}"] = {"error": str(exc)}
             continue

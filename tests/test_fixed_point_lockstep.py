@@ -48,6 +48,13 @@ def _target(game, x, y, cfg):
 
 
 def sequential_fixed_point(game, cfg) -> SolveResult:
+    # a sampled preference answers off no grid: refused before any iteration
+    for i, p in enumerate(game.preference_maps):
+        if p.scans_declared:
+            raise InputError(
+                f"solve-fp cannot run on player {i + 1}: a sampled preference answers only "
+                "at its declared points, and a best response scans a grid of its constraint "
+                "value; use oracle or verify")
     result = SolveResult(solver="solve-fp", certificates=[])
     for start in _multistart_points(game, cfg):
         x, y = start.copy(), start.copy()
@@ -264,3 +271,24 @@ def test_lockstep_matches_sequential_on_a_polytope_constraint():
     game = from_utilities([2, 1], [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))],
                           [triangle, fixed], ["x1 + x2", "-(x3 - 0.5)^2"])
     assert_same_run(game, SolverConfig(h=0.1, multistart=4))
+
+
+def test_a_table_player_is_refused_before_any_best_response(monkeypatch):
+    # a sampled preference answers only at its declared points, which no
+    # best-response grid keeps to, so solve-fp stops before it starts
+    monkeypatch.setattr(solvers, "_best_responses", lambda *args: pytest.fail("responded"))
+    monkeypatch.setattr(solvers, "_multistart_points", lambda *args: pytest.fail("started"))
+    with pytest.raises(InputError, match=r"^solve-fp cannot run on player 1: a sampled "
+                                         r"preference answers only at its declared points"):
+        solve_fixed_point(load_fixture("table"), SolverConfig(h=0.05))
+
+
+def test_chase_builds_under_half_of_its_cloud_grid():
+    # the benchmark's chase route queries player 1's cloud in a corner of
+    # its 201 x 151 x 201 grid; the cloud is built only where they reach
+    game = load_fixture("chase")
+    solve_fixed_point(game, SolverConfig(h=0.02, multistart=5))
+    cloud = game.distance_context(0, 0.02)._clouds[game.preference_maps[0]]
+    grid = [ax.shape[0] for ax in cloud.axes]
+    assert grid == [201, 151, 201]
+    assert 0 < np.prod(cloud.hi - cloud.lo) <= np.prod(grid) // 2

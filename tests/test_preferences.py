@@ -283,12 +283,12 @@ def test_graph_distance_grid_matches_closed_form():
 def test_complement_cloud_distance_is_the_brute_force_minimum():
     p = load_fixture("chase").preference_maps[1]     # x1 never enters its gain
     ctx = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,)), h_g=0.05)
-    cloud = _cloud_for(p, ctx)
+    cloud = _ComplementCloud(p, ctx).build_region()
     assert cloud.active.tolist() == [1, 2]
     queries = np.random.default_rng(11).uniform(-0.5, 1.5, (50, 3))
     diffs = queries[:, None, cloud.active] - cloud.points[None, :, :]
     brute = np.sqrt(np.min(np.sum(diffs ** 2, axis=2), axis=1))
-    assert np.allclose(cloud.min_distance(queries), brute, rtol=0.0, atol=1e-12)
+    assert np.allclose(_cloud_for(p, ctx).min_distance(queries), brute, rtol=0.0, atol=1e-12)
 
 
 def test_graph_distance_region_guard():
@@ -627,7 +627,7 @@ def _check_cloud_against_rows(p, ctx, max_cells=math.inf) -> int:
     0 when the cloud is refused (too large, or no complement boundary) or
     its grid has more than ``max_cells`` cells."""
     try:
-        cloud = _ComplementCloud(p, ctx)
+        cloud = _ComplementCloud(p, ctx).build_region()
     except InputError:
         return 0
     active, axes, shape = _cloud_axes(cloud, ctx)
@@ -712,7 +712,7 @@ def _boundary_points_by_slabs(p, active, axes, shape):
 
 def _check_cloud_against_slabs(p, ctx) -> int:
     try:
-        cloud = _ComplementCloud(p, ctx)
+        cloud = _ComplementCloud(p, ctx).build_region()
     except InputError:
         return 0
     want = _boundary_points_by_slabs(p, *_cloud_axes(cloud, ctx))
@@ -753,7 +753,7 @@ def test_cloud_base_chunks_on_a_long_first_axis(monkeypatch, block, case):
     monkeypatch.setattr(prefs_mod, "_CLOUD_BLOCK", block)
     p = _long_axis_preferences()[case]
     ctx = context_for(Box((0.0, 0.0), (6.0, 6.0)), Box((0.0,), (0.5,)), h_g=0.1)
-    cloud = _ComplementCloud(p, ctx)
+    cloud = _ComplementCloud(p, ctx).build_region()
     active, axes, shape = _cloud_axes(cloud, ctx)
     assert shape[0] > math.prod(shape[2:]) and len(active) == 3
     assert cloud.points.tobytes() == _boundary_points_by_slabs(p, active, axes, shape).tobytes()
@@ -804,7 +804,7 @@ def test_cloud_points_match_the_argwhere_scan(monkeypatch, block):
                     continue
                 ctx = game.distance_context(i, h_g)
                 try:
-                    cloud = _ComplementCloud(p, ctx)
+                    cloud = _ComplementCloud(p, ctx).build_region()
                 except InputError:
                     continue
                 want = _boundary_points_argwhere(p, *_cloud_axes(cloud, ctx))
@@ -822,7 +822,7 @@ def test_no_cloud_point_is_preferred_at_scaled_coefficients(n, text):
     p = UtilityInduced(player_index=0, n_vars=n, own_start=0, own_dim=1,
                        utility=parse_polynomial_text(text, n))
     ctx = context_for(Box((0.0,) * n, (1.0,) * n), Box((0.0,), (1.0,)), h_g=0.02)
-    cloud = _ComplementCloud(p, ctx)
+    cloud = _ComplementCloud(p, ctx).build_region()
     assert cloud.active.tolist() == list(range(n + 1))
     xs, xi = np.unique(cloud.points[:, :n], axis=0, return_inverse=True)
     zs, zi = np.unique(cloud.points[:, n:], axis=0, return_inverse=True)
@@ -1128,6 +1128,47 @@ def test_paired_gains_are_the_outer_gains_entry_by_entry():
         assert np.array_equal(paired[r], strict_gain_outer(p, xs[r:r + 1], zs[r])[0])
 
 
+
+@st.composite
+def wide_utilities(draw):
+    """Utilities over 8-12 joint coordinates whose own-reading terms have
+    rival factors on scattered columns, so the columns between the first
+    and last one read carry exponent 0 in some or all terms."""
+    n = draw(st.integers(8, 12))
+    own_dim = draw(st.integers(1, 2))
+    own_start = draw(st.integers(0, n - own_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utility = Polynomial.constant(0.0, n)
+    for _ in range(draw(st.integers(1, 6))):
+        term = Polynomial.constant(float(rng.uniform(-3, 3)), n)
+        own = own_start + draw(st.integers(0, own_dim - 1))
+        for j in [own] + draw(st.lists(st.integers(0, n - 1), max_size=5)):
+            term = term * Polynomial.variable(j, n)
+        utility = utility + term
+    return UtilityInduced(player_index=0, n_vars=n, own_start=own_start, own_dim=own_dim,
+                          utility=utility)
+
+
+@given(wide_utilities(), st.integers(0, 2**32 - 1))
+def test_rival_factors_are_the_full_column_product(p, seed):
+    # the factors raise only the span of columns they read; on negative
+    # bases, zeros and exponent-0 columns they are bitwise the product of
+    # every column raised to its rival exponent, as the factors were built
+    n, own = p.n_vars, slice(p.own_start, p.own_start + p.own_dim)
+    terms = sorted((e[own], e, c) for e, c in p.utility.terms if any(e[own]))
+    rival = np.array([e for _, e, _ in terms], dtype=np.int64).reshape(-1, n)
+    rival[:, own] = 0
+    starts = [r for r in range(len(terms)) if r == 0 or terms[r][0] != terms[r - 1][0]]
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2.0, 2.0, (60, n))
+    xs[rng.random(xs.shape) < 0.1] = 0.0
+    want = np.add.reduceat(np.prod(xs[:, None, :] ** rival, axis=2)
+                           * np.array([c for _, _, c in terms]), starts, axis=1)
+    got, exps, _ = p._gain_terms(xs)
+    assert got.tobytes() == want.tobytes()
+    assert exps == tuple(terms[r][0] for r in starts)
+    assert p._gain_axes[0] == np.flatnonzero(rival.any(axis=0)).tolist()
+
 # -- one rule at ties ----------------------------------------------------------------
 
 #: most (y, z) pairs one player's tie search evaluates
@@ -1181,7 +1222,7 @@ def test_every_site_gives_one_answer_at_ties(name, monkeypatch):
     ties = on_boundary = 0
     for i, p in enumerate(game.preference_maps):
         ctx = game.distance_context(i, h_g)
-        cloud = _ComplementCloud(p, ctx)
+        cloud = _ComplementCloud(p, ctx).build_region()
         points = {row.tobytes() for row in cloud.points}
         for y, z, neighbours in _tie_pairs(p, ctx, h_g):
             ties += 1
@@ -1210,4 +1251,84 @@ def test_a_cloud_of_a_preference_that_prefers_nothing_says_so(utility, margin):
     ctx = context_for(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), 0.05)
     with pytest.raises(InputError, match="^preference prefers no point of the distance "
                                          "region at this resolution"):
-        _ComplementCloud(p, ctx)
+        _ComplementCloud(p, ctx).build_region()
+
+
+def test_a_cloud_of_a_preference_that_covers_the_region_says_so():
+    # z - x2 with the own box far above the joint one: every grid pair is
+    # preferred; the on-demand cloud grows to the region before it raises,
+    # and raises again on a later query
+    p = UtilityInduced(player_index=1, n_vars=2, own_start=1, own_dim=1,
+                       utility=parse_polynomial_text("x2", 2))
+    ctx = context_for(Box((0.0, 0.0), (1.0, 1.0)), Box((5.0,), (6.0,)), 0.05)
+    message = "^preference covers the whole distance region at this resolution"
+    with pytest.raises(InputError, match=message):
+        _ComplementCloud(p, ctx).build_region()
+    cloud = _ComplementCloud(p, ctx)
+    for _ in range(2):
+        with pytest.raises(InputError, match=message):
+            cloud.min_distance(np.array([[0.5, 0.5, 5.5]]))
+    assert cloud.points.shape[0] == 0
+
+
+# -- the on-demand cloud is the full cloud ---------------------------------------
+
+#: full-region clouds of the fixture players by (fixture, player, h_g), or
+#: the message of the error their build raises
+_FULL_CLOUDS: dict = {}
+
+
+def _full_cloud(name, i, h_g):
+    key = (name, i, h_g)
+    if key not in _FULL_CLOUDS:
+        game = load_fixture(name)
+        try:
+            _FULL_CLOUDS[key] = _ComplementCloud(game.preference_maps[i],
+                                                 game.distance_context(i, h_g)).build_region()
+        except InputError as exc:
+            _FULL_CLOUDS[key] = str(exc)
+    return _FULL_CLOUDS[key]
+
+
+def _query_batches(p, ctx, full, rng, count):
+    """``count`` query batches inside the region, each drawn in a box of
+    random width about a centre in the middle third of the region (where
+    the solvers' queries lie), every other one reduced to the deepest
+    preferred points of its box (those farthest from the full cloud), which
+    force the cloud to grow; a table answers only at its declared points,
+    and its cloud is built whole."""
+    lo, hi = ctx.region._np
+    for b in range(count):
+        centre = rng.uniform(2 * lo + hi, lo + 2 * hi) / 3
+        width = rng.uniform(0.0, 0.7) ** 2 * (hi - lo)
+        pts = np.clip(rng.uniform(centre - width, centre + width, (400, lo.size)), lo, hi)
+        if b % 2 and not isinstance(full, str) and not isinstance(p, Sampled):
+            pref = strictly_preferred(strict_gain_paired(p, pts[:, :p.n_vars],
+                                                         pts[:, None, p.n_vars:]))[:, 0]
+            pts = pts[pref][np.argsort(full.min_distance(pts[pref]))[::-1]]
+        yield pts[:int(rng.integers(1, 40))]
+
+
+@pytest.mark.parametrize("name, i", [(name, i) for name in FIXTURE_NAMES for i in range(2)])
+@given(h_g=st.sampled_from([0.05, 0.02, 0.013, 0.01]), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 4))
+def test_the_on_demand_cloud_is_the_full_cloud(name, i, h_g, seed, count):
+    # batches in sequence on one cloud: each distance is the full-region
+    # cloud's, bit for bit, and a refused cloud raises the full build's error
+    full = _full_cloud(name, i, h_g)
+    game = load_fixture(name)
+    p, ctx = game.preference_maps[i], game.distance_context(i, h_g)
+    try:
+        cloud = _ComplementCloud(p, ctx)
+    except InputError as exc:
+        assert str(exc) == full
+        return
+    for queries in _query_batches(p, ctx, full, np.random.default_rng(seed), count):
+        if isinstance(full, str):
+            with pytest.raises(InputError) as info:
+                cloud.min_distance(queries)
+            assert str(info.value) == full
+        else:
+            assert cloud.min_distance(queries).tobytes() == full.min_distance(queries).tobytes()
+    if not isinstance(full, str):
+        assert cloud.points.shape[0] <= full.points.shape[0]

@@ -1,6 +1,7 @@
 """Every route operation of the benchmark workloads, run once at seed 0,
 must reproduce the recorded reference output, and so must the two polytope
-routes of ``certify`` at every recorded seed.  Rewrites of the scan
+routes of ``certify`` and the ``solve-fp`` routes of ``routes`` at every
+recorded seed.  Rewrites of the scan
 kernels claim to be exact; this holds them to it in the test suite and not
 only in a benchmark run."""
 
@@ -13,6 +14,7 @@ import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CERTIFY = json.loads((BENCH / "reference" / "certify.json").read_text())
+ROUTES = json.loads((BENCH / "reference" / "routes.json").read_text())
 
 
 def _workloads():
@@ -58,3 +60,17 @@ def test_polytope_routes_match_the_references_at_every_seed(route, seed):
     (k,) = [k for k, op in enumerate(routes) if (op.route, op.problem) == (route, wl.POLYTOPE)]
     want = CERTIFY["seeds"][seed]["routes"][k]
     assert wl.check_route(routes[k], wl.run_route(routes[k], int(seed)), int(seed), want) is None
+
+
+@pytest.mark.parametrize("seed", sorted(ROUTES["seeds"], key=int))
+def test_fixed_point_routes_match_the_references_at_every_seed(seed):
+    # the on-demand complement cloud and the lock-step best responses are
+    # exact rewrites: every solve-fp route reproduces every recorded seed
+    wl = _workloads()
+    routes = wl.WORKLOADS["routes"].routes
+    fp = [k for k, op in enumerate(routes) if op.route == "solve-fp"]
+    assert len(fp) == 7
+    for k in fp:
+        want = ROUTES["seeds"][seed]["routes"][k]
+        assert wl.check_route(routes[k], wl.run_route(routes[k], int(seed)), int(seed),
+                              want) is None, routes[k]
