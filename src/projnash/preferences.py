@@ -18,11 +18,11 @@ The graph distance of a preference map is the Euclidean distance from a pair
 ``(y, z)`` to the closed complement of the preference graph
 ``{(x, z) : z preferred at x}``.  It is 0 exactly on non-preferred pairs,
 positive on preferred ones, and 1-Lipschitz.  Half-space-structured variants
-get exact closed forms; everything else falls back to a distance cloud built
-once per context from a grid scan of the complement boundary.  Every site,
-that cloud included, evaluates the strict gain through one kernel,
-:meth:`PreferenceMap._gain_factors`, and reads one rule,
-:func:`strictly_preferred`; no ``(x, z)`` gain polynomial is built.
+get exact closed forms; everything else falls back to a distance cloud, one
+per context, scanned from the complement boundary on a grid only where its
+queries reach.  Every site, that cloud included, evaluates the strict gain
+through one kernel, :meth:`PreferenceMap._gain_factors`, and reads one
+rule, :func:`strictly_preferred`; no ``(x, z)`` gain polynomial is built.
 """
 
 from __future__ import annotations
@@ -624,10 +624,26 @@ class GraphDistanceContext:
     region: Box
     h_g: float
     _clouds: dict = field(default_factory=dict, repr=False)
+    _bounds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not 0 < self.h_g < math.inf:                # NaN too
             raise InputError(f"distance grid step must be positive and finite, got {self.h_g}")
+
+    def _inside(self, v: np.ndarray, start: int, stop: int) -> bool:
+        """Every row of ``v`` within ``GRID_MATCH_TOL`` of the region on
+        its coordinates ``start:stop``.  One min and one max settle the
+        usual case, every value inside the bounds all those coordinates
+        share; otherwise (NaN too) the coordinates are compared one by
+        one.  The bounds are kept per coordinate range."""
+        bounds = self._bounds.get((start, stop))
+        if bounds is None:
+            lo, hi = self.region._np
+            lo, hi = lo[start:stop] - GRID_MATCH_TOL, hi[start:stop] + GRID_MATCH_TOL
+            bounds = self._bounds[start, stop] = lo, hi, lo.max(), hi.min()
+        lo, hi, low, high = bounds
+        return not v.size or (v.min() >= low and v.max() <= high) or not (
+            np.any(v < lo) or np.any(v > hi))
 
 
 def context_for(joint_box: Box, own_box: Box, h_g: float) -> GraphDistanceContext:
@@ -688,7 +704,8 @@ class _ComplementCloud:
             rows, cols = np.nonzero(~p._table)          # row-major: the table's order
             self.active = np.arange(n + k)
             self.points = np.hstack([p._at[rows], p._z[cols]])
-            self.axes, self.lo, self.hi = [], np.zeros(0, np.intp), np.zeros(0, np.intp)
+            self.axes = []
+            self.shape = self.lo = self.hi = np.zeros(0, np.intp)
             return
         rival, own = p._gain_axes
         active = sorted(set(rival) | set(own)) + list(range(n, n + k))
@@ -697,14 +714,15 @@ class _ComplementCloud:
         if total > 120_000_000:
             raise InputError(
                 f"distance grid of {cell_count_text(total)} cells is too large; increase h_g")
-        self.axes, self._cells = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active], total
+        self.axes = [grid_axis(lo[j], hi[j], ctx.h_g) for j in active]
+        self.shape = np.array([ax.shape[0] for ax in self.axes])
         self._read = [active.index(j) for j in rival]
         self.points, self.lo, self.hi = np.empty((0, len(active))), None, None
 
     def build_region(self) -> "_ComplementCloud":
         """Build the whole region (the full cloud); returns the cloud."""
         if self.axes:
-            self._cover(np.zeros(len(self.axes), np.intp), np.array(list(map(len, self.axes))))
+            self._cover(np.zeros_like(self.shape), self.shape)
         return self
 
     def _cover(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -712,24 +730,18 @@ class _ComplementCloud:
         only the new part, one box at a time: along each axis in turn, the
         new ranges below and above the old box, across the old box's ranges
         on the axes before and the new ones on the axes after."""
-        if self.lo is None:
-            pieces = [(lo, hi)]
-        else:
+        pieces = [(lo, hi)]
+        if self.lo is not None:
             lo, hi = np.minimum(lo, self.lo), np.maximum(hi, self.hi)
-            pieces = []
-            for j in range(lo.shape[0]):
-                inner_lo = np.concatenate([self.lo[:j], lo[j:]])
-                inner_hi = np.concatenate([self.hi[:j], hi[j:]])
-                for a, b in ((lo[j], self.lo[j]), (self.hi[j], hi[j])):
-                    if a < b:
-                        pieces.append((np.concatenate([inner_lo[:j], [a], inner_lo[j + 1:]]),
-                                       np.concatenate([inner_hi[:j], [b], inner_hi[j + 1:]])))
+            pieces = [(np.r_[self.lo[:j], a, lo[j + 1:]], np.r_[self.hi[:j], b, hi[j + 1:]])
+                      for j in range(lo.shape[0])
+                      for a, b in ((lo[j], self.lo[j]), (self.hi[j], hi[j])) if a < b]
         if not pieces:
             return
         found = [self._boundary_points(a, b) for a, b in pieces]
         self.points = np.vstack([self.points] + [pts for pts, _ in found])
         self._index = None
-        if not self.points.shape[0] and all(hi - lo == list(map(len, self.axes))):
+        if not self.points.shape[0] and np.array_equal(hi - lo, self.shape):
             # every grid point is preferred or none is; the box stays as it
             # was, so a later query raises again
             what = "covers the whole" if found[-1][1] else "prefers no point of the"
@@ -789,6 +801,7 @@ class _ComplementCloud:
         span = per * max(1, math.prod(shape[nx:]) // per)
         lo0, hi0 = int(lo[0]), int(hi[0])
         start0 = max(lo0 - 1, 0)
+        # (the first call asks for up to ``per + 2`` slabs)
         held = [start0, base_of(start0, min(shape[0], start0 + span + 2))]
         buffer = np.empty((min(shape[0], per + 2),) + slab_shape)
 
@@ -836,7 +849,7 @@ class _ComplementCloud:
         lo = [np.searchsorted(ax, np.min(q[:, j] - reach)) - 1 for j, ax in enumerate(self.axes)]
         hi = [np.searchsorted(ax, np.max(q[:, j] + reach), "right") + 1
               for j, ax in enumerate(self.axes)]
-        return np.maximum(lo, 0), np.minimum(hi, list(map(len, self.axes)))
+        return np.maximum(lo, 0), np.minimum(hi, self.shape)
 
     def _settled(self, q: np.ndarray, sq: np.ndarray) -> np.ndarray:
         """Rows whose least squared distance ``sq`` to the built points is
@@ -871,7 +884,7 @@ class _ComplementCloud:
         holds no point, where an empty cloud raises."""
         q = queries[:, self.active]
         if self.lo is None:
-            self._cover(*self._span(q, 0.0 if self._cells > _CLOUD_WHOLE else np.inf))
+            self._cover(*self._span(q, 0.0 if self.shape.prod() > _CLOUD_WHOLE else np.inf))
         sq = self._query(q)
         todo = ~self._settled(q, sq)
         while np.any(todo):
@@ -896,7 +909,11 @@ def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
     """Graph distance for many own-block candidates at one joint ``y``, or,
     with ``zs`` of shape ``(m, s, own_dim)`` and ``y`` of shape ``(m, n)``,
     of each row against its own candidates: ``(m, s)`` values, each bitwise
-    the one-row call's."""
+    the one-row call's.  Non-preferred pairs are 0; preferred ones take the
+    preference's closed form, or else the nearest distance in its
+    complement cloud (:meth:`_ComplementCloud.min_distance`), which grows
+    only as far as these queries need and answers as the full-region cloud
+    would, bit for bit."""
     ys, zs = np.asarray(y, dtype=np.float64), np.asarray(zs, dtype=np.float64)
     paired = zs.ndim == 3
     if paired and (ys.ndim != 2 or ys.shape[0] != zs.shape[0]):
@@ -904,17 +921,11 @@ def graph_distance_many(p: PreferenceMap, ctx: GraphDistanceContext,
                          f"against candidates of shape {zs.shape}")
     ys = ys.reshape(ys.shape[0] if paired else 1, -1)
     zs = zs.reshape(ys.shape[0], -1, p.own_dim)
-    lo, hi = ctx.region._np
     n = ys.shape[1]
-    for v, a, b in ((ys, lo[:n], hi[:n]), (zs, lo[n:], hi[n:])):
-        # one min and one max settle the usual case, every value inside the
-        # bounds all columns share; otherwise (NaN too) compare per column
-        if v.size and not (v.min() >= a.max() - GRID_MATCH_TOL
-                           and v.max() <= b.min() + GRID_MATCH_TOL) \
-                and (np.any(v < a - GRID_MATCH_TOL) or np.any(v > b + GRID_MATCH_TOL)):
-            raise InputError("graph-distance query lies outside the context region")
+    if not (ctx._inside(ys, 0, n) and ctx._inside(zs, n, n + p.own_dim)):
+        raise InputError("graph-distance query lies outside the context region")
     pref = strictly_preferred(strict_gain_paired(p, ys, zs))
-    if not np.any(pref):
+    if not pref.any():
         return np.zeros(pref.shape) if paired else np.zeros(pref.shape[1])
     own = _own_of(p, ys)[:, None, :]
     half, scalar = p._distance_forms

@@ -328,7 +328,7 @@ def solve_fixed_point(game: GameInstance, cfg: SolverConfig) -> SolveResult:
             raise InputError(
                 f"solve-fp cannot run on player {i + 1}: a sampled preference answers only "
                 "at its declared points, and a best response scans a grid of its constraint "
-                "value; use oracle or verify")
+                "value")
 
     def responses(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         _check_choice(game, xs)
