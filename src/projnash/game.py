@@ -83,15 +83,9 @@ class MovingBox:
     #: ``xs``; the residual is that distance
     distance_bound_many = residual_many
 
-    @cached_property
-    def _bounds_map(self) -> AffineMap:
-        """``lower`` and ``upper`` as one map; each entry is the same sum."""
-        return AffineMap(self.lower.matrix + self.upper.matrix,
-                         self.lower.offset + self.upper.offset)
-
     def value_key(self, xs: np.ndarray) -> np.ndarray:
         """The values at ``xs`` as rows ``lo‖hi``; equal rows are equal boxes."""
-        return self._bounds_map.eval_many(xs)
+        return np.hstack(self.bounds_many(xs))
 
     def contains_key(self, keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """``(m, |pool|)`` membership of the pool points in the values given
