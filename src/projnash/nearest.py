@@ -1,9 +1,9 @@
 """Exact nearest-neighbour distances with numpy alone.
 
 :class:`NearestIndex` answers the complement clouds' graph-distance
-queries.  It returns the very bits ``scipy.spatial.cKDTree.query`` returns
-(the tests compare the two), so no route needs scipy to rank best
-responses.  It is imported on a cloud's first query.
+queries.  It returns the least computed squared distances, whose square
+roots are the very bits ``scipy.spatial.cKDTree.query`` returns (the tests
+compare the two), so no route needs scipy to rank best responses.  It is imported on a cloud's first query.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ def _slabs(counts: np.ndarray):
 
 
 class NearestIndex:
-    """Exact Euclidean distance from query rows to the nearest of a fixed
-    set of points: bitwise what ``scipy.spatial.cKDTree.query`` returns.
+    """Exact squared Euclidean distance from query rows to the nearest of a
+    fixed set of points: its square root is bitwise what
+    ``scipy.spatial.cKDTree.query`` returns.
 
     Points are bucketed on a grid of edge ``step`` (doubled until the keys
     fit in 64 bits and there are at most ``PAIR_SLAB`` buckets; a bucket
@@ -76,7 +77,7 @@ class NearestIndex:
     pair's, in the order of :func:`_sum_squares`.  Rounding is monotone, so
     no bound crosses the computed distance it bounds: no pruned bucket
     holds a point nearer than the nearest kept, and each result is the
-    square root of the least computed squared distance over all points.
+    least computed squared distance over all points.
     """
 
     def __init__(self, points: np.ndarray, step: float):
@@ -103,9 +104,7 @@ class NearestIndex:
         self.lo = np.minimum.reduceat(self.cols, starts, axis=1)
         self.hi = np.maximum.reduceat(self.cols, starts, axis=1)
 
-    def query(self, queries: np.ndarray, squared: bool = False) -> np.ndarray:
-        """The nearest distance of each query row, or its least computed
-        squared distance when ``squared``."""
+    def query(self, queries: np.ndarray) -> np.ndarray:
         m = queries.shape[0]
         if m == 0 or self.starts.shape[0] == 0:
             return np.full(m, np.inf)
@@ -144,7 +143,7 @@ class NearestIndex:
             rest = ~closest & (lb <= bound[pq - s])
             best[s:e] = np.minimum(bound, self._least(q, pq[rest], pb[rest], s, e))
         out = np.empty(m)
-        out[order] = best if squared else np.sqrt(best)
+        out[order] = best
         return out
 
     def _least(self, q: np.ndarray, pq: np.ndarray, pb: np.ndarray,

@@ -871,7 +871,7 @@ class _ComplementCloud:
         if self._index is None:
             from .nearest import NearestIndex     # imported on first use
             self._index = NearestIndex(self.points, self.step)
-        return self._index.query(q, squared=True)
+        return self._index.query(q)
 
     def min_distance(self, queries: np.ndarray) -> np.ndarray:
         """Distance from each joint ``(y, z)`` row to the nearest point of

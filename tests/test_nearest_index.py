@@ -1,9 +1,9 @@
 """The complement clouds' nearest-neighbour index against cKDTree.
 
-``nearest.NearestIndex`` must return the very bits that
-``scipy.spatial.cKDTree.query`` returns, so that graph distances, best
-responses and reports do not depend on which one answers.  cKDTree is the
-reference here only; no route imports it.
+The square roots of ``nearest.NearestIndex``'s squared distances must be
+the very bits that ``scipy.spatial.cKDTree.query`` returns, so that graph
+distances, best responses and reports do not depend on which one answers.
+cKDTree is the reference here only; no route imports it.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ def reference(points, queries):
 
 
 def assert_same_bits(points, queries, step):
-    got = NearestIndex(points, step).query(queries)
+    got = np.sqrt(NearestIndex(points, step).query(queries))
     assert got.tobytes() == reference(points, queries).tobytes()
 
 
@@ -65,7 +65,7 @@ def test_slab_limits_keep_results_exact():
     index = NearestIndex(points, 1e-4)
     assert index.starts.shape[0] <= PAIR_SLAB and index.step > 1e-4
     queries = rng.uniform(-0.5, 1.5, (400, 2))
-    assert index.query(queries).tobytes() == reference(points, queries).tobytes()
+    assert np.sqrt(index.query(queries)).tobytes() == reference(points, queries).tobytes()
 
 
 @pytest.mark.parametrize("name, player", [("chase", 0), ("chase", 1), ("selfmap", 0),
