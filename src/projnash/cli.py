@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -23,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, ParseError, ProjnashError
-from .expressions import (AffineMap, ExpressionParser, Token, format_float,
-                          tokenize)
+from .expressions import AffineMap, Cursor, format_float
 from .game import (Certificate, GameInstance, MovingBox, build_instance,
                    check_projected_solution)
 from .geometry import Ball, Box
@@ -34,9 +32,14 @@ from .solvers import (SolveResult, SolverConfig, brute_force_oracle,
 
 SCHEMA = "projnash.report.v1"
 
-_OPTION_KEYS = {
-    "h": float, "eps": float, "lambda": float, "budget": int, "seed": int,
-    "max_iter": int, "multistart": int, "h_g": float,
+#: the solver options, each written once: file key -> (``SolverConfig`` field,
+#: type).  ``set <key>`` reads them in a problem file and ``--<key>`` (``-``
+#: for ``_``) on the command line; the flag wins.
+OPTIONS = {
+    "h": ("h", float), "eps": ("eps", float), "lambda": ("damping", float),
+    "budget": ("random_budget", int), "seed": ("seed", int),
+    "max_iter": ("max_iter", int), "multistart": ("multistart", int),
+    "h_g": ("h_g", float),
 }
 
 
@@ -44,121 +47,33 @@ _OPTION_KEYS = {
 # Problem-file parsing
 # ---------------------------------------------------------------------------
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, skip_newlines: bool = True) -> Token:
-        pos = self.pos
-        while skip_newlines and self.tokens[pos].kind == "newline":
-            pos += 1
-        return self.tokens[pos]
-
-    def next(self, skip_newlines: bool = True) -> Token:
-        while skip_newlines and self.tokens[self.pos].kind == "newline":
-            self.pos += 1
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def parse_int(self) -> int:
-        tok = self.next()
-        if tok.kind != "num" or "." in tok.text or "e" in tok.text.lower():
-            raise ParseError(f"expected an integer, found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
-        return int(tok.text)
-
-    def parse_count(self, message: str) -> int:
-        """A positive integer; ``message`` names the error at its token."""
-        tok = self.peek()
-        value = self.parse_int()
-        if value < 1:
-            raise ParseError(message, tok.line, tok.col)
-        return value
-
-    def parse_real(self) -> float:
-        tok = self.next()
-        sign = 1.0
-        if tok.kind == "op" and tok.text in ("-", "+"):
-            sign = -1.0 if tok.text == "-" else 1.0
-            tok = self.next(skip_newlines=False)
-        if tok.kind != "num":
-            raise ParseError(f"expected a number, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(f"number {tok.text} overflows the float range", tok.line, tok.col)
-        return sign * value
-
-    def parse_expr_vector(self, n_vars: int) -> list:
-        """``[`` expr (``,`` expr)* ``]`` on one line; returns polynomials."""
-        opening = self.next()
-        if not (opening.kind == "op" and opening.text == "["):
-            raise ParseError(f"expected '[', found {opening.text or opening.kind!r}",
-                             opening.line, opening.col)
-        out = []
-        while True:
-            parser = ExpressionParser(self.tokens, self.pos, n_vars)
-            out.append(parser.parse())
-            self.pos = parser.pos
-            tok = self.next(skip_newlines=False)
-            if tok.kind == "op" and tok.text == ",":
-                continue
-            if tok.kind == "op" and tok.text == "]":
-                return out
-            raise ParseError(f"expected ',' or ']', found {tok.text or tok.kind!r}",
-                             tok.line, tok.col)
-
-    def parse_const_vector(self, n_vars: int) -> list[float]:
-        """A vector of constants; a variable entry is an error at its '['."""
-        opening = self.peek()
-        polys = self.parse_expr_vector(n_vars)
-        if any(p.degree() > 0 for p in polys):
-            raise ParseError("expected a constant vector entry", opening.line, opening.col)
-        return [p.constant_value() for p in polys]
-
-
 def parse_problem(text: str) -> GameInstance:
     """Parse problem text into a validated :class:`GameInstance`.
 
     Grammar and hypothesis violations raise :class:`ParseError` /
     :class:`HypothesisError` with location or witness information.
     """
-    cur = _Cursor(tokenize(text))
+    cur = Cursor(text)
     cur.expect_keyword("players")
     n_players = cur.parse_count("need at least one player")
     cur.expect_keyword("dims")
     dims = [cur.parse_count("player dimensions must be positive") for _ in range(n_players)]
-    n = sum(dims)
+    n = cur.n_vars = sum(dims)
 
     choice_sets: dict[int, object] = {}
     constraint_maps: dict[int, MovingBox] = {}
     preference_maps: dict[int, object] = {}
     options: dict[str, float] = {}
 
-    while True:
-        tok = cur.peek()
-        if tok.kind == "eof":
-            break
+    while cur.peek().kind != "eof":
         if cur.at_keyword("set"):
             cur.next()
             key_tok = cur.next()
-            key = key_tok.text.replace("-", "_")
-            if key_tok.kind != "ident" or key not in _OPTION_KEYS:
+            if key_tok.text not in OPTIONS:
                 raise ParseError(f"unknown option {key_tok.text!r}",
                                  key_tok.line, key_tok.col)
-            options[key] = cur.parse_int() if _OPTION_KEYS[key] is int else cur.parse_real()
+            _, kind = OPTIONS[key_tok.text]
+            options[key_tok.text] = cur.parse_int() if kind is int else cur.parse_real()
             continue
         cur.expect_keyword("player")
         idx_tok = cur.peek()
@@ -174,21 +89,21 @@ def parse_problem(text: str) -> GameInstance:
         if kw.kind != "ident" or kw.text not in ("box", "ball"):
             raise ParseError("expected 'box' or 'ball'", kw.line, kw.col)
         if kw.text == "box":
-            lo = cur.parse_const_vector(n)
-            hi = cur.parse_const_vector(n)
+            lo = cur.parse_const_vector()
+            hi = cur.parse_const_vector()
             if len(lo) != own_dim or len(hi) != own_dim:
                 raise ParseError(f"choice box must have {own_dim} entries", kw.line, kw.col)
             choice_sets[idx] = Box(tuple(lo), tuple(hi))
         else:
-            center = cur.parse_const_vector(n)
+            center = cur.parse_const_vector()
             radius = cur.parse_real()
             if len(center) != own_dim:
                 raise ParseError(f"ball center must have {own_dim} entries", kw.line, kw.col)
             choice_sets[idx] = Ball(tuple(center), radius)
 
         cur.expect_keyword("kbox")
-        lo_polys = cur.parse_expr_vector(n)
-        hi_polys = cur.parse_expr_vector(n)
+        lo_polys = cur.parse_expr_vector()
+        hi_polys = cur.parse_expr_vector()
         if len(lo_polys) != own_dim or len(hi_polys) != own_dim:
             raise ParseError(f"constraint bounds must have {own_dim} entries",
                              kw.line, kw.col)
@@ -202,14 +117,11 @@ def parse_problem(text: str) -> GameInstance:
             raise ParseError("expected a preference declaration",
                              pref_tok.line, pref_tok.col)
         if pref_tok.text == "utility":
-            parser = ExpressionParser(cur.tokens, cur.pos, n)
-            poly = parser.parse()
-            cur.pos = parser.pos
             preference_maps[idx] = UtilityInduced(
                 player_index=idx, n_vars=n, own_start=own_start, own_dim=own_dim,
-                utility=poly)
+                utility=cur.parse_expr())
         elif pref_tok.text == "direction":
-            rows = cur.parse_expr_vector(n)
+            rows = cur.parse_expr_vector()
             if len(rows) != own_dim:
                 raise ParseError(f"direction field must have {own_dim} entries",
                                  pref_tok.line, pref_tok.col)
@@ -221,8 +133,8 @@ def parse_problem(text: str) -> GameInstance:
         elif pref_tok.text == "sampled":
             cur.expect_keyword("zpoints")
             zpoints = []
-            while cur.peek().kind == "op" and cur.peek().text == "[":
-                zp = cur.parse_const_vector(n)
+            while cur.peek().is_op("["):
+                zp = cur.parse_const_vector()
                 if len(zp) != own_dim:
                     raise ParseError(f"zpoint must have {own_dim} entries",
                                      pref_tok.line, pref_tok.col)
@@ -231,14 +143,14 @@ def parse_problem(text: str) -> GameInstance:
             table = []
             while cur.at_keyword("at"):
                 cur.next()
-                ap = cur.parse_const_vector(n)
+                ap = cur.parse_const_vector()
                 if len(ap) != n:
                     raise ParseError(f"at-point must have {n} entries",
                                      pref_tok.line, pref_tok.col)
                 cur.expect_keyword("prefers")
                 row = [False] * len(zpoints)
-                while cur.peek().kind == "op" and cur.peek().text == "[":
-                    zp = tuple(cur.parse_const_vector(n))
+                while cur.peek().is_op("["):
+                    zp = tuple(cur.parse_const_vector())
                     matches = [j for j, cand in enumerate(zpoints)
                                if max(abs(a - b) for a, b in zip(cand, zp)) <= 1e-9]
                     if not matches:
@@ -424,14 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("solve-fp", "solve-qvi", "oracle", "verify"):
         p = sub.add_parser(name)
         p.add_argument("problem", help="path to a .gnep problem file")
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--lambda", dest="damping", type=float, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--multistart", type=int, default=None)
-        p.add_argument("--h-g", type=float, default=None)
+        for key, (field, kind) in OPTIONS.items():
+            # usage names the value after the key, but --lambda's after its field
+            p.add_argument("--" + key.replace("_", "-"), dest=field, type=kind,
+                           metavar=(field if key == "lambda" else key).upper())
         if name == "verify":
             p.add_argument("--x", required=True, help="candidate x, comma separated")
             p.add_argument("--y", required=True, help="candidate y, comma separated")
@@ -440,11 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(options: dict, args: argparse.Namespace) -> SolverConfig:
     """File options, then command-line flags, over the solver defaults."""
-    rename = {"lambda": "damping", "budget": "random_budget"}
-    values = {rename.get(key, key): val for key, val in options.items()}
-    for flag in ("h", "eps", "damping", "budget", "seed", "max_iter", "multistart", "h_g"):
-        if (val := getattr(args, flag)) is not None:
-            values[rename.get(flag, flag)] = val
+    values = {OPTIONS[key][0]: val for key, val in options.items()}
+    for field, _ in OPTIONS.values():
+        if (val := getattr(args, field)) is not None:
+            values[field] = val
     return SolverConfig(**values)
 
 

@@ -2,8 +2,8 @@
 
 Problem files write utilities and constraint bounds as expressions in the
 joint variables ``x1 .. xn`` using ``+ - * ^`` and parentheses.  This module
-owns the tokenizer for that syntax, the expression parser, and the two value
-types everything downstream evaluates:
+owns the tokenizer for that syntax, the one reader of problem text
+(:class:`Cursor`), and the two value types everything downstream evaluates:
 
 * :class:`Polynomial` -- a multivariate polynomial stored as a map from
   exponent tuples to coefficients; supports batched numpy evaluation and
@@ -41,6 +41,9 @@ class Token:
     text: str
     line: int
     col: int
+
+    def is_op(self, *texts: str) -> bool:
+        return self.kind == "op" and self.text in texts
 
 
 _TOKEN_RE = re.compile(
@@ -224,133 +227,183 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Expression parser
+# Reader
 # ---------------------------------------------------------------------------
 
 _VAR_RE = re.compile(r"^x(\d+)$")
 
-_EXPR_STOP = {"]", ",", ")"}  # handled by callers; ')' only closes '('
+
+def _fail(message: str, tok: Token) -> ParseError:
+    return ParseError(message, tok.line, tok.col)
 
 
-class ExpressionParser:
-    """Recursive-descent parser producing :class:`Polynomial` values.
+class Cursor:
+    """The one reader of problem text: token access, integer and real
+    literals, bracketed vectors, and the expression grammar, whose values
+    are :class:`Polynomial` in ``n_vars`` variables.
 
-    Grammar::
+    Expression grammar::
 
         expr   := term (('+'|'-') term)*
         term   := factor ('*' factor)*
         factor := atom ('^' INT)?
         atom   := NUM | VAR | '(' expr ')' | '-' atom | '+' atom
 
-    An expression ends at a newline, ``]``, ``,`` or end of input.
+    An expression ends at a newline, ``]``, ``,`` or end of input, so its
+    reads skip no newline; the other reads skip newlines by default.
     """
 
-    def __init__(self, tokens: list[Token], pos: int, n_vars: int):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, text: str, n_vars: int = 0):
+        self.tokens = tokenize(text)
+        self.pos = 0
         self.n_vars = n_vars
 
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
+    def _index(self, skip_newlines: bool) -> int:
+        pos = self.pos
+        while skip_newlines and self.tokens[pos].kind == "newline":
+            pos += 1
+        return pos
 
-    def _next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def peek(self, skip_newlines: bool = True) -> Token:
+        return self.tokens[self._index(skip_newlines)]
 
-    def _fail(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
+    def next(self, skip_newlines: bool = True) -> Token:
+        self.pos = self._index(skip_newlines) + 1
+        return self.tokens[self.pos - 1]
 
-    def parse(self) -> Polynomial:
-        start = self._peek()
+    def at_keyword(self, word: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "ident" and tok.text == word
+
+    def expect_keyword(self, word: str) -> None:
+        tok = self.next()
+        if tok.kind != "ident" or tok.text != word:
+            raise _fail(f"expected {word!r}, found {tok.text or tok.kind!r}", tok)
+
+    def parse_int(self, message: str = "", skip_newlines: bool = True) -> int:
+        """An integer token; ``message`` replaces the default error."""
+        tok = self.next(skip_newlines)
+        if tok.kind != "num" or not tok.text.isdigit():
+            raise _fail(message or f"expected an integer, found {tok.text or tok.kind!r}", tok)
+        return int(tok.text)
+
+    def parse_count(self, message: str) -> int:
+        """A positive integer; ``message`` names the error at its token."""
+        tok = self.peek()
+        value = self.parse_int()
+        if value < 1:
+            raise _fail(message, tok)
+        return value
+
+    def parse_real(self) -> float:
+        tok = self.next()
+        sign = -1.0 if tok.is_op("-") else 1.0
+        if tok.is_op("-", "+"):
+            tok = self.next(skip_newlines=False)
+        if tok.kind != "num":
+            raise _fail(f"expected a number, found {tok.text or tok.kind!r}", tok)
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise _fail(f"number {tok.text} overflows the float range", tok)
+        return sign * value
+
+    def parse_expr(self) -> Polynomial:
+        """One expression; its degree and coefficients are checked at its
+        first token."""
+        start = self.peek(False)
         poly = self._expr()
         if poly.degree() > MAX_DEGREE:
-            raise self._fail(
+            raise _fail(
                 f"polynomial degree {poly.degree()} exceeds the supported maximum {MAX_DEGREE}",
-                start,
-            )
+                start)
         if not all(math.isfinite(c) for _, c in poly.terms):
-            raise self._fail("expression coefficient overflows the float range", start)
+            raise _fail("expression coefficient overflows the float range", start)
         return poly
 
-    def _at_stop(self) -> bool:
-        tok = self._peek()
-        if tok.kind in ("newline", "eof"):
-            return True
-        return tok.kind == "op" and tok.text in _EXPR_STOP
+    def parse_expr_vector(self) -> list[Polynomial]:
+        """``[`` expr (``,`` expr)* ``]`` on one line."""
+        opening = self.next()
+        if not opening.is_op("["):
+            raise _fail(f"expected '[', found {opening.text or opening.kind!r}", opening)
+        out = [self.parse_expr()]
+        while (tok := self.next(False)).is_op(","):
+            out.append(self.parse_expr())
+        if not tok.is_op("]"):
+            raise _fail(f"expected ',' or ']', found {tok.text or tok.kind!r}", tok)
+        return out
+
+    def parse_const_vector(self) -> list[float]:
+        """A vector of constant expressions; a variable entry is an error at
+        its '['."""
+        opening = self.peek()
+        polys = self.parse_expr_vector()
+        if any(p.degree() > 0 for p in polys):
+            raise _fail("expected a constant vector entry", opening)
+        return [p.constant_value() for p in polys]
 
     def _expr(self) -> Polynomial:
         value = self._term()
-        while not self._at_stop():
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in ("+", "-"):
-                self._next()
-                rhs = self._term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                raise self._fail(f"unexpected token {tok.text!r} in expression", tok)
+        while (tok := self.peek(False)).is_op("+", "-"):
+            self.next(False)
+            rhs = self._term()
+            value = value + rhs if tok.text == "+" else value - rhs
+        if not (tok.kind in ("newline", "eof") or tok.is_op("]", ",", ")")):
+            raise _fail(f"unexpected token {tok.text!r} in expression", tok)
         return value
 
     def _term(self) -> Polynomial:
-        value = self._atom_with_power()
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text == "*":
-                self._next()
-                value = value * self._atom_with_power()
-            else:
-                return value
+        value = self._factor()
+        while self.peek(False).is_op("*"):
+            self.next(False)
+            value = value * self._factor()
+        return value
+
+    def _factor(self) -> Polynomial:
+        # unary sign binds looser than '^': -x1^2 == -(x1^2)
+        value = self._atom()
+        if self.peek(False).is_op("^"):
+            self.next(False)
+            etok = self.peek(False)
+            exponent = self.parse_int("exponent must be a nonnegative integer", skip_newlines=False)
+            if exponent > MAX_DEGREE:
+                raise _fail(
+                    f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}", etok)
+            value = value.pow(exponent)
+        return value
 
     def _atom(self) -> Polynomial:
-        tok = self._next()
+        tok = self.next(False)
         if tok.kind == "num":
             return Polynomial.constant(float(tok.text), self.n_vars)
         if tok.kind == "ident":
             m = _VAR_RE.match(tok.text)
             if not m:
-                raise self._fail(f"unknown identifier {tok.text!r}", tok)
+                raise _fail(f"unknown identifier {tok.text!r}", tok)
             index = int(m.group(1))
             if not 1 <= index <= self.n_vars:
-                raise self._fail(
+                raise _fail(
                     f"variable x{index} out of range (instance has {self.n_vars} variables)", tok)
             return Polynomial.variable(index - 1, self.n_vars)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.is_op("("):
             inner = self._expr()
-            closing = self._next()
-            if not (closing.kind == "op" and closing.text == ")"):
-                raise self._fail("expected ')'", closing)
+            closing = self.next(False)
+            if not closing.is_op(")"):
+                raise _fail("expected ')'", closing)
             return inner
-        if tok.kind == "op" and tok.text == "-":
-            return -self._atom_with_power()
-        if tok.kind == "op" and tok.text == "+":
-            return self._atom_with_power()
-        raise self._fail(f"unexpected token {tok.text!r}", tok)
-
-    def _atom_with_power(self) -> Polynomial:
-        # the grammar's factor; unary sign binds looser than '^': -x1^2 == -(x1^2)
-        value = self._atom()
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
-            self._next()
-            etok = self._next()
-            if etok.kind != "num" or "." in etok.text or "e" in etok.text.lower():
-                raise self._fail("exponent must be a nonnegative integer", etok)
-            exponent = int(etok.text)
-            if exponent > MAX_DEGREE:
-                raise self._fail(
-                    f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}", etok)
-            value = value.pow(exponent)
-        return value
+        if tok.is_op("-"):
+            return -self._factor()
+        if tok.is_op("+"):
+            return self._factor()
+        raise _fail(f"unexpected token {tok.text!r}", tok)
 
 
 def parse_polynomial_text(text: str, n_vars: int) -> Polynomial:
     """Parse a standalone polynomial expression like ``"x1*x2 - 0.5"``."""
-    tokens = tokenize(text)
-    parser = ExpressionParser(tokens, 0, n_vars)
-    poly = parser.parse()
-    tok = tokens[parser.pos]
+    cur = Cursor(text, n_vars)
+    poly = cur.parse_expr()
+    tok = cur.peek(False)
     if tok.kind not in ("newline", "eof"):
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        raise _fail(f"trailing input {tok.text!r}", tok)
     return poly
 
 

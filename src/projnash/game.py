@@ -46,12 +46,16 @@ class MovingBox:
     upper: AffineMap
 
     def __post_init__(self):
-        if self.lower.out_dim != self.upper.out_dim:
+        if (self.lower.out_dim, self.lower.in_dim) != (self.upper.out_dim, self.upper.in_dim):
             raise InputError("constraint bound dimensions disagree")
 
     @property
     def own_dim(self) -> int:
         return self.lower.out_dim
+
+    @property
+    def n_vars(self) -> int:
+        return self.lower.in_dim
 
     def materialize(self, x, key: Optional[np.ndarray] = None) -> Box:
         """The value at ``x``; ``key``, its ``value_key`` row where the
@@ -145,6 +149,10 @@ class MovingPolytope:
     @property
     def own_dim(self) -> int:
         return len(self.normals[0])
+
+    @property
+    def n_vars(self) -> int:
+        return self.offsets.in_dim
 
     def materialize(self, x, key: Optional[np.ndarray] = None) -> HalfspacePolytope:
         """The value at ``x`` (``key``: as :meth:`MovingBox.materialize`)."""
@@ -422,6 +430,9 @@ def build_instance(dims: Sequence[int],
     for i, cmap in enumerate(constraint_maps):
         if cmap.own_dim != dims[i]:
             raise InputError(f"constraint map for player {i + 1} has wrong value dimension")
+        if cmap.n_vars != n:
+            raise InputError(f"constraint map for player {i + 1} reads {cmap.n_vars} "
+                             f"variables, expected {n}")
     for kind, maps in (("preference", preference_maps), ("constraint", constraint_maps)):
         for i, m in enumerate(maps):
             if m.player_index != i:

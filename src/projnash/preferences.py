@@ -353,6 +353,13 @@ class Sampled(PreferenceMap):
         if len(self.prefers) != len(self.at_points) or any(
                 len(row) != len(self.zpoints) for row in self.prefers):
             raise InputError("sampled table shape mismatch")
+        # a repeat would leave the table contradicting itself: _locate reads
+        # only the first of two matching rows or columns
+        for what, arr in (("at-point", self._at), ("z-point", self._z)):
+            for r in range(1, len(arr)):
+                if np.min(np.max(np.abs(arr[:r] - arr[r]), axis=1)) <= GRID_MATCH_TOL:
+                    raise InputError(f"sampled preference for player {self.player_index + 1} "
+                                     f"repeats the {what} {arr[r].tolist()}")
 
     @cached_property
     def _at(self) -> np.ndarray:

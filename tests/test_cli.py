@@ -1,5 +1,7 @@
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,39 @@ def test_cli_file_options_and_flag_precedence(tmp_path):
     assert "config.h = 0.050000000000000003" in out
     code, out = run_capture(["oracle", str(path), "--h", "0.1"])
     assert "config.h = 0.10000000000000001" in out
+
+
+#: a file value and a flag value per option, both off the solver defaults
+OPTION_VALUES = {"h": ("0.05", "0.1"), "eps": ("0.001", "0.002"), "lambda": ("0.5", "0.25"),
+                 "budget": ("16", "32"), "seed": ("3", "7"), "max_iter": ("10", "20"),
+                 "multistart": ("2", "3"), "h_g": ("0.05", "0.1")}
+
+
+@pytest.mark.parametrize("key", list(cli.OPTIONS))
+def test_every_option_reaches_its_field_and_its_flag_wins(tmp_path, key):
+    field, kind = cli.OPTIONS[key]
+    in_file, in_flag = OPTION_VALUES[key]
+    path = tmp_path / "expand_opts.gnep"
+    path.write_text(fixture_text("expand").replace(
+        "players 2 dims 1 1", f"players 2 dims 1 1\nset {key} {in_file}"))
+    verify = ["verify", str(path), "--x", "1,1", "--y", "2,2"]
+    with_flag = verify + ["--" + key.replace("_", "-"), in_flag]
+    options = parse_problem(path.read_text()).options
+    parse_args = cli._build_parser().parse_args
+    assert getattr(cli._config_from(options, parse_args(verify)), field) == kind(in_file)
+    assert getattr(cli._config_from(options, parse_args(with_flag)), field) == kind(in_flag)
+    code, out = run_capture(with_flag)
+    assert code == 0
+    for name in {"eps": ("eps_analytic", "eps_grid")}.get(key, (key,)):
+        assert f"config.{name} = {cli._fmt(kind(in_flag))}" in out.splitlines()
+
+
+def test_grammar_option_keys_match_the_option_table():
+    grammar = (Path(cli.__file__).parent / "docs" / "problem_grammar.ebnf").read_text()
+    for rule, kind in (("REALKEY", float), ("INTKEY", int)):
+        listed = re.search(rf"^{rule}\s*=([^;]*);", grammar, re.MULTILINE).group(1)
+        assert sorted(re.findall(r'"(\w+)"', listed)) == sorted(
+            key for key, (_, k) in cli.OPTIONS.items() if k is kind)
 
 
 def test_cli_solvers_agree_on_expand():

@@ -185,6 +185,30 @@ def test_maps_must_sit_at_their_player_position():
         game_mod.build_instance([1, 1], sets, maps, [good[0], replace(good[1], own_start=0)])
 
 
+def test_constraint_maps_of_the_wrong_arity_are_refused():
+    # unchecked, polytope offsets over (x1, x2) in a 3-variable game read x2
+    # where x3 belongs, and 1-variable box bounds in a 2-variable game fail
+    # inside numpy
+    offsets = AffineMap.from_polynomials(
+        [parse_polynomial_text(t, 2) for t in ("0", "0", "0.5 + 0.5*x2")])
+    short = replace(triangle_constraint(3), offsets=offsets)
+    cmap2 = MovingBox(player_index=1, lower=AffineMap.constant([0.0], 3),
+                      upper=AffineMap.constant([1.0], 3))
+    sets = [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))]
+    with pytest.raises(InputError, match="constraint map for player 1 reads 2 variables, "
+                                         "expected 3"):
+        from_utilities([2, 1], sets, [short, cmap2], ["x1 + x2", "-(x3 - 0.5)^2"])
+    sets, maps = unit_box_self_maps(2)
+    narrow = MovingBox(player_index=1, lower=AffineMap.constant([0.0], 1),
+                       upper=AffineMap.constant([1.0], 1))
+    with pytest.raises(InputError, match="constraint map for player 2 reads 1 variables, "
+                                         "expected 2"):
+        from_utilities([1, 1], sets, [maps[0], narrow], ["x1", "x2"])
+    with pytest.raises(InputError, match="constraint bound dimensions disagree"):
+        MovingBox(player_index=1, lower=AffineMap.constant([0.0], 1),
+                  upper=AffineMap.constant([1.0], 2))
+
+
 def test_self_exclusion_violation_rejected():
     # convex utility: at the vertex the two preferred branches surround x1
     sets, maps = unit_box_self_maps(2)

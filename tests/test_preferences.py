@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projnash import preferences as prefs_mod
+from projnash.cli import parse_problem
 from projnash.errors import InputError
 from projnash.expressions import AffineMap, Polynomial, parse_polynomial_text
 from projnash.fixtures import FIXTURE_NAMES, load_fixture
@@ -86,6 +87,24 @@ def test_sampled_lookup_and_off_grid_error():
         preferred(p, [0.3, 0.0], [0.5])
     with pytest.raises(InputError):
         preferred(p, [0.0, 0.0], [0.7])
+
+
+def test_a_table_that_repeats_a_point_is_refused():
+    # a repeat within GRID_MATCH_TOL contradicts itself: only its first row
+    # or column is ever read
+    good = make_sampled()
+    with pytest.raises(InputError, match=r"player 1 repeats the z-point \[0.5000000001\]"):
+        dataclasses.replace(good, zpoints=((0.0,), (0.5,), (0.5 + 1e-10,)))
+    with pytest.raises(InputError, match=r"player 1 repeats the at-point \[0.0, 0.0\]"):
+        dataclasses.replace(good, at_points=((0.0, 0.0), (0.0, 0.0)))
+    dataclasses.replace(good, zpoints=((0.0,), (0.5,), (0.5 + 1e-8,)))    # apart: loads
+    head = ("players 2 dims 1 1\nplayer 1\nbox [0] [1]\nkbox [0] [1]\nsampled\n"
+            "zpoints [0] [0.5] [0.5] [1]\nat [0, 0] prefers [0.5] [1]\n")
+    tail = "end\nplayer 2\nbox [0] [1]\nkbox [0] [1]\nutility x2\n"
+    with pytest.raises(InputError, match=r"repeats the z-point \[0.5\]"):
+        parse_problem(head + tail)
+    with pytest.raises(InputError, match=r"repeats the at-point \[0.0, 0.0\]"):
+        parse_problem(head.replace(" [0.5] [0.5]", " [0.5]") + "at [0, 0] prefers\n" + tail)
 
 
 # -- hull view -----------------------------------------------------------------
