@@ -13,20 +13,23 @@ run with no certificate, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import sys
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, ParseError, ProjnashError
-from .expressions import AffineMap, Cursor, format_float
+from .expressions import AffineMap, Cursor, Polynomial, format_float
 from .game import (Certificate, GameInstance, MovingBox, build_instance,
                    check_projected_solution)
 from .geometry import Ball, Box
-from .preferences import GAIN_GUARD, DirectionField, Sampled, UtilityInduced
+from .preferences import (GAIN_GUARD, GRID_MATCH_TOL, DirectionField, Sampled,
+                          UtilityInduced)
 from .solvers import (SolveResult, SolverConfig, brute_force_oracle,
                       solve_fixed_point, solve_qvi)
 
@@ -44,8 +47,123 @@ OPTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# Problem-file parsing
+# Problem-file parsing: each kind of a player block is read and written
+# through one table, ``DECLARATIONS``
 # ---------------------------------------------------------------------------
+
+def _vec_text(values) -> str:
+    return "[" + ", ".join(format_float(float(v)) for v in values) + "]"
+
+
+def _match(points, p) -> Optional[int]:
+    """The first of ``points`` within ``GRID_MATCH_TOL`` of ``p``."""
+    return next((j for j, q in enumerate(points)
+                 if max(abs(a - b) for a, b in zip(q, p)) <= GRID_MATCH_TOL), None)
+
+
+def _read_table(cur: Cursor, b: dict, label: str) -> dict:
+    """``zpoints`` vec {vec}, ``at`` rows, ``end``; a repeated or undeclared
+    point, and a missing row, are refused at their own token."""
+    def new_point(points: list, length: int, name: str, what: str) -> None:
+        tok = cur.peek()
+        p = cur.parse_const_vector(length, name)
+        if _match(points, p) is not None:
+            raise tok.error(f"sampled preference for player {b['player_index'] + 1} "
+                            f"repeats the {what} {list(p)}")
+        points.append(p)
+
+    cur.expect_keyword("zpoints")
+    zpoints, at_points, prefers = [], [], []
+    while not zpoints or cur.peek().is_op("["):
+        new_point(zpoints, b["own_dim"], "zpoint", "z-point")
+    while cur.at_keyword("at"):
+        cur.next()
+        new_point(at_points, b["n_vars"], "at-point", "at-point")
+        cur.expect_keyword("prefers")
+        row = [False] * len(zpoints)
+        while (tok := cur.peek()).is_op("["):
+            zp = cur.parse_const_vector(b["own_dim"], "preferred point")
+            if (j := _match(zpoints, zp)) is None:
+                raise tok.error(f"preferred point {list(zp)} is not a declared zpoint")
+            row[j] = True
+        prefers.append(tuple(row))
+    if not at_points:
+        raise cur.peek().error("sampled preference needs at least one 'at' row")
+    cur.expect_keyword("end")
+    return {"zpoints": tuple(zpoints), "at_points": tuple(at_points), "prefers": tuple(prefers)}
+
+
+def _write_table(t: Sampled) -> str:
+    rows = [" ".join([f"at {_vec_text(ap)} prefers", *map(_vec_text, compress(t.zpoints, row))])
+            for ap, row in zip(t.at_points, t.prefers)]
+    return "\n".join(["", "zpoints " + " ".join(map(_vec_text, t.zpoints)), *rows, "end"])
+
+
+#: per field type: its reader, of the cursor, the player block (as
+#: ``parse_problem`` builds it) and the kind's name for its vectors; its writer
+_FIELD_TYPES = {
+    "vec": (lambda cur, b, label: cur.parse_const_vector(b["own_dim"], label), _vec_text),
+    "affine": (lambda cur, b, label: AffineMap.from_polynomials(
+        cur.parse_expr_vector(b["own_dim"], label)), lambda m: f"[{', '.join(m.to_text_rows())}]"),
+    "real": (lambda cur, b, label: cur.parse_real(), format_float),
+    "poly": (lambda cur, b, label: cur.parse_expr(), Polynomial.to_text),
+    "table": (_read_table, _write_table),
+}
+
+#: the declaration kinds of a player block, by role in block order: keyword
+#: -> (class, fields in text order, the name its vectors are refused by).  A
+#: field is ``name:type`` or a keyword; ``*`` reads several attributes and
+#: writes from the declaration.  ``parse_problem`` reads every block and
+#: ``serialize_instance`` writes every declaration through these entries.
+DECLARATIONS = {
+    "choice": {"box": (Box, "lower:vec upper:vec", "choice box"),
+               "ball": (Ball, "center:vec radius:real", "ball center")},
+    "constraint": {"kbox": (MovingBox, "lower:affine upper:affine", "constraint bounds")},
+    "preference": {"utility": (UtilityInduced, "utility:poly", ""),
+                   "direction": (DirectionField, "c:affine offset offset:real", "direction field"),
+                   "sampled": (Sampled, "*:table", "")},
+}
+
+#: each role's refusal of a token naming none of its kinds: (a word, other)
+_UNKNOWN_KIND = {
+    "choice": ("expected 'box' or 'ball'",) * 2,
+    "constraint": ("expected 'kbox', found {!r}",) * 2,
+    "preference": ("unknown preference kind {!r}", "expected a preference declaration"),
+}
+
+
+def _read_declaration(cur: Cursor, b: dict, role: str):
+    """The next declaration of ``role``, read through its kind's entry."""
+    tok = cur.next()
+    if tok.kind != "ident" or tok.text not in DECLARATIONS[role]:
+        word, other = _UNKNOWN_KIND[role]
+        raise tok.error((word if tok.kind == "ident" else other).format(tok.text or tok.kind))
+    cls, fields, label = DECLARATIONS[role][tok.text]
+    values = {f.name: b[f.name] for f in dataclasses.fields(cls) if f.name in b}
+    for name, _, typ in (word.partition(":") for word in fields.split()):
+        if not typ:
+            cur.expect_keyword(name)
+            continue
+        value = _FIELD_TYPES[typ][0](cur, b, label)
+        values.update(value if name == "*" else {name: value})
+    return cls(**values)
+
+
+def _write_declaration(role: str, decl) -> str:
+    """``decl`` as the text of the kind whose class it is."""
+    kind = next((kw for kw, entry in DECLARATIONS[role].items() if type(decl) is entry[0]), None)
+    if kind is None:
+        raise InputError(f"no .gnep {role} kind declares a {type(decl).__name__}")
+    fields = [word.partition(":") for word in DECLARATIONS[role][kind][1].split()]
+    for f in dataclasses.fields(decl):
+        # a default the text leaves out must hold: dropping it would alias digests
+        if f.default is not dataclasses.MISSING and f.name not in {w[0] for w in fields} \
+                and getattr(decl, f.name) != f.default:
+            raise InputError(f"{kind} {f.name}s are not serializable")
+    pieces = [_FIELD_TYPES[typ][1](decl if name == "*" else getattr(decl, name)) if typ else name
+              for name, _, typ in fields]            # a table's text starts its own lines
+    return kind + "".join(p if p.startswith("\n") else " " + p for p in pieces)
+
 
 def parse_problem(text: str) -> GameInstance:
     """Parse problem text into a validated :class:`GameInstance`.
@@ -60,9 +178,7 @@ def parse_problem(text: str) -> GameInstance:
     dims = [cur.parse_count("player dimensions must be positive") for _ in range(n_players)]
     n = cur.n_vars = sum(dims)
 
-    choice_sets: dict[int, object] = {}
-    constraint_maps: dict[int, MovingBox] = {}
-    preference_maps: dict[int, object] = {}
+    decls: dict[str, dict[int, object]] = {role: {} for role in DECLARATIONS}
     options: dict[str, float] = {}
 
     while cur.peek().kind != "eof":
@@ -70,126 +186,31 @@ def parse_problem(text: str) -> GameInstance:
             cur.next()
             key_tok = cur.next()
             if key_tok.text not in OPTIONS:
-                raise ParseError(f"unknown option {key_tok.text!r}",
-                                 key_tok.line, key_tok.col)
-            _, kind = OPTIONS[key_tok.text]
+                raise key_tok.error(f"unknown option {key_tok.text!r}")
+            kind = OPTIONS[key_tok.text][1]
             options[key_tok.text] = cur.parse_int() if kind is int else cur.parse_real()
             continue
         cur.expect_keyword("player")
         idx_tok = cur.peek()
         idx = cur.parse_int() - 1
         if not 0 <= idx < n_players:
-            raise ParseError(f"player index out of range", idx_tok.line, idx_tok.col)
-        if idx in choice_sets:
-            raise ParseError(f"player {idx + 1} declared twice", idx_tok.line, idx_tok.col)
-        own_dim = dims[idx]
-        own_start = sum(dims[:idx])
+            raise idx_tok.error("player index out of range")
+        if idx in decls["choice"]:
+            raise idx_tok.error(f"player {idx + 1} declared twice")
+        block = dict(player_index=idx, n_vars=n, own_start=sum(dims[:idx]), own_dim=dims[idx])
+        for role, declared in decls.items():
+            declared[idx] = _read_declaration(cur, block, role)
 
-        kw = cur.next()
-        if kw.kind != "ident" or kw.text not in ("box", "ball"):
-            raise ParseError("expected 'box' or 'ball'", kw.line, kw.col)
-        if kw.text == "box":
-            lo = cur.parse_const_vector()
-            hi = cur.parse_const_vector()
-            if len(lo) != own_dim or len(hi) != own_dim:
-                raise ParseError(f"choice box must have {own_dim} entries", kw.line, kw.col)
-            choice_sets[idx] = Box(tuple(lo), tuple(hi))
-        else:
-            center = cur.parse_const_vector()
-            radius = cur.parse_real()
-            if len(center) != own_dim:
-                raise ParseError(f"ball center must have {own_dim} entries", kw.line, kw.col)
-            choice_sets[idx] = Ball(tuple(center), radius)
-
-        cur.expect_keyword("kbox")
-        lo_polys = cur.parse_expr_vector()
-        hi_polys = cur.parse_expr_vector()
-        if len(lo_polys) != own_dim or len(hi_polys) != own_dim:
-            raise ParseError(f"constraint bounds must have {own_dim} entries",
-                             kw.line, kw.col)
-        constraint_maps[idx] = MovingBox(
-            player_index=idx,
-            lower=AffineMap.from_polynomials(lo_polys),
-            upper=AffineMap.from_polynomials(hi_polys))
-
-        pref_tok = cur.next()
-        if pref_tok.kind != "ident":
-            raise ParseError("expected a preference declaration",
-                             pref_tok.line, pref_tok.col)
-        if pref_tok.text == "utility":
-            preference_maps[idx] = UtilityInduced(
-                player_index=idx, n_vars=n, own_start=own_start, own_dim=own_dim,
-                utility=cur.parse_expr())
-        elif pref_tok.text == "direction":
-            rows = cur.parse_expr_vector()
-            if len(rows) != own_dim:
-                raise ParseError(f"direction field must have {own_dim} entries",
-                                 pref_tok.line, pref_tok.col)
-            cur.expect_keyword("offset")
-            offset = cur.parse_real()
-            preference_maps[idx] = DirectionField(
-                player_index=idx, n_vars=n, own_start=own_start, own_dim=own_dim,
-                c=AffineMap.from_polynomials(rows), offset=offset)
-        elif pref_tok.text == "sampled":
-            cur.expect_keyword("zpoints")
-            zpoints = []
-            while cur.peek().is_op("["):
-                zp = cur.parse_const_vector()
-                if len(zp) != own_dim:
-                    raise ParseError(f"zpoint must have {own_dim} entries",
-                                     pref_tok.line, pref_tok.col)
-                zpoints.append(tuple(zp))
-            at_points = []
-            table = []
-            while cur.at_keyword("at"):
-                cur.next()
-                ap = cur.parse_const_vector()
-                if len(ap) != n:
-                    raise ParseError(f"at-point must have {n} entries",
-                                     pref_tok.line, pref_tok.col)
-                cur.expect_keyword("prefers")
-                row = [False] * len(zpoints)
-                while cur.peek().is_op("["):
-                    zp = tuple(cur.parse_const_vector())
-                    matches = [j for j, cand in enumerate(zpoints)
-                               if max(abs(a - b) for a, b in zip(cand, zp)) <= 1e-9]
-                    if not matches:
-                        raise ParseError(f"preferred point {list(zp)} is not a declared zpoint",
-                                         pref_tok.line, pref_tok.col)
-                    row[matches[0]] = True
-                at_points.append(tuple(ap))
-                table.append(tuple(row))
-            cur.expect_keyword("end")
-            if not at_points:
-                raise ParseError("sampled preference needs at least one 'at' row",
-                                 pref_tok.line, pref_tok.col)
-            preference_maps[idx] = Sampled(
-                player_index=idx, n_vars=n, own_start=own_start, own_dim=own_dim,
-                at_points=tuple(at_points), zpoints=tuple(zpoints),
-                prefers=tuple(table))
-        else:
-            raise ParseError(f"unknown preference kind {pref_tok.text!r}",
-                             pref_tok.line, pref_tok.col)
-
-    missing = [i + 1 for i in range(n_players) if i not in choice_sets]
+    missing = [i + 1 for i in range(n_players) if i not in decls["choice"]]
     if missing:
         raise ParseError(f"missing declarations for players {missing}")
-    return build_instance(
-        dims,
-        [choice_sets[i] for i in range(n_players)],
-        [constraint_maps[i] for i in range(n_players)],
-        [preference_maps[i] for i in range(n_players)],
-        options=options,
-    )
+    return build_instance(dims, *([d[i] for i in range(n_players)] for d in decls.values()),
+                          options=options)
 
 
 # ---------------------------------------------------------------------------
 # Canonical serialization and digest
 # ---------------------------------------------------------------------------
-
-def _vec_text(values) -> str:
-    return "[" + ", ".join(format_float(float(v)) for v in values) + "]"
-
 
 def serialize_instance(game: GameInstance) -> str:
     lines = [f"players {game.player_count} dims " + " ".join(str(d) for d in game.dims)]
@@ -197,32 +218,8 @@ def serialize_instance(game: GameInstance) -> str:
         lines.append(f"set {key} {val if isinstance(val, int) else format_float(float(val))}")
     for i in range(game.player_count):
         lines.append(f"player {i + 1}")
-        s = game.choice_sets[i]
-        if isinstance(s, Box):
-            lines.append(f"box {_vec_text(s.lower)} {_vec_text(s.upper)}")
-        else:
-            lines.append(f"ball {_vec_text(s.center)} {format_float(s.radius)}")
-        cmap = game.constraint_maps[i]
-        if not isinstance(cmap, MovingBox):
-            raise InputError("only box-valued constraint maps are serializable")
-        lo_rows = "[" + ", ".join(cmap.lower.to_text_rows()) + "]"
-        hi_rows = "[" + ", ".join(cmap.upper.to_text_rows()) + "]"
-        lines.append(f"kbox {lo_rows} {hi_rows}")
-        p = game.preference_maps[i]
-        if isinstance(p, UtilityInduced):
-            if p.margin:          # the grammar has none; dropping it would alias digests
-                raise InputError("utility margins are not serializable")
-            lines.append(f"utility {p.utility.to_text()}")
-        elif isinstance(p, DirectionField):
-            rows = "[" + ", ".join(p.c.to_text_rows()) + "]"
-            lines.append(f"direction {rows} offset {format_float(p.offset)}")
-        else:
-            lines.append("sampled")
-            lines.append("zpoints " + " ".join(_vec_text(z) for z in p.zpoints))
-            for ap, row in zip(p.at_points, p.prefers):
-                preferred = " ".join(_vec_text(p.zpoints[j]) for j, flag in enumerate(row) if flag)
-                lines.append(f"at {_vec_text(ap)} prefers" + (" " + preferred if preferred else ""))
-            lines.append("end")
+        lines.extend(_write_declaration(role, decl) for role, decl in zip(
+            DECLARATIONS, (game.choice_sets[i], game.constraint_maps[i], game.preference_maps[i])))
     return "\n".join(lines) + "\n"
 
 

@@ -45,6 +45,10 @@ class Token:
     def is_op(self, *texts: str) -> bool:
         return self.kind == "op" and self.text in texts
 
+    def error(self, message: str) -> ParseError:
+        """``message`` located at this token."""
+        return ParseError(message, self.line, self.col)
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -233,10 +237,6 @@ class Polynomial:
 _VAR_RE = re.compile(r"^x(\d+)$")
 
 
-def _fail(message: str, tok: Token) -> ParseError:
-    return ParseError(message, tok.line, tok.col)
-
-
 class Cursor:
     """The one reader of problem text: token access, integer and real
     literals, bracketed vectors, and the expression grammar, whose values
@@ -278,13 +278,13 @@ class Cursor:
     def expect_keyword(self, word: str) -> None:
         tok = self.next()
         if tok.kind != "ident" or tok.text != word:
-            raise _fail(f"expected {word!r}, found {tok.text or tok.kind!r}", tok)
+            raise tok.error(f"expected {word!r}, found {tok.text or tok.kind!r}")
 
     def parse_int(self, message: str = "", skip_newlines: bool = True) -> int:
         """An integer token; ``message`` replaces the default error."""
         tok = self.next(skip_newlines)
         if tok.kind != "num" or not tok.text.isdigit():
-            raise _fail(message or f"expected an integer, found {tok.text or tok.kind!r}", tok)
+            raise tok.error(message or f"expected an integer, found {tok.text or tok.kind!r}")
         return int(tok.text)
 
     def parse_count(self, message: str) -> int:
@@ -292,7 +292,7 @@ class Cursor:
         tok = self.peek()
         value = self.parse_int()
         if value < 1:
-            raise _fail(message, tok)
+            raise tok.error(message)
         return value
 
     def parse_real(self) -> float:
@@ -301,10 +301,10 @@ class Cursor:
         if tok.is_op("-", "+"):
             tok = self.next(skip_newlines=False)
         if tok.kind != "num":
-            raise _fail(f"expected a number, found {tok.text or tok.kind!r}", tok)
+            raise tok.error(f"expected a number, found {tok.text or tok.kind!r}")
         value = float(tok.text)
         if not math.isfinite(value):
-            raise _fail(f"number {tok.text} overflows the float range", tok)
+            raise tok.error(f"number {tok.text} overflows the float range")
         return sign * value
 
     def parse_expr(self) -> Polynomial:
@@ -313,33 +313,35 @@ class Cursor:
         start = self.peek(False)
         poly = self._expr()
         if poly.degree() > MAX_DEGREE:
-            raise _fail(
-                f"polynomial degree {poly.degree()} exceeds the supported maximum {MAX_DEGREE}",
-                start)
+            raise start.error(f"polynomial degree {poly.degree()} exceeds the supported "
+                              f"maximum {MAX_DEGREE}")
         if not all(math.isfinite(c) for _, c in poly.terms):
-            raise _fail("expression coefficient overflows the float range", start)
+            raise start.error("expression coefficient overflows the float range")
         return poly
 
-    def parse_expr_vector(self) -> list[Polynomial]:
-        """``[`` expr (``,`` expr)* ``]`` on one line."""
+    def parse_expr_vector(self, length: int, name: str) -> list[Polynomial]:
+        """``[`` expr (``,`` expr)* ``]`` on one line; a vector of other than
+        ``length`` entries is an error at its '[' that ``name``s it."""
         opening = self.next()
         if not opening.is_op("["):
-            raise _fail(f"expected '[', found {opening.text or opening.kind!r}", opening)
+            raise opening.error(f"expected '[', found {opening.text or opening.kind!r}")
         out = [self.parse_expr()]
         while (tok := self.next(False)).is_op(","):
             out.append(self.parse_expr())
         if not tok.is_op("]"):
-            raise _fail(f"expected ',' or ']', found {tok.text or tok.kind!r}", tok)
+            raise tok.error(f"expected ',' or ']', found {tok.text or tok.kind!r}")
+        if len(out) != length:
+            raise opening.error(f"{name} must have {length} entries")
         return out
 
-    def parse_const_vector(self) -> list[float]:
-        """A vector of constant expressions; a variable entry is an error at
-        its '['."""
+    def parse_const_vector(self, length: int, name: str) -> tuple[float, ...]:
+        """A vector of constant expressions (see :meth:`parse_expr_vector`);
+        a variable entry is an error at its '['."""
         opening = self.peek()
-        polys = self.parse_expr_vector()
+        polys = self.parse_expr_vector(length, name)
         if any(p.degree() > 0 for p in polys):
-            raise _fail("expected a constant vector entry", opening)
-        return [p.constant_value() for p in polys]
+            raise opening.error("expected a constant vector entry")
+        return tuple(p.constant_value() for p in polys)
 
     def _expr(self) -> Polynomial:
         value = self._term()
@@ -348,7 +350,7 @@ class Cursor:
             rhs = self._term()
             value = value + rhs if tok.text == "+" else value - rhs
         if not (tok.kind in ("newline", "eof") or tok.is_op("]", ",", ")")):
-            raise _fail(f"unexpected token {tok.text!r} in expression", tok)
+            raise tok.error(f"unexpected token {tok.text!r} in expression")
         return value
 
     def _term(self) -> Polynomial:
@@ -366,8 +368,7 @@ class Cursor:
             etok = self.peek(False)
             exponent = self.parse_int("exponent must be a nonnegative integer", skip_newlines=False)
             if exponent > MAX_DEGREE:
-                raise _fail(
-                    f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}", etok)
+                raise etok.error(f"exponent {exponent} exceeds the supported maximum {MAX_DEGREE}")
             value = value.pow(exponent)
         return value
 
@@ -378,23 +379,23 @@ class Cursor:
         if tok.kind == "ident":
             m = _VAR_RE.match(tok.text)
             if not m:
-                raise _fail(f"unknown identifier {tok.text!r}", tok)
+                raise tok.error(f"unknown identifier {tok.text!r}")
             index = int(m.group(1))
             if not 1 <= index <= self.n_vars:
-                raise _fail(
-                    f"variable x{index} out of range (instance has {self.n_vars} variables)", tok)
+                raise tok.error(
+                    f"variable x{index} out of range (instance has {self.n_vars} variables)")
             return Polynomial.variable(index - 1, self.n_vars)
         if tok.is_op("("):
             inner = self._expr()
             closing = self.next(False)
             if not closing.is_op(")"):
-                raise _fail("expected ')'", closing)
+                raise closing.error("expected ')'")
             return inner
         if tok.is_op("-"):
             return -self._factor()
         if tok.is_op("+"):
             return self._factor()
-        raise _fail(f"unexpected token {tok.text!r}", tok)
+        raise tok.error(f"unexpected token {tok.text!r}")
 
 
 def parse_polynomial_text(text: str, n_vars: int) -> Polynomial:
@@ -403,7 +404,7 @@ def parse_polynomial_text(text: str, n_vars: int) -> Polynomial:
     poly = cur.parse_expr()
     tok = cur.peek(False)
     if tok.kind not in ("newline", "eof"):
-        raise _fail(f"trailing input {tok.text!r}", tok)
+        raise tok.error(f"trailing input {tok.text!r}")
     return poly
 
 

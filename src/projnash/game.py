@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -459,9 +459,9 @@ def build_instance(dims: Sequence[int],
                                                  instance.linear_max_many)
                                 for cmap in constraint_maps)
 
-    # self-exclusion over the hull product (plus choice corners), or the
+    # self-exclusion on the hull product's grid (built when first read) or the
     # probes a map declares; a hull-exact map excludes x_i structurally
-    q_probes = _probe_grid_for_box(instance.hull_box, DEFAULT_PROBE_AXIS)
+    q_probes = cache(lambda: _probe_grid_for_box(instance.hull_box, DEFAULT_PROBE_AXIS))
     checked = 0
     for i, p in enumerate(preference_maps):
         if p.hull_exact:

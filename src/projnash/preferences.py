@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,10 +116,10 @@ class PreferenceMap:
             return a
         return lead, base, margin, lift
 
-    def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
+    def exclusion_probes(self, probes: Callable[[], np.ndarray]) -> np.ndarray:
         """The joint points at which self-exclusion is checked, given the
-        probe grid over the hull product: that grid."""
-        return probes
+        builder of the probe grid over the hull product: that grid."""
+        return probes()
 
     def _sample(self, x: np.ndarray, region: ConvexSet, budget: int,
                 rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -407,8 +407,8 @@ class Sampled(PreferenceMap):
         exhaustive, so its stamped resolution is 0 and it adds no samples."""
         return self._z[k_set.contains_many(self._z, tol=1e-9)]
 
-    def exclusion_probes(self, probes: np.ndarray) -> np.ndarray:
-        """The declared at-points."""
+    def exclusion_probes(self, probes: Callable[[], np.ndarray]) -> np.ndarray:
+        """The declared at-points; the grid is never built."""
         return self._at
 
     def _sample(self, x, region, budget, rng) -> np.ndarray:

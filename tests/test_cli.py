@@ -5,13 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projnash import cli
 from projnash.cli import (instance_digest, parse_problem, run,
                           serialize_instance)
-from projnash.errors import HypothesisError, ParseError
+from projnash.errors import HypothesisError, InputError, ParseError
+from projnash.expressions import AffineMap, Polynomial
 from projnash.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
-from projnash.preferences import preferred
+from projnash.game import MovingBox, build_instance, from_utilities
+from projnash.geometry import Ball, Box
+from projnash.preferences import DirectionField, Sampled, UtilityInduced, preferred
+
+from test_check_nep_many import with_margin
+from test_game import triangle_constraint
 
 EXPAND = str(fixture_path("expand"))
 SELFMAP = str(fixture_path("selfmap"))
@@ -30,6 +37,103 @@ def test_round_trip_digest_all_fixtures():
         g = parse_problem(fixture_text(name))
         g2 = parse_problem(serialize_instance(g))
         assert instance_digest(g) == instance_digest(g2), name
+
+
+def _seventeen_digits(v: float) -> float:
+    """The first float from ``v`` up whose shortest text has 17 digits."""
+    while float(f"{v:.16g}") == v:
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+#: floats of magnitude 1 to 4 whose text needs all 17 significant digits (in
+#: [1, 4) a float is at most 4.4e-16 from the next, finer than 16 digits)
+DIGITS17 = st.builds(lambda v, sign: sign * _seventeen_digits(v),
+                     st.floats(1.0, 4.0, exclude_max=True), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def declared_games(draw, choice, preference):
+    """A game of one to three players, the first declaring ``choice`` and
+    ``preference``, the others drawing theirs: box or ball choice sets,
+    affine ``kbox`` rows, and utility (own-linear or exactly concave),
+    direction or sampled preferences."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    n = sum(dims)
+    x = [Polynomial.variable(j, n) for j in range(n)]
+    vec = lambda d: tuple(draw(DIGITS17) for _ in range(d))
+    choices, constraints, preferences = [], [], []
+    for i, d in enumerate(dims):
+        start = sum(dims[:i])
+        if (choice if i == 0 else draw(st.sampled_from(["box", "ball"]))) == "box":
+            lo = vec(d)
+            choices.append(Box(lo, tuple(v + abs(draw(DIGITS17)) for v in lo)))
+        else:
+            choices.append(Ball(vec(d), abs(draw(DIGITS17))))
+        matrix = tuple(vec(n) for _ in range(d))
+        offset = vec(d)
+        # equal slopes and a wider upper offset: never empty
+        constraints.append(MovingBox(i, AffineMap(matrix, offset), AffineMap(
+            matrix, tuple(b + 1 + abs(draw(DIGITS17)) for b in offset))))
+        block = dict(player_index=i, n_vars=n, own_start=start, own_dim=d)
+        kind = preference if i == 0 else draw(st.sampled_from(["utility", "direction", "sampled"]))
+        if kind == "utility":
+            rival = ([x[j] for j in range(n) if not start <= j < start + d]
+                     or [Polynomial.constant(1.0, n)])
+            utility = Polynomial.constant(draw(DIGITS17), n)
+            for j in range(start, start + d):
+                utility = utility + Polynomial.constant(draw(DIGITS17), n) * x[j] * draw(
+                    st.sampled_from(rival)).pow(draw(st.integers(0, 2)))
+                if draw(st.booleans()):      # concave: a constant negative own square
+                    utility = utility - Polynomial.constant(abs(draw(DIGITS17)), n) * x[j].pow(2)
+            preferences.append(UtilityInduced(**block, utility=utility))
+        elif kind == "direction":
+            c = AffineMap(tuple(vec(n) for _ in range(d)), vec(d))
+            preferences.append(DirectionField(**block, c=c, offset=abs(draw(DIGITS17))))
+        else:
+            # z-points at or above 1 and at-points below -1 in their first own
+            # coordinate, a distinct integer part each: no repeat, and every
+            # at-point's own block lies outside the hull of the z-points
+            zpoints = [(k + 1 + abs(draw(DIGITS17)) / 8,) + tuple(1 + abs(v) for v in vec(d - 1))
+                       for k in range(draw(st.integers(1, 3)))]
+            at_points = []
+            for r in range(draw(st.integers(1, 3))):
+                point = list(vec(n))
+                point[start] = -(r + 1) - abs(draw(DIGITS17)) / 8
+                for j in range(start + 1, start + d):
+                    point[j] = -1 - abs(point[j])
+                at_points.append(tuple(point))
+            prefers = tuple(tuple(draw(st.booleans()) for _ in zpoints) for _ in at_points)
+            preferences.append(Sampled(**block, at_points=tuple(at_points),
+                                       zpoints=tuple(zpoints), prefers=prefers))
+    options = draw(st.fixed_dictionaries({}, optional={"h": DIGITS17.map(abs),
+                                                       "seed": st.integers(0, 99)}))
+    return build_instance(dims, choices, constraints, preferences, options=options)
+
+
+@pytest.mark.parametrize("preference", ["utility", "direction", "sampled"])
+@pytest.mark.parametrize("choice", ["box", "ball"])
+@given(data=st.data())
+def test_serialize_parse_serialize_is_the_identity(choice, preference, data):
+    game = data.draw(declared_games(choice, preference))
+    text = serialize_instance(game)
+    again = parse_problem(text)
+    assert serialize_instance(again) == text
+    # and nothing was rounded on the way: the text reads back every bit
+    for role in ("choice_sets", "constraint_maps", "preference_maps"):
+        assert getattr(again, role) == getattr(game, role), role
+
+
+def test_the_writer_refuses_what_the_language_cannot_state():
+    # a utility margin has no .gnep form, and dropping it would alias digests
+    with pytest.raises(InputError, match=r"^utility margins are not serializable$"):
+        serialize_instance(with_margin(parse_problem(fixture_text("expand")), 1e-3))
+    box = MovingBox(player_index=1, lower=AffineMap.constant([0.0], 3),
+                    upper=AffineMap.constant([1.0], 3))
+    game = from_utilities([2, 1], [Box((0.0, 0.0), (1.0, 1.0)), Box((0.0,), (1.0,))],
+                          [triangle_constraint(3), box], ["x1 + x2", "x3"])
+    with pytest.raises(InputError, match=r"^no \.gnep constraint kind declares a MovingPolytope$"):
+        serialize_instance(game)
 
 
 def test_parse_error_reports_location():
@@ -62,7 +166,7 @@ MALFORMED = [
     (_ONE + "box 0 [1]\n", "expected '[', found '0'", 3, 5),
     (_ONE + "box [0\n] [1]\n", "expected ',' or ']', found '\\n'", 3, 7),
     (_ONE + "box [x1] [1]\n", "expected a constant vector entry", 3, 5),
-    (_ONE + "box [0, 1] [1]\n", "choice box must have 1 entries", 3, 1),
+    (_ONE + "box [0, 1] [1]\n", "choice box must have 1 entries", 3, 5),
     # a literal or a product that overflows is refused, not loaded as infinity
     (_ONE + "box [0] [1e999]\n", "expression coefficient overflows the float range", 3, 10),
     (_ONE + _BODY + "utility 1e999*x1\n", "expression coefficient overflows the float range", 5, 9),
@@ -75,20 +179,28 @@ MALFORMED = [
     (_ONE + "ball [0] 2e400\n", "number 2e400 overflows the float range", 3, 10),
     (_ONE + _BODY + "direction [1] offset -1e309\n",
      "number 1e309 overflows the float range", 5, 23),
-    (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 1),
-    (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 3, 1),
+    (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 6),
+    (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 4, 6),
+    (_ONE + "box [0] [1]\n[0] [1]\n", "expected 'kbox', found '['", 4, 1),
     (_ONE + _BODY + "5\n", "expected a preference declaration", 5, 1),
     (_ONE + _BODY + "wants x1\n", "unknown preference kind 'wants'", 5, 1),
     (_ONE + _BODY + "utility x1 x1\n", "unexpected token 'x1' in expression", 5, 12),
-    (_ONE + _BODY + "direction [1, 1] offset 0\n", "direction field must have 1 entries", 5, 1),
+    (_ONE + _BODY + "direction [1, 1] offset 0\n", "direction field must have 1 entries", 5, 11),
     (_ONE + _BODY + "direction [1] offset\n", "expected a number, found 'eof'", 6, 1),
-    (_ONE + _BODY + "sampled\nzpoints [0, 1]\n", "zpoint must have 1 entries", 5, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0, 1]\n", "zpoint must have 1 entries", 6, 9),
+    (_ONE + _BODY + "sampled\nzpoints\nat [0] prefers\nend\n", "expected '[', found 'at'", 7, 1),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1] [1e-10]\n",
+     "sampled preference for player 1 repeats the z-point [1e-10]", 6, 17),
     (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0, 0] prefers [1]\nend\n",
-     "at-point must have 1 entries", 5, 1),
+     "at-point must have 1 entries", 7, 4),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0] prefers [1]\nat [1e-10] prefers\nend\n",
+     "sampled preference for player 1 repeats the at-point [1e-10]", 8, 4),
     (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0] prefers [0.5]\nend\n",
-     "preferred point [0.5] is not a declared zpoint", 5, 1),
+     "preferred point [0.5] is not a declared zpoint", 7, 16),
+    (_ONE + _BODY + "sampled\nzpoints [0] [1]\nat [0] prefers [1, 0]\nend\n",
+     "preferred point must have 1 entries", 7, 16),
     (_ONE + _BODY + "sampled\nzpoints [0] [1]\nend\n",
-     "sampled preference needs at least one 'at' row", 5, 1),
+     "sampled preference needs at least one 'at' row", 7, 1),
     ("players 2 dims 1 1\nplayer 1\n" + _BODY + "utility x1\n",
      "missing declarations for players [2]", None, None),
 ]
@@ -318,6 +430,23 @@ def test_every_option_reaches_its_field_and_its_flag_wins(tmp_path, key):
     assert code == 0
     for name in {"eps": ("eps_analytic", "eps_grid")}.get(key, (key,)):
         assert f"config.{name} = {cli._fmt(kind(in_flag))}" in out.splitlines()
+
+
+#: the grammar's symbol for each field type of ``cli.DECLARATIONS``
+GRAMMAR_SYMBOLS = {"vec": "vec", "affine": "avec", "real": "REAL", "poly": "poly",
+                   "table": "table"}
+
+
+def test_grammar_declarations_match_the_declaration_table():
+    # each alternative of the choice, constraint and preference rules is one
+    # kind's entry: its keyword, then its fields in order
+    grammar = (Path(cli.__file__).parent / "docs" / "problem_grammar.ebnf").read_text()
+    for role, kinds in cli.DECLARATIONS.items():
+        rule = re.search(rf"^{role}\s*=([^;]*);", grammar, re.MULTILINE).group(1)
+        listed = [alt.replace('"', " ").replace(",", " ").split() for alt in rule.split("|")]
+        assert listed == [[keyword] + [GRAMMAR_SYMBOLS.get(w.partition(":")[2], w)
+                                       for w in fields.split()]
+                          for keyword, (_, fields, _) in kinds.items()], role
 
 
 def test_grammar_option_keys_match_the_option_table():

@@ -233,6 +233,22 @@ def test_an_indefinite_form_within_1e_12_of_concave_is_checked():
     assert game.hypotheses.self_exclusion_probes == 49
 
 
+def test_the_hull_probe_grid_is_built_only_when_a_map_reads_it(monkeypatch):
+    # the choice probes are one grid; the hull product's is built only for a
+    # map that is neither hull-exact nor a table, as no shipped fixture is
+    boxes = []
+    build = game_mod._probe_grid_for_box
+    monkeypatch.setattr(game_mod, "_probe_grid_for_box",
+                        lambda box, per_axis: boxes.append(box) or build(box, per_axis))
+    for name in FIXTURE_NAMES:
+        boxes.clear()
+        game = load_fixture(name)
+        assert boxes == [game.x_bbox], name
+    boxes.clear()
+    game = _indefinite_game("1e-13")
+    assert boxes == [game.x_bbox, game.hull_box]
+
+
 def test_an_indefinite_form_whose_gains_clear_the_guard_is_rejected():
     # with 1e-9 x2^2, at x = (0, -1) the preferred points z1 ~ 0, |z2| > 1
     # gain up to 3e-9 and lie on both sides of x, so x lies in the hull of
