@@ -99,12 +99,21 @@ def _write_table(t: Sampled) -> str:
     return "\n".join(["", "zpoints " + " ".join(map(_vec_text, t.zpoints)), *rows, "end"])
 
 
+def _read_affine(cur: Cursor, b: dict, label: str) -> AffineMap:
+    """An affine vector; a row above degree 1 is refused at its '['."""
+    opening = cur.peek()
+    polys = cur.parse_expr_vector(b["own_dim"], label)
+    try:
+        return AffineMap.from_polynomials(polys)
+    except InputError as err:
+        raise opening.error(str(err)) from None
+
+
 #: per field type: its reader, of the cursor, the player block (as
 #: ``parse_problem`` builds it) and the kind's name for its vectors; its writer
 _FIELD_TYPES = {
     "vec": (lambda cur, b, label: cur.parse_const_vector(b["own_dim"], label), _vec_text),
-    "affine": (lambda cur, b, label: AffineMap.from_polynomials(
-        cur.parse_expr_vector(b["own_dim"], label)), lambda m: f"[{', '.join(m.to_text_rows())}]"),
+    "affine": (_read_affine, lambda m: f"[{', '.join(m.to_text_rows())}]"),
     "real": (lambda cur, b, label: cur.parse_real(), format_float),
     "poly": (lambda cur, b, label: cur.parse_expr(), Polynomial.to_text),
     "table": (_read_table, _write_table),
@@ -133,7 +142,8 @@ _UNKNOWN_KIND = {
 
 
 def _read_declaration(cur: Cursor, b: dict, role: str):
-    """The next declaration of ``role``, read through its kind's entry."""
+    """The next declaration of ``role``, read through its kind's entry; a
+    declaration its class refuses is refused at the kind's keyword."""
     tok = cur.next()
     if tok.kind != "ident" or tok.text not in DECLARATIONS[role]:
         word, other = _UNKNOWN_KIND[role]
@@ -146,7 +156,10 @@ def _read_declaration(cur: Cursor, b: dict, role: str):
             continue
         value = _FIELD_TYPES[typ][0](cur, b, label)
         values.update(value if name == "*" else {name: value})
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InputError as err:
+        raise tok.error(str(err)) from None
 
 
 def _write_declaration(role: str, decl) -> str:

@@ -43,11 +43,11 @@ Every candidate row of the shipped fixtures' routes is proven, so only the
 tests reach the polar-check loop of :func:`normal_directions_batch`.
 
 Where no field direction validates (a vanishing field, as at the inflection
-of ``(x1 - 0.5)^3``), :func:`normal_operator` samples preferred points and
-asks :func:`geometry.separate` for a polar direction: exact for the samples,
-in any own dimension.  No shipped fixture route reaches this fallback.
-Tables have no normal field: their gains reject the off-grid probe pool
-with :class:`InputError`.
+of ``(x1 - 0.5)^3``), :func:`normal_directions_batch` samples preferred
+points of the row and asks :func:`geometry.separate` for a polar direction:
+exact for the samples, in any own dimension.  No shipped fixture route
+reaches this fallback.  Tables have no normal field: their gains reject the
+off-grid probe pool with :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -111,17 +111,11 @@ def _unproven(p, xs: np.ndarray, norms: np.ndarray, cand_ok: np.ndarray,
     return need
 
 
-def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized single-direction evaluation over many points.
-
-    Returns ``(directions, full_mask, ok_mask)``: rows of unit directions
-    (unspecified where not ok), a mask of empty-preference points, and a
-    mask of rows where a validated direction exists.  Rows failing both are
-    flagged for the caller (typically routed to the per-point fallback).
-    """
+def _field_directions(game: GameInstance, i: int, xs: np.ndarray, cfg
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field stage of :func:`normal_directions_batch`: its result before
+    the fallback, where rows failing both masks are left unsettled."""
     p = game.preference_maps[i]
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, game.n)
     m = xs.shape[0]
     k = game.dims[i]
     sl = game.own_slice(i)
@@ -170,14 +164,34 @@ def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
     return directions, full_mask, ok_mask
 
 
+def normal_directions_batch(game: GameInstance, i: int, xs: np.ndarray, cfg
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normal directions at every row of ``xs``: ``(directions,
+    full_mask, ok_mask)``, rows of unit directions (unspecified where not
+    ok), a mask of empty-preference points and a mask of rows with a
+    direction, never both.  A row the field stage leaves in neither takes
+    the fallback (module docstring) and stays in neither when nothing
+    separates."""
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, game.n)
+    directions, full_mask, ok_mask = _field_directions(game, i, xs, cfg)
+    p, window = game.preference_maps[i], _sampling_window(game, i)
+    for r in np.flatnonzero(~(full_mask | ok_mask)):
+        x = xs[r]
+        samples = prefs.sample_preferred(p, x, window, max(1, cfg.random_budget),
+                                         rng=seeded_rng(cfg.seed, 23, i, arrays=(x,)))
+        if samples.shape[0] == 0:
+            full_mask[r] = True
+        elif (found := separate(samples, x[game.own_slice(i)])) is not None:
+            directions[r], ok_mask[r] = found, True
+    return directions, full_mask, ok_mask
+
+
 def normal_operator(game: GameInstance, i: int, x, cfg) -> ConeSample:
     """Sampled unit section of the normal cone to the convexified preference
-    set of player ``i`` at ``x``.
-
-    Empty preference at the sampling resolution yields a full-space sample.
-    If no validated direction exists and no direction separates ``x_i`` from
-    the sampled preferred points, the result is an empty sample (flagged by
-    :func:`unit_normal_product`).
+    set of player ``i`` at ``x``, a point of the search domain: the one-row
+    call of :func:`normal_directions_batch`.  A full-space sample stands for
+    empty preference at the sampling resolution, an empty one (flagged by
+    :func:`unit_normal_product`) for a row with no direction.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != game.n:
@@ -191,16 +205,7 @@ def normal_operator(game: GameInstance, i: int, x, cfg) -> ConeSample:
         return ConeSample.full_space(k)
     if ok_mask[0]:
         return ConeSample.from_directions(dirs[0:1], k)
-    # degenerate: separate x_i from sampled preferred points
-    samples = prefs.sample_preferred(game.preference_maps[i], x, _sampling_window(game, i),
-                                     max(1, cfg.random_budget),
-                                     rng=seeded_rng(cfg.seed, 23, i, arrays=(x,)))
-    if samples.shape[0] == 0:
-        return ConeSample.full_space(k)
-    found = separate(samples, x[game.own_slice(i)])
-    if found is None:
-        return ConeSample.empty(k)
-    return ConeSample.from_directions(found[None, :], k)
+    return ConeSample.empty(k)
 
 
 def unit_normal_product(game: GameInstance, x, cfg) -> UnitNormalProduct:

@@ -695,8 +695,9 @@ class _ComplementCloud:
     region no point is preferred.  ``points`` holds the boundary points of
     the built sub-box, index ranges ``[lo, hi)`` into the axes: empty at
     first, grown by :meth:`min_distance` as its queries need and all of the
-    region after :meth:`build_region`.  Each built point is the full-region
-    cloud's, and the full-region build in one piece keeps its order.
+    region after :meth:`build_region`.  Each growth rebuilds the hull of
+    the old box and the request in one piece, so the built points are the
+    full-region cloud's on that box, in its order.
     Queries go to one :class:`~projnash.nearest.NearestIndex` over the
     built points, with buckets of ``CLOUD_BUCKET_STEPS * h_g``, rebuilt
     after each growth.  A table's cloud is its declared non-preferred pairs,
@@ -733,28 +734,18 @@ class _ComplementCloud:
         return self
 
     def _cover(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Grow the built sub-box to its hull with ``[lo, hi)``, building
-        only the new part, one box at a time: along each axis in turn, the
-        new ranges below and above the old box, across the old box's ranges
-        on the axes before and the new ones on the axes after."""
-        pieces = [(lo, hi)]
+        """Grow the built sub-box to its hull with ``[lo, hi)``, rebuilt in
+        one piece."""
         if self.lo is not None:
             lo, hi = np.minimum(lo, self.lo), np.maximum(hi, self.hi)
-            pieces = [(np.r_[self.lo[:j], a, lo[j + 1:]], np.r_[self.hi[:j], b, hi[j + 1:]])
-                      for j in range(lo.shape[0])
-                      for a, b in ((lo[j], self.lo[j]), (self.hi[j], hi[j])) if a < b]
-        if not pieces:
-            return
-        found = [self._boundary_points(a, b) for a, b in pieces]
-        self.points = np.vstack([self.points] + [pts for pts, _ in found])
-        self._index = None
-        if not self.points.shape[0] and np.array_equal(hi - lo, self.shape):
+        points, covered = self._boundary_points(lo, hi)
+        if not points.shape[0] and np.array_equal(hi - lo, self.shape):
             # every grid point is preferred or none is; the box stays as it
             # was, so a later query raises again
-            what = "covers the whole" if found[-1][1] else "prefers no point of the"
+            what = "covers the whole" if covered else "prefers no point of the"
             raise InputError(f"preference {what} distance region at this resolution; "
                              "cannot build a complement cloud")
-        self.lo, self.hi = lo, hi
+        self.points, self.lo, self.hi, self._index = points, lo, hi, None
 
     def _boundary_points(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, bool]:
         # the boundary points of the sub-box ``[lo, hi)``, with the status

@@ -29,7 +29,7 @@ from .game import (Certificate, GameInstance, _scan_entry, check_projected_solut
 from .geometry import (check_grid_size, grid_axis, grid_axis_size, grid_points,
                        lattice_axis, lattice_span, mesh_points)
 from . import preferences as prefs
-from .normal_op import normal_directions_batch, normal_operator
+from .normal_op import normal_directions_batch
 
 #: rows per lexicographic block of the joint scan grid
 _SCAN_BLOCK = 65536
@@ -417,18 +417,17 @@ def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
     """Best variational residual over operator candidates, rowwise.
 
     Returns ``(residual, y_star, ok)``: the projection term plus, per
-    player, the minimal ``max_z <-(y*_i), z - y_i>`` over the candidates at
-    the row (the stored direction, plus 0 for empty-preference points);
-    ``y_star`` the minimizing selection; ``ok`` flags rows where every
-    player offered a candidate.
+    player, ``max_z <-(y*_i), z - y_i>`` for the candidate at the row (the
+    direction of :func:`normal_directions_batch`, or 0 at an
+    empty-preference point); ``y_star`` that selection; ``ok`` flags rows
+    where every player offered a candidate.
 
     Players run in index order on the rows still alive.  A later term is at
     least ``-dist(y_j, K_j(x))`` (``w`` is a unit vector, ``K_j(x)`` holds
-    the projection of ``y_j``; a full-space factor gives 0 or a negative
-    direction term), so a row whose partial sum exceeds ``limit`` by more
-    than the later distance bounds plus a rounding slack, or that lacks a
-    candidate, gets residual ``+inf``.  Kept rows sum their terms as an
-    uncascaded scan does.
+    the projection of ``y_j``; a full-space factor gives 0), so a row whose
+    partial sum exceeds ``limit`` by more than the later distance bounds
+    plus a rounding slack, or that lacks a candidate, gets residual
+    ``+inf``.  Kept rows sum their terms as an uncascaded scan does.
     """
     m, players = xs.shape[0], game.player_count
     proj = _projection_term_many(game, xs, ys)[0]
@@ -443,24 +442,15 @@ def _candidate_residual(game: GameInstance, xs: np.ndarray, ys: np.ndarray,
         sl = game.own_slice(i)
         xa, ya = xs[alive], ys[alive]
         dirs, full_mask, dir_ok = normal_directions_batch(game, i, ya, cfg)
-        missing = ~(full_mask | dir_ok)
-        for r in np.nonzero(missing)[0]:
-            sample = normal_operator(game, i, ya[r], cfg)
-            if sample.is_full_space:
-                full_mask[r] = True
-            elif not sample.is_empty:
-                dirs[r] = sample.as_array[0]
-                dir_ok[r] = True
         offered = full_mask | dir_ok
         ok[alive] &= offered
         w = -dirs
         term_dir = (game.constraint_maps[i].linear_max_many(xa, w)[0]
                     - np.sum(w * ya[:, sl], axis=1))
         # full-space factors admit the zero vector, whose term vanishes
-        use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
-        term = np.where(offered, np.where(use_dir, term_dir, 0.0), np.inf)
+        term = np.where(offered, np.where(dir_ok, term_dir, 0.0), np.inf)
         terms[alive, i] = term
-        y_star[alive, sl] = np.where(use_dir[:, None], dirs, 0.0)
+        y_star[alive, sl] = np.where(dir_ok[:, None], dirs, 0.0)
         if i + 1 < players:
             alive, partial, size, term = alive[offered], partial[offered], size[offered], term[offered]
             partial += term

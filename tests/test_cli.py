@@ -145,7 +145,9 @@ def test_parse_error_reports_location():
 _ONE = "players 1 dims 1\nplayer 1\n"
 _BODY = "box [0] [1]\nkbox [0] [1]\n"
 
-#: (malformed text, message, line, col): one row per parser error site
+#: (malformed text, message, line, col[, id]): one row per parser error
+#: site.  A row's test id is its message, or its own ``id`` where the
+#: message repeats: the location, then the message or what it refuses
 MALFORMED = [
     ("plyers 1 dims 1\n", "expected 'players', found 'plyers'", 1, 1),
     ("players 1.5 dims 1\n", "expected an integer, found '1.5'", 1, 9),
@@ -167,13 +169,19 @@ MALFORMED = [
     (_ONE + "box [0\n] [1]\n", "expected ',' or ']', found '\\n'", 3, 7),
     (_ONE + "box [x1] [1]\n", "expected a constant vector entry", 3, 5),
     (_ONE + "box [0, 1] [1]\n", "choice box must have 1 entries", 3, 5),
+    (_ONE + "box [0] [1, 1]\n", "choice box must have 1 entries", 3, 9,
+     "3:9 choice box must have 1 entries"),
     # a literal or a product that overflows is refused, not loaded as infinity
-    (_ONE + "box [0] [1e999]\n", "expression coefficient overflows the float range", 3, 10),
-    (_ONE + _BODY + "utility 1e999*x1\n", "expression coefficient overflows the float range", 5, 9),
+    (_ONE + "box [0] [1e999]\n", "expression coefficient overflows the float range", 3, 10,
+     "3:10 coefficient overflow in a box bound"),
+    (_ONE + _BODY + "utility 1e999*x1\n", "expression coefficient overflows the float range", 5, 9,
+     "5:9 coefficient overflow in a literal"),
     (_ONE + _BODY + "utility 1e200*1e200*x1\n",
-     "expression coefficient overflows the float range", 5, 9),
+     "expression coefficient overflows the float range", 5, 9,
+     "5:9 coefficient overflow in a product"),
     (_ONE + _BODY + "utility x1 + 1e200*1e200 - 1e200*1e200\n",
-     "expression coefficient overflows the float range", 5, 9),
+     "expression coefficient overflows the float range", 5, 9,
+     "5:9 coefficient overflow in cancelling products"),
     # a real that overflows is refused at its token: options, radii, offsets
     ("players 1 dims 1\nset h 1e999\n", "number 1e999 overflows the float range", 2, 7),
     (_ONE + "ball [0] 2e400\n", "number 2e400 overflows the float range", 3, 10),
@@ -181,6 +189,21 @@ MALFORMED = [
      "number 1e309 overflows the float range", 5, 23),
     (_ONE + "ball [0, 0] 1\n", "ball center must have 1 entries", 3, 6),
     (_ONE + "box [0] [1]\nkbox [0, 0] [1]\n", "constraint bounds must have 1 entries", 4, 6),
+    (_ONE + "box [0] [1]\nkbox [0] [1, 2]\n", "constraint bounds must have 1 entries", 4, 10,
+     "4:10 constraint bounds must have 1 entries"),
+    # a declaration its class refuses is refused at the kind's keyword, and
+    # a row above degree 1 at the '[' of its affine vector
+    (_ONE + "box [1] [0]\n", "empty box: lower (1.0,) exceeds upper (0.0,)", 3, 1),
+    (_ONE + "ball [0] -1\n", "ball radius must be finite and nonnegative, its center finite",
+     3, 1),
+    (_ONE + _BODY + "direction [1] offset -1\n", "direction offset must be finite and nonnegative",
+     5, 1),
+    (_ONE + "box [0] [1]\nkbox [x1^2] [1]\n",
+     "expression of degree 2 used where an affine expression is required", 4, 6,
+     "4:6 degree 2 in constraint bounds"),
+    (_ONE + _BODY + "direction [x1^2] offset 0\n",
+     "expression of degree 2 used where an affine expression is required", 5, 11,
+     "5:11 degree 2 in a direction field"),
     (_ONE + "box [0] [1]\n[0] [1]\n", "expected 'kbox', found '['", 4, 1),
     (_ONE + _BODY + "5\n", "expected a preference declaration", 5, 1),
     (_ONE + _BODY + "wants x1\n", "unknown preference kind 'wants'", 5, 1),
@@ -206,8 +229,16 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("text, message, line, col", MALFORMED,
-                         ids=[row[1] for row in MALFORMED])
+MALFORMED_IDS = [row[4] if len(row) > 4 else row[1] for row in MALFORMED]
+
+
+def test_malformed_rows_have_their_own_ids():
+    # a repeated id would make pytest number every row that shares it
+    assert len(set(MALFORMED_IDS)) == len(MALFORMED)
+
+
+@pytest.mark.parametrize("text, message, line, col", [row[:4] for row in MALFORMED],
+                         ids=MALFORMED_IDS)
 def test_parse_errors_name_their_token(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
@@ -305,6 +336,24 @@ def test_cli_oracle_exit_zero_and_certificate():
     assert "certificate[0].x = 1, 1" in out
     assert "certificate[0].y = 2, 2" in out
     assert "certificate[0].verdict = pass" in out
+
+
+def test_cli_qvi_settles_scan_rows_past_the_domain(tmp_path):
+    # the scan lattice snaps outward to 1.1, past the domain [0, 1.05], and
+    # there the gradient of -(x1 - 1.1)^3 vanishes: the QVI route settles
+    # the row by the fallback and certifies what the oracle certifies
+    path = tmp_path / "outward.gnep"
+    path.write_text("players 1 dims 1\nplayer 1\nbox [0] [1]\nkbox [0] [1.05]\n"
+                    "utility -(x1 - 1.1)^3\n")
+    certificates = {}
+    for command in ("solve-qvi", "oracle"):
+        code, out = run_capture([command, str(path), "--h", "0.1"])
+        assert code == 0, out
+        certificates[command] = [line for line in out.splitlines()
+                                 if line.startswith("certificate")]
+    assert certificates["solve-qvi"] == certificates["oracle"]
+    assert certificates["oracle"][:3] == ["certificates = 1", "certificate[0].x = 0",
+                                          "certificate[0].y = 0"]
 
 
 def test_cli_verify_pass():

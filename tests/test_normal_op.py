@@ -11,7 +11,7 @@ from projnash.fixtures import FIXTURE_NAMES, load_fixture
 from projnash.game import MovingBox, build_instance, from_utilities
 from projnash.game import seeded_rng
 from projnash.geometry import (Box, ConeSample, grid_points, lattice_axis, mesh_points,
-                               probe_points)
+                               probe_points, separate)
 from projnash.normal_op import (POLAR_SLAB, POLAR_TOL, UnitNormalProduct,
                                 normal_directions_batch,
                                 normal_operator, unit_normal_product)
@@ -193,10 +193,11 @@ def test_hull_membership_of_product_factor():
 
 
 def normal_directions_reference(game, i, xs, cfg):
-    """The direction kernel with the gain of every (row, probe) pair from
-    ``strict_gain_outer`` and the polar check over each whole outer chunk at
-    once; ``<z - x_i, d>`` adds one coordinate at a time, in coordinate
-    order, for every own dimension."""
+    """The field stage of the direction kernel (``normal_op._field_directions``)
+    with the gain of every (row, probe) pair from ``strict_gain_outer`` and
+    the polar check over each whole outer chunk at once; ``<z - x_i, d>``
+    adds one coordinate at a time, in coordinate order, for every own
+    dimension."""
     p = game.preference_maps[i]
     sl = game.own_slice(i)
     zpool = probe_points(game.hull_boxes[i].inflate(1.0), max(8, cfg.random_budget),
@@ -221,6 +222,44 @@ def normal_directions_reference(game, i, xs, cfg):
         ok &= ~np.any(pref & (inner > POLAR_TOL), axis=1)
         out[0][rows], out[1][rows], out[2][rows] = d, ~nonempty, ok
     return out
+
+
+def normal_operator_reference(game, i, x, cfg):
+    """What ``normal_operator`` answered before its fallback moved into the
+    batch, as ``(direction or None, full_space)``: the one-row field stage
+    (:func:`normal_directions_reference`), then, on a row it leaves
+    unsettled, preferred points sampled with the generator seeded by the
+    row and the direction of ``geometry.separate``."""
+    dirs, full, ok = normal_directions_reference(game, i, x[None, :], cfg)
+    if full[0] or ok[0]:
+        return (dirs[0] if ok[0] else None), bool(full[0])
+    zs = sample_preferred(game.preference_maps[i], x, game.hull_boxes[i].inflate(1.0),
+                          max(1, cfg.random_budget),
+                          rng=seeded_rng(cfg.seed, 23, i, arrays=(x,)))
+    if zs.shape[0] == 0:
+        return None, True
+    return separate(zs, x[game.own_slice(i)]), False
+
+
+def assert_fallback_rows_match_the_operator(game, i, ys, cfg):
+    """The batch is the field stage on the rows that stage settles, and
+    the reference operator bit for bit on the others; returns how many
+    rows took the fallback and how many of them got a direction."""
+    got = normal_directions_batch(game, i, ys, cfg)
+    field = normal_directions_reference(game, i, ys, cfg)
+    settled = field[1] | field[2]
+    assert np.array_equal(got[1][settled], field[1][settled])
+    assert np.array_equal(got[2][settled], field[2][settled])
+    assert got[0][field[2]].tobytes() == field[0][field[2]].tobytes()
+    assert not np.any(got[1] & got[2])
+    directions = 0
+    for r in np.flatnonzero(~settled):
+        d, full = normal_operator_reference(game, i, ys[r], cfg)
+        assert (bool(got[1][r]), bool(got[2][r])) == (full, d is not None), r
+        if d is not None:
+            assert got[0][r].tobytes() == d.tobytes(), r
+            directions += 1
+    return int(np.sum(~settled)), directions
 
 
 def _cubic_game(k=2):
@@ -253,11 +292,27 @@ def test_slabbed_polar_check_matches_the_whole_block(name, h):
     assert ys.shape[0] * cfg.random_budget > 8 * POLAR_SLAB
     rejected = 0
     for i in range(game.player_count):
-        got = normal_directions_batch(game, i, ys, cfg)
+        got = normal_op._field_directions(game, i, ys, cfg)
         want = normal_directions_reference(game, i, ys, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
         rejected += int(np.sum(~got[1] & ~got[2]))
     assert (rejected > 0) == name.startswith("cubic")
+
+
+@pytest.mark.parametrize("name", ["cubic_player_4d", "cubic"])
+def test_fallback_rows_are_the_operator_results(name):
+    # the 4-D x1^3 player falls back on its face x1 = 0, every row with a
+    # separating direction; on the cubic game most of a slice of scan rows
+    # fail the polar check, and of those few separate
+    if name == "cubic":
+        game, cfg = _cubic_game(), SolverConfig(h=0.1)
+        ys = np.vstack([block for _, block in _scan(game, cfg)[1]])[::97]
+    else:
+        game, cfg = cubic_player_4d(), SolverConfig(h=0.5, random_budget=64)
+        ys = _lattice_rows(game, 0.5)
+    fallback, directions = assert_fallback_rows_match_the_operator(game, 0, ys, cfg)
+    assert fallback >= directions > 0
+    assert (fallback == directions) == (name == "cubic_player_4d")
 
 
 #: which fixture players have half-space preferred sets
@@ -287,12 +342,12 @@ def _scaled(game, ys, factor):
 
 
 def assert_directions_match_the_reference(game, ys, cfg, players=None):
-    """``(directions, full_mask, ok_mask)`` bit for bit the reference's for
-    every player; returns the validated rows of half-space players, whose
-    polar check the kernel skips."""
+    """The field stage's ``(directions, full_mask, ok_mask)`` bit for bit
+    the reference's for every player; returns the validated rows of
+    half-space players, whose polar check the kernel skips."""
     skipped = 0
     for i in range(game.player_count) if players is None else players:
-        got = normal_directions_batch(game, i, ys, cfg)
+        got = normal_op._field_directions(game, i, ys, cfg)
         want = normal_directions_reference(game, i, ys, cfg)
         assert all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                    for a, b in zip(got, want)), i
@@ -426,9 +481,11 @@ def test_near_stationary_rows_keep_the_check():
             game = _scaled(game, np.zeros((0, 2)), factor)[0]
             ys = np.array([[x, 0.3]])
             assert_directions_match_the_reference(game, ys, cfg, [0])
-            full, ok = normal_directions_batch(game, 0, ys, cfg)[1:]
+            full, ok = normal_op._field_directions(game, 0, ys, cfg)[1:]
             assert full[0] or factor > 1.0
             rejected += int(not full[0] and not ok[0])
+            # the batch settles a rejected row as the operator did
+            assert_fallback_rows_match_the_operator(game, 0, ys, cfg)
         assert (rejected > 0) == (factor > 1.0)
 
 

@@ -10,14 +10,14 @@ from projnash.fixtures import load_fixture
 from projnash.game import (Certificate, MovingBox, MovingPolytope, PlayerCheck,
                            check_projected_solution, from_utilities, seeded_rng)
 from projnash.geometry import Box, grid_points, lattice_axis, mesh_points
-from projnash.normal_op import normal_directions_batch, normal_operator, unit_normal_product
+from projnash.normal_op import normal_directions_batch, unit_normal_product
 from projnash.geometry import grid_axis
 from projnash.preferences import GAIN_GUARD, strict_gain_outer
 from test_cross_validation import (boundary_pinned_instance, interior_target_instance,
                                    random_direction_instance)
 from test_check_nep_many import with_margin
 from test_normal_op import cubic_player_4d, normal_directions_reference
-from projnash import solvers
+from projnash import normal_op, solvers
 from projnash.solvers import (SolverConfig, _candidate_residual, _cluster_certificates,
                               _projection_term_many, _scan, _witness_prefilter,
                               best_response_distance, brute_force_oracle,
@@ -272,15 +272,17 @@ def test_projection_factor_consistency_at_survivors():
 
 
 def test_candidate_residual_falls_back_to_per_row_operator():
-    # cubic utility: the own gradient vanishes at 0.5, where the batch kernel
-    # offers no candidate and the per-row separator must supply one
+    # cubic utility: the own gradient vanishes at 0.5, where the field stage
+    # offers no candidate and the batch's per-row separator supplies one
     maps = [MovingBox(player_index=0, lower=AffineMap.constant([0.0], 1),
                       upper=AffineMap.constant([1.0], 1))]
     g = from_utilities([1], [Box((0.0,), (1.0,))], maps, ["(x1 - 0.5)^3"])
     cfg = SolverConfig(h=0.05, random_budget=128)
     ys = np.array([[0.25], [0.5], [1.0]])
-    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    _, full_mask, dir_ok = normal_op._field_directions(g, 0, ys, cfg)
     assert list(full_mask | dir_ok) == [True, False, True]
+    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    assert list(full_mask) == [False] * 3 and list(dir_ok) == [True] * 3
     residual, y_star, ok = _candidate_residual(g, ys.copy(), ys, cfg)
     assert ok.all()
     assert np.array_equal(y_star, [[-1.0], [-1.0], [-1.0]])
@@ -291,8 +293,10 @@ def test_candidate_residual_separates_in_four_dimensions():
     g = cubic_player_4d()
     cfg = SolverConfig(h=0.5, random_budget=64)
     ys = np.array([[0.0, 0.5, 0.5, 0.5], [1.0, 0.5, 0.5, 0.5]])
-    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    _, full_mask, dir_ok = normal_op._field_directions(g, 0, ys, cfg)
     assert list(full_mask | dir_ok) == [False, True]
+    _, full_mask, dir_ok = normal_directions_batch(g, 0, ys, cfg)
+    assert list(full_mask) == [False] * 2 and list(dir_ok) == [True] * 2
     residual, y_star, ok = _candidate_residual(g, ys.copy(), ys, cfg)
     assert ok.all()
     assert np.allclose(np.linalg.norm(y_star, axis=1), 1.0, atol=1e-12)
@@ -379,21 +383,13 @@ def _uncascaded_residual(game, xs, ys, cfg):
     for i in range(game.player_count):
         sl = game.own_slice(i)
         dirs, full_mask, dir_ok = normal_directions_batch(game, i, ys, cfg)
-        for r in np.nonzero(~(full_mask | dir_ok))[0]:
-            sample = normal_operator(game, i, ys[r], cfg)
-            if sample.is_full_space:
-                full_mask[r] = True
-            elif not sample.is_empty:
-                dirs[r] = sample.as_array[0]
-                dir_ok[r] = True
         ok &= full_mask | dir_ok
         w = -dirs
         term_dir = (game.constraint_maps[i].linear_max_many(xs, w)[0]
                     - np.sum(w * ys[:, sl], axis=1))
-        use_dir = dir_ok & (~full_mask | (term_dir < 0.0))
-        terms[:, i] = np.where(use_dir, term_dir, 0.0)
+        terms[:, i] = np.where(dir_ok, term_dir, 0.0)
         terms[~(dir_ok | full_mask), i] = np.inf
-        y_star[:, sl] = np.where(use_dir[:, None], dirs, 0.0)
+        y_star[:, sl] = np.where(dir_ok[:, None], dirs, 0.0)
     return _projection_term_many(game, xs, ys)[0] + np.sum(terms, axis=1), y_star, ok
 
 
